@@ -35,6 +35,8 @@ def parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:count, got %r" % spec)
     start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("grid start and stop must be finite, got %r" % spec)
     count = int(parts[2])
     if count < 1:
         raise ValueError("grid count must be >= 1")

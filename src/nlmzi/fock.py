@@ -45,8 +45,8 @@ def as_distribution(p, tail_tol: float = 1e-12) -> np.ndarray:
 
 def thermal_cutoff(nbar: float, tail_tol: float = 1e-12) -> int:
     """Smallest N_max with tail mass (nbar/(1+nbar))^(N_max+1) <= tail_tol."""
-    if nbar < 0:
-        raise DomainError("nbar must be >= 0")
+    if not (np.isfinite(nbar) and nbar >= 0):
+        raise DomainError("nbar must be finite and >= 0")
     if not (0.0 < tail_tol < 1.0):
         raise DomainError("tail_tol must lie in (0, 1)")
     if nbar == 0:

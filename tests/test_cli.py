@@ -26,7 +26,7 @@ def test_parse_grid():
     g = parse_grid("0:2:5")
     assert np.allclose(g, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert parse_grid("1.5:1.5:1").tolist() == [1.5]
-    for bad in ("1:2", "a:b:c", "0:1:0", "1:2:3:4"):
+    for bad in ("1:2", "a:b:c", "0:1:0", "1:2:3:4", "0:inf:3", "nan:1:3"):
         with pytest.raises(ValueError):
             parse_grid(bad)
 
@@ -89,6 +89,14 @@ def test_usage_errors_exit_two(tmp_path):
         run("wc-sweep", "--process", "cross-kerr", "--nbar", 1.0,
             "--theta", "0:1", "--out", tmp_path / "x.csv")
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run("wc-sweep", "--process", "cross-kerr", "--nbar", 1.0,
+            "--theta", "0:nan:3", "--out", tmp_path / "x.csv")
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run("pdc", "--variant", "degenerate", "--nbar", 1.0,
+            "--gt", "0:inf:3", "--out", tmp_path / "x.csv")
+    assert exc.value.code == 2
     with pytest.raises(SystemExit):
         run("no-such-command")
 
@@ -99,6 +107,9 @@ def test_domain_errors_exit_three(tmp_path):
     assert rc == 3
     rc = run("max-efficiency", "--process", "cross-kerr", "--nbar", 0.5,
              "--theta-max", 6.3, "--grid", 50, "--out", tmp_path / "y.csv")
+    assert rc == 3
+    rc = run("pdc", "--variant", "degenerate", "--nbar", "nan",
+             "--gt", "0:1:3", "--out", tmp_path / "z.csv")
     assert rc == 3
 
 

@@ -111,29 +111,106 @@ def test_generic_system_hermiticity_validation():
                                             (1.0, ((1, 0), (0, 1)))))
 
 
-def test_generic_engine_matches_dense_tensor():
+PAIR_G = 0.9
+
+
+def _pair_production_system():
     # pair-production ladder: pump photon -> two signal photons
-    g = 0.9
-    system = ev.GenericSystem(cutoffs=(3, 6),
-                              terms=((g, ((0, 1), (2, 0))),
-                                     (g, ((1, 0), (0, 2)))))
-    eng = ev.GenericEngine(system)
-    # dense oracle on the full 4 x 7 tensor space
+    return ev.GenericSystem(cutoffs=(3, 6),
+                            terms=((PAIR_G, ((0, 1), (2, 0))),
+                                   (PAIR_G, ((1, 0), (0, 2)))))
+
+
+def _pair_production_oracle(t, n0):
+    """Signal distribution from the dense expm on the full 4 x 7 space."""
     ap = ladder(4).conj().T
     asig = ladder(7)
-    H = g * (np.kron(ap.conj().T, asig.conj().T @ asig.conj().T)
+    H = PAIR_G * (np.kron(ap.conj().T, asig.conj().T @ asig.conj().T)
              + np.kron(ap, asig @ asig))
+    psi0 = np.zeros(28, dtype=complex)
+    psi0[n0 * 7] = 1.0
+    psi = expm(-1j * t * H) @ psi0
+    dist_sig_ref = np.zeros(7)
+    for i, amp in enumerate(psi):
+        dist_sig_ref[i % 7] += abs(amp) ** 2
+    return dist_sig_ref
+
+
+def test_generic_engine_matches_dense_tensor():
+    eng = ev.GenericEngine(_pair_production_system())
     for t in (0.5, 1.9):
-        U = expm(-1j * t * H)
         for n0 in (1, 2, 3):
-            psi0 = np.zeros(28, dtype=complex)
-            psi0[n0 * 7] = 1.0
-            psi = U @ psi0
-            dist_sig_ref = np.zeros(7)
-            for i, amp in enumerate(psi):
-                dist_sig_ref[i % 7] += abs(amp) ** 2
             dist = eng.mode_distributions((n0, 0), t)[1]
-            assert np.abs(dist - dist_sig_ref).max() < 1e-11
+            assert np.abs(dist - _pair_production_oracle(t, n0)).max() < 1e-11
+
+
+def test_generic_engine_time_grid_matches_oracle_and_scalar_calls():
+    eng = ev.GenericEngine(_pair_production_system())
+    ts = np.array([0.0, 0.5, 1.3, 1.9, 4.2])
+    for n0 in (1, 2, 3):
+        grid = eng.mode_distributions((n0, 0), ts)
+        assert [d.shape for d in grid] == [(4, ts.size), (7, ts.size)]
+        for i, t in enumerate(ts):
+            ref = _pair_production_oracle(t, n0)
+            assert np.abs(grid[1][:, i] - ref).max() < 1e-11
+            # a one-column product rounds differently from a wide one
+            for d_scalar, d_grid in zip(eng.mode_distributions((n0, 0), t),
+                                        grid):
+                assert d_scalar.shape == d_grid[:, i].shape
+                assert np.abs(d_scalar - d_grid[:, i]).max() < 1e-14
+
+
+def test_generic_offdiag_guard_fires_on_a_single_column():
+    # a + a^+ on mode 0 builds coherences between its occupations
+    system = ev.GenericSystem(cutoffs=(2, 0),
+                              terms=((1.0, ((1, 0), (0, 0))),
+                                     (1.0, ((0, 1), (0, 0)))))
+    eng = ev.GenericEngine(system)
+    dists = eng.mode_distributions((0, 0), [0.0])
+    assert np.abs(dists[0][:, 0] - [1.0, 0.0, 0.0]).max() < 1e-14
+    with pytest.raises(ConfigurationError):
+        eng.mode_distributions((0, 0), [0.0, 0.5])
+    with pytest.raises(ConfigurationError):
+        eng.mode_distributions((0, 0), 0.5)
+
+
+def test_generic_engine_dense_path_matches_oracle():
+    # mode 0 hands photons to modes 1 and 2: the reachable states branch,
+    # so the component is not a chain and takes the dense eigensolver
+    system = ev.GenericSystem(cutoffs=(2, 2, 2),
+                              terms=((0.7, ((0, 1), (1, 0), (0, 0))),
+                                     (0.7, ((1, 0), (0, 1), (0, 0))),
+                                     (0.4, ((0, 1), (0, 0), (1, 0))),
+                                     (0.4, ((1, 0), (0, 0), (0, 1)))))
+    eng = ev.GenericEngine(system)
+    order, _, V = eng._component((2, 0, 0))
+    assert len(order) == 6 and np.iscomplexobj(V)
+    a, one = ladder(3), np.eye(3)
+    a0, a1, a2 = (np.kron(np.kron(a, one), one), np.kron(np.kron(one, a), one),
+                  np.kron(np.kron(one, one), a))
+    hop = 0.7 * a0 @ a1.conj().T + 0.4 * a0 @ a2.conj().T
+    H = hop + hop.conj().T
+    psi0 = np.zeros(27, dtype=complex)
+    psi0[2 * 9] = 1.0
+    ts = np.array([0.3, 1.1, 2.7])
+    got = eng.mode_distributions((2, 0, 0), ts)
+    for i, t in enumerate(ts):
+        prob = np.abs(expm(-1j * t * H) @ psi0).reshape(3, 3, 3) ** 2
+        for m in range(3):
+            ref = prob.sum(axis=tuple(k for k in range(3) if k != m))
+            assert np.abs(got[m][:, i] - ref).max() < 1e-11
+
+
+def test_degenerate_pdc_high_pump_component_is_hermitian_to_scale():
+    # at pump n = 362 of a nbar = 20 thermal pump the assembled |H| is
+    # ~5e3 and H - H^+ is ~2e-12 from the order in which amplitudes round
+    system, _ = ev.pdc_system(DegeneratePDC(), 20.0)
+    eng = ev.GenericEngine(system)
+    order, w, V = eng._component((362, 0))
+    assert len(order) == 363
+    sig = eng.mode_distributions((362, 0), np.linspace(0.0, np.pi, 5))[1]
+    assert np.abs(sig.sum(axis=0) - 1.0).max() < 1e-12
+    assert not sig[1::2].any()
 
 
 def test_generic_dim_guard():
