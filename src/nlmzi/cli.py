@@ -162,14 +162,11 @@ def cmd_coherence(args, argv):
     thetas = parse_grid(args.theta)
     da, _, _ = evolution.sweep_distributions(process, args.nbar, thetas,
                                              tail_tol=args.tail_tol)
-    rows = []
-    for j, th in enumerate(thetas):
-        p = da[:, j]
-        rep = thermo.ergotropy(p)
-        coh = coherence.coherence_report(p)
-        rows.append((th, rep.wc, coh.g2, coh.g3, coh.g4,
-                     coh.g2_norm, coh.g3_norm, coh.g4_norm,
-                     coherence.g2_from_wc(rep)))
+    rep = thermo.ergotropy(da)
+    coh = coherence.coherence_report(da)
+    rows = zip(thetas, rep.wc, coh.g2, coh.g3, coh.g4,
+               coh.g2_norm, coh.g3_norm, coh.g4_norm,
+               coherence.g2_from_wc(rep))
     write_csv(args.out, ["theta", "W", "g2", "g3", "g4", "g2_norm",
                          "g3_norm", "g4_norm", "g2_from_wc"], rows)
     n_max = fock.thermal_cutoff(args.nbar, args.tail_tol)
@@ -222,10 +219,7 @@ def cmd_pdc(args, argv):
     head = np.zeros((PDC_HEAD, gts.size))
     m = min(PDC_HEAD, signal.shape[0])
     head[:m] = signal[:m]
-    rows = []
-    for j, gt in enumerate(gts):
-        w = thermo.wc_from_dist(signal[:, j])
-        rows.append((gt, *head[:, j], w))
+    rows = zip(gts, *head, thermo.ergotropy(signal).wc)
     write_csv(args.out, ["gt"] + ["p%d" % n for n in range(PDC_HEAD)]
               + ["W_signal"], rows)
     n_max = fock.thermal_cutoff(args.nbar, args.tail_tol)

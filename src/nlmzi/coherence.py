@@ -20,28 +20,30 @@ from . import fock
 from .errors import DomainError
 from .evolution import BlockEngine, sweep_distributions
 from .operators import CrossPhase, Exchange, ProcessSpec
-from .thermo import ErgotropyReport, ergotropy
+from .thermo import ErgotropyReport, ergotropy, exchange3_envelope
 
 MEAN_FLOOR = 1e-10
 REGIME_NBAR = 0.1
 
 
-def g_m(p, m: int, floor: float = MEAN_FLOOR) -> float:
-    """m-th order zero-delay coherence of a photon distribution.
+def g_m(p, m: int, floor: float = MEAN_FLOOR):
+    """m-th order zero-delay coherence of a distribution (n,), or per column
+    of a stack (n, T).
 
-    Returns nan (an explicit not-a-value, never a silent zero) when the
+    Returns nan (an explicit not-a-value, never a silent zero) where the
     mean photon number sits below the floor.
     """
     if not 2 <= m <= 4:
         raise DomainError("coherence order m must be 2, 3 or 4")
     mean = fock.mean_photon(p)
-    if mean < floor:
-        return float("nan")
-    return fock.factorial_moment(p, m) / mean ** m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = fock.factorial_moment(p, m) / mean ** m
+    return np.where(mean < floor, np.nan, g)[()]
 
 
 @dataclass(frozen=True)
 class CoherenceReport:
+    """One value per field and distribution: floats for (n,), (T,) for (n, T)."""
     g2: float
     g3: float
     g4: float
@@ -58,8 +60,9 @@ def coherence_report(p, floor: float = MEAN_FLOOR) -> CoherenceReport:
                            g2_norm=g2 / 2.0, g3_norm=g3 / 6.0, g4_norm=g4 / 24.0)
 
 
-def g2_from_wc(report: ErgotropyReport, floor: float = MEAN_FLOOR) -> float:
-    """Second-order coherence from the work-capacity report alone:
+def g2_from_wc(report: ErgotropyReport, floor: float = MEAN_FLOOR):
+    """Second-order coherence from the work-capacity report alone, one value
+    per distribution of the report:
 
         g2 = 1 - 1/(2W) + |dW^2| / (3 W^2).
 
@@ -68,13 +71,13 @@ def g2_from_wc(report: ErgotropyReport, floor: float = MEAN_FLOOR) -> float:
     W = <n>/2, from which the formula follows. An even-only output whose
     weights rise has W = <n>/2 + W(q) instead, and the formula misses the
     direct moment ratio (exchange k=2 at theta = pi, nbar = 1: 12.7 against
-    15.9). The formula is returned all the same; nan comes back only when
+    15.9). The formula is returned all the same; nan comes back only where
     W sits below the floor.
     """
     w = report.wc
-    if not np.isfinite(w) or w < floor:
-        return float("nan")
-    return 1.0 - 1.0 / (2.0 * w) + report.wc_dispersion / (3.0 * w ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = 1.0 - 1.0 / (2.0 * w) + report.wc_dispersion / (3.0 * w ** 2)
+    return np.where(np.isfinite(w) & (w >= floor), g2, np.nan)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -108,25 +111,17 @@ def q_exchange3(theta: float, m: int, nbar: float = 0.0):
 
     m = 1, 2, 3 pair with g2 ~ q_1/W, g3 ~ q_2/W^2, g4 ~ q_3/W^3 (one
     exponent lower than the order, matching the windowed derivation).
-    Defined only inside the two window families
-
-        (4j+1) pi/12 < theta < (4j+3) pi/12
-        (6j+5) pi/18 < theta < (6j+7) pi/18;
-
-    returns None elsewhere.
+    Defined only inside the windows of thermo.exchange3_envelope; returns
+    None elsewhere.
     """
     if m not in (1, 2, 3):
         raise DomainError("q index must be 1, 2 or 3")
+    envelope = exchange3_envelope(theta)
+    if envelope is None:
+        return None
     p0 = 1.0 / (1.0 + nbar)
     s3 = np.sin(3.0 * theta)
     s6 = np.sin(6.0 * theta)
-    x = theta / np.pi
-    if 1.0 < (12.0 * x) % 4.0 < 3.0:
-        envelope = 0.75 * s3 ** 4 - (3.0 / 16.0) * s6 ** 2
-    elif 0.0 < (18.0 * x - 5.0) % 6.0 < 2.0:
-        envelope = (1.0 / 16.0) * s6 ** 2 - 0.75 * s3 ** 4
-    else:
-        return None
     den2 = 1.5 * s3 ** 4 + (3.0 / 8.0) * s6 ** 2
     den34 = p0 * 2.25 * s6 ** 4 + den2
     if m == 1:

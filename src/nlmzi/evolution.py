@@ -29,6 +29,7 @@ from scipy.linalg import eig_banded, eigh, eigh_tridiagonal
 
 from . import fock
 from .errors import ConfigurationError, DomainError
+from .fock import DEFAULT_DIM_GUARD
 from .operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                         NonDegeneratePDC, ProcessSpec, _jx_factorization,
                         beam_splitter_unitary, process_generator,
@@ -36,7 +37,6 @@ from .operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
 
 HERMITICITY_TOL = 1e-12
 REDUCED_OFFDIAG_TOL = 1e-10
-DEFAULT_DIM_GUARD = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +101,9 @@ def mzi_unitary(process: ProcessSpec, t: float, N: int) -> np.ndarray:
 class BlockEngine:
     """Caches per-block factorizations of one process family.
 
-    probs(N, thetas) returns the (N+1, T) matrix of occupation
-    probabilities |<N-j, j| U(theta) |N, 0>|^2; output_state(N, theta)
-    returns the amplitude vector itself.
+    amplitudes(N, thetas) returns the (N+1, T) output amplitudes
+    <N-j, j| U(theta) |N, 0>, one column per theta; probs(N, thetas) their
+    squared moduli.
     """
 
     def __init__(self, process: ProcessSpec):
@@ -159,25 +159,21 @@ class BlockEngine:
     def probs(self, N: int, thetas) -> np.ndarray:
         return np.abs(self.amplitudes(N, thetas)) ** 2
 
-    def output_state(self, N: int, theta: float) -> np.ndarray:
-        return self.amplitudes(N, [theta])[:, 0]
-
 
 def mzi_output(process: ProcessSpec, t: float, nbar: float,
                tail_tol: float = 1e-12, engine: BlockEngine | None = None):
     """Thermal-input interferometer output marginals (dist_a, dist_b).
 
-    Evolves |N, 0> on every retained block, weights by the thermal P_N and
-    reduces to the two single-mode distributions. Evolution is exact per
-    block; the only approximation is the input tail cut.
+    The one-point sweep_distributions at theta = t * strength: |N, 0> is
+    evolved on every retained block, weighted by the thermal P_N and reduced
+    to the two single-mode distributions. Evolution is exact per block; the
+    only approximation is the input tail cut.
     """
     if not np.isfinite(t):
         raise DomainError("t must be finite")
-    P = fock.thermal_distribution(nbar, tail_tol)
-    eng = engine if engine is not None else BlockEngine(process)
-    theta = t * process.strength
-    weighted = [(P[N], eng.output_state(N, theta)) for N in range(P.size)]
-    return fock.reduce_mode_a(weighted), fock.reduce_mode_b(weighted)
+    da, db, _ = sweep_distributions(process, nbar, [t * process.strength],
+                                    tail_tol, engine)
+    return da[:, 0], db[:, 0]
 
 
 def sweep_distributions(process: ProcessSpec, nbar: float, thetas,

@@ -9,18 +9,26 @@ N = n_a + n_b is conserved by every process in this package, so a pure state
 produced from |N, 0> lives in the (N+1)-dimensional block spanned by
 |n_a = N - j, n_b = j>, j = 0..N, and is stored as a complex amplitude
 vector of length N + 1 in that ordering.
+
+The moment functions also take a stack (n, T) of distributions, one per
+column, and then return one value per column.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 
 # Tolerances used when validating distributions. Round-off can push an
 # entry slightly negative; anything below -CLAMP_TOL is a real bug.
 CLAMP_TOL = 1e-14
 NORM_SLACK = 1e-12
+
+# Largest state count any one evolution may allocate: the number of thermal
+# blocks N = 0..N_max here, the reachable states of one generic component in
+# `evolution`.
+DEFAULT_DIM_GUARD = 4096
 
 
 def as_distribution(p, tail_tol: float = 1e-12) -> np.ndarray:
@@ -65,9 +73,14 @@ def thermal_distribution(nbar: float, tail_tol: float = 1e-12) -> np.ndarray:
     """Truncated thermal distribution P_n = nbar^n / (1+nbar)^(n+1).
 
     The cutoff is the smallest N_max whose tail mass does not exceed
-    tail_tol; nbar = 0 returns the vacuum [1.0].
+    tail_tol; nbar = 0 returns the vacuum [1.0]. More than DEFAULT_DIM_GUARD
+    blocks raise ConfigurationError before anything is allocated.
     """
     n_max = thermal_cutoff(nbar, tail_tol)
+    if n_max + 1 > DEFAULT_DIM_GUARD:
+        raise ConfigurationError(
+            "nbar %g at tail_tol %g needs %d blocks, above the block budget "
+            "%d" % (nbar, tail_tol, n_max + 1, DEFAULT_DIM_GUARD))
     if nbar == 0:
         return np.array([1.0])
     x = nbar / (1.0 + nbar)
@@ -94,72 +107,35 @@ def thermal_tail_energy(nbar: float, n_max: int) -> float:
     return x ** (n_max + 1) * (n_max + 1 + nbar)
 
 
-def mean_photon(p) -> float:
+def mean_photon(p):
     p = np.asarray(p, dtype=float)
-    return float(np.arange(p.size) @ p)
+    return np.arange(p.shape[0], dtype=float) @ p
 
 
-def second_moment(p) -> float:
+def second_moment(p):
     p = np.asarray(p, dtype=float)
-    n = np.arange(p.size, dtype=float)
-    return float((n * n) @ p)
+    n = np.arange(p.shape[0], dtype=float)
+    return (n * n) @ p
 
 
-def variance(p) -> float:
+def variance(p):
     m = mean_photon(p)
     return second_moment(p) - m * m
 
 
-def factorial_moment(p, m: int) -> float:
+def factorial_moment(p, m: int):
     """<n (n-1) ... (n-m+1)>, the m-th factorial moment."""
     if m < 1:
         raise DomainError("factorial moment order must be >= 1")
     p = np.asarray(p, dtype=float)
-    n = np.arange(p.size, dtype=float)
+    n = np.arange(p.shape[0], dtype=float)
     f = np.ones_like(n)
     for i in range(m):
         f *= np.clip(n - i, 0.0, None)
-    return float(f @ p)
+    return f @ p
 
 
-def odd_mass(p) -> float:
+def odd_mass(p):
     """Total probability on odd photon numbers."""
     p = np.asarray(p, dtype=float)
-    return float(p[1::2].sum())
-
-
-def _reduce(weighted_blocks, mode_a: bool) -> np.ndarray:
-    out = None
-    top = 0
-    blocks = list(weighted_blocks)
-    for w, amps in blocks:
-        top = max(top, len(np.asarray(amps)) - 1)
-    out = np.zeros(top + 1)
-    for w, amps in blocks:
-        if w < 0:
-            raise DomainError("negative block weight %g" % w)
-        amps = np.asarray(amps)
-        pr = np.abs(amps) ** 2
-        nn = len(amps) - 1
-        if mode_a:
-            # index j holds n_a = N - j
-            out[: nn + 1] += w * pr[::-1]
-        else:
-            out[: nn + 1] += w * pr
-    return out
-
-
-def reduce_mode_a(weighted_blocks) -> np.ndarray:
-    """Mode-a photon distribution of a mixture of block-pure states.
-
-    weighted_blocks: iterable of (weight, amplitudes) where amplitudes[j] is
-    the coefficient of |n_a = N - j, n_b = j> on the block N = len - 1.
-    Tracing out mode b of a block-pure state is diagonal in n_a because each
-    n_a value appears at most once per block.
-    """
-    return _reduce(weighted_blocks, mode_a=True)
-
-
-def reduce_mode_b(weighted_blocks) -> np.ndarray:
-    """Mode-b marginal; mirror of reduce_mode_a with j in place of N - j."""
-    return _reduce(weighted_blocks, mode_a=False)
+    return p[1::2].sum(axis=0)

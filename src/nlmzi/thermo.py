@@ -28,6 +28,7 @@ _ROUNDOFF = 1e-14
 
 @dataclass(frozen=True)
 class ErgotropyReport:
+    """One value per field and distribution: floats for (n,), (T,) for (n, T)."""
     mean_energy: float
     passive_energy: float
     wc: float
@@ -36,46 +37,41 @@ class ErgotropyReport:
 
 
 def passive_distribution(p) -> np.ndarray:
-    """Probabilities rearranged to descending order (stable in the index)."""
-    p = np.asarray(p, dtype=float)
-    order = np.argsort(-p, kind="stable")
-    return p[order]
+    """Probabilities rearranged to descending order, column by column."""
+    return np.sort(np.asarray(p, dtype=float), axis=0)[::-1]
 
 
 def wc_from_dist(p) -> float:
     """Work capacity <n> - <n>_passive of a distribution."""
-    p = np.asarray(p, dtype=float)
-    if p.size and p.min() < -1e-12:
-        raise DomainError("negative probability %g in distribution" % p.min())
-    w = fock.mean_photon(p) - fock.mean_photon(passive_distribution(p))
-    if w < 0:
-        if w < -_ROUNDOFF * max(1.0, p.size):
-            raise DomainError("passive rearrangement increased the mean")
-        w = 0.0
-    return w
-
-
-def wc_dispersion(p) -> float:
-    """|Var(n) - Var_passive(n)| in photon quanta squared."""
-    p = np.asarray(p, dtype=float)
-    return abs(fock.variance(p) - fock.variance(passive_distribution(p)))
+    return ergotropy(p).wc
 
 
 def ergotropy(p, nbar: Optional[float] = None) -> ErgotropyReport:
-    """Full work-capacity report of a distribution.
+    """Full work-capacity report of a distribution (n,) or a stack (n, T).
 
     nbar, when given, is the input-side mean photon number used for the
-    efficiency eta = W / nbar.
+    efficiency eta = W / nbar. A negative W is round-off and clipped to 0
+    while it stays within _ROUNDOFF * n * max(1, <n>) of 0; a larger one,
+    or a probability below -1e-12, raises DomainError.
     """
     p = np.asarray(p, dtype=float)
+    if p.size and p.min() < -1e-12:
+        raise DomainError("negative probability %g in distribution" % p.min())
+    pas = passive_distribution(p)
     mean = fock.mean_photon(p)
-    pas = fock.mean_photon(passive_distribution(p))
-    w = wc_from_dist(p)
-    eta = float("nan")
-    if nbar is not None:
-        eta = 0.0 if nbar == 0 else w / nbar
-    return ErgotropyReport(mean_energy=mean, passive_energy=pas, wc=w,
-                           wc_dispersion=wc_dispersion(p), efficiency=eta)
+    pas_mean = fock.mean_photon(pas)
+    w = mean - pas_mean
+    if np.any(w < -_ROUNDOFF * p.shape[0] * np.maximum(1.0, mean)):
+        raise DomainError("passive rearrangement increased the mean")
+    w = np.clip(w, 0.0, None)
+    if nbar is None:
+        eta = w * np.nan
+    else:
+        eta = w * 0.0 if nbar == 0 else w / nbar
+    return ErgotropyReport(
+        mean_energy=mean, passive_energy=pas_mean, wc=w,
+        wc_dispersion=np.abs(fock.variance(p) - fock.variance(pas)),
+        efficiency=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -114,31 +110,36 @@ def wc_table_oracle(process: ProcessSpec, nbar: float, theta: float):
     return None
 
 
-def wc_exchange3_windows(nbar: float, theta: float):
-    """Leading small-nbar work capacity for 3-photon exchange.
+def exchange3_envelope(theta):
+    """Envelope of the leading small-nbar 3-photon-exchange work capacity.
 
     Defined piecewise on the windows where the passive reordering is
     analytically known:
 
       (4j+1) pi/12 < theta < (4j+3) pi/12:
-          W = P_3 (3/4 sin^4(3 theta) - 3/16 sin^2(6 theta))
+          3/4 sin^4(3 theta) - 3/16 sin^2(6 theta)
       (6j+5) pi/18 < theta < (6j+7) pi/18:
-          W = P_3 (1/16 sin^2(6 theta) - 3/4 sin^4(3 theta))
+          1/16 sin^2(6 theta) - 3/4 sin^4(3 theta)
 
-    Returns None outside both window families (both may apply; the
-    applicable positive branch is returned).
+    Returns None outside both window families (both may apply; the first
+    family's branch is returned).
     """
-    p3 = nbar ** 3 / (1.0 + nbar) ** 4
     s3 = np.sin(3.0 * theta)
     s6 = np.sin(6.0 * theta)
     x = theta / np.pi
-    frac12 = (12.0 * x) % 4.0
-    if 1.0 < frac12 < 3.0:
-        return p3 * (0.75 * s3 ** 4 - (3.0 / 16.0) * s6 ** 2)
-    frac18 = (18.0 * x - 5.0) % 6.0  # window (6j+5, 6j+7) wraps mod 6
-    if 0.0 < frac18 < 2.0:
-        return p3 * ((1.0 / 16.0) * s6 ** 2 - 0.75 * s3 ** 4)
+    if 1.0 < (12.0 * x) % 4.0 < 3.0:
+        return 0.75 * s3 ** 4 - (3.0 / 16.0) * s6 ** 2
+    if 0.0 < (18.0 * x - 5.0) % 6.0 < 2.0:  # window (6j+5, 6j+7) wraps mod 6
+        return (1.0 / 16.0) * s6 ** 2 - 0.75 * s3 ** 4
     return None
+
+
+def wc_exchange3_windows(nbar: float, theta: float):
+    """Leading small-nbar 3-photon-exchange work capacity
+    nbar^3 / (1+nbar)^4 * exchange3_envelope(theta); None outside its windows.
+    """
+    env = exchange3_envelope(theta)
+    return None if env is None else nbar ** 3 / (1.0 + nbar) ** 4 * env
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +164,11 @@ def wc_sweep(process: ProcessSpec, nbar: float, thetas,
     """Work capacity and companions across a theta grid (vectorized)."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     da, db, P = sweep_distributions(process, nbar, thetas, tail_tol, engine)
-    n = np.arange(da.shape[0], dtype=float)
-    mean_a = n @ da
-    mean_b = n @ db
-    srt = np.sort(da, axis=0)[::-1]
-    pas_mean = n @ srt
-    w = np.clip(mean_a - pas_mean, 0.0, None)
-    var = (n * n) @ da - mean_a ** 2
-    pas_var = (n * n) @ srt - pas_mean ** 2
-    disp = np.abs(var - pas_var)
-    odd = da[1::2].sum(axis=0)
-    eta = w / nbar if nbar > 0 else np.zeros_like(w)
-    return SweepResult(thetas=thetas, wc=w, eta=eta, wc_dispersion=disp,
-                       mean_a=mean_a, mean_b=mean_b, odd_mass=odd,
+    rep = ergotropy(da, nbar)
+    return SweepResult(thetas=thetas, wc=rep.wc, eta=rep.efficiency,
+                       wc_dispersion=rep.wc_dispersion,
+                       mean_a=rep.mean_energy, mean_b=fock.mean_photon(db),
+                       odd_mass=fock.odd_mass(da),
                        tail_mass=fock.thermal_tail_mass(nbar, P.size - 1))
 
 
@@ -191,6 +184,8 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
     streaming dominates), so each refinement round re-grids the bracket
     instead of bisecting point by point.
     """
+    if not (np.isfinite(theta_max) and theta_max > 0):
+        raise DomainError("theta_max must be finite and > 0")
     if grid < 100:
         raise DomainError("grid must be >= 100 for a trustworthy coarse scan")
     if nbar == 0:

@@ -111,6 +111,16 @@ def test_domain_errors_exit_three(tmp_path):
     rc = run("pdc", "--variant", "degenerate", "--nbar", "nan",
              "--gt", "0:1:3", "--out", tmp_path / "z.csv")
     assert rc == 3
+    rc = run("max-efficiency", "--process", "cross-kerr", "--nbar", 0.5,
+             "--theta-max", -1, "--out", tmp_path / "y.csv")
+    assert rc == 3
+    # 27.6M thermal blocks: refused by the block budget before allocation
+    rc = run("wc-sweep", "--process", "cross-kerr", "--nbar", 1e6,
+             "--theta", "0:1:3", "--out", tmp_path / "x.csv")
+    assert rc == 3
+    rc = run("pdc", "--variant", "degenerate", "--nbar", 1e6,
+             "--gt", "0:1:3", "--out", tmp_path / "z.csv")
+    assert rc == 3
 
 
 def test_high_order_exchange_behind_flag(tmp_path):

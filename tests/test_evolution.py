@@ -24,7 +24,7 @@ def test_block_engine_matches_dense_tensor(process):
     for t in rng.uniform(0.1, 3.0, size=2):
         for N in range(nmax + 1):
             ref = tensor_mzi_state(process, t, N, nmax)
-            got = eng.output_state(N, t * process.strength)
+            got = eng.amplitudes(N, [t * process.strength])[:, 0]
             assert np.abs(got - ref).max() < 1e-10
 
 
@@ -43,8 +43,8 @@ def test_engine_consistent_with_unitary():
     for N in range(7):
         for t in (0.3, 1.7):
             U = ev.mzi_unitary(proc, t, N)
-            assert np.abs(eng.output_state(N, t * proc.strength)
-                          - U[:, 0]).max() < 1e-12
+            got = eng.amplitudes(N, [t * proc.strength])[:, 0]
+            assert np.abs(got - U[:, 0]).max() < 1e-12
 
 
 def test_hermitian_eig_guards():
@@ -67,6 +67,38 @@ def test_mzi_output_frozen_heads():
     ref3 = [9.819015766054e-01, 1.991252267806e-03, 3.006872608320e-03,
             6.720542191909e-04, 1.105804513041e-02, 2.141193625517e-04]
     assert np.abs(da3[:6] - ref3).max() < 1e-11
+
+
+def test_mzi_output_is_a_one_point_sweep():
+    for proc in (CrossPhase(s=1), CrossPhase(s=2), Exchange(k=2, g=0.75),
+                 Exchange(k=3),
+                 Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))):
+        eng = ev.BlockEngine(proc)
+        for t in (0.0, 0.7, np.pi, 4.1):
+            da, db = ev.mzi_output(proc, t, 1.3, engine=eng)
+            sa, sb, _ = ev.sweep_distributions(proc, 1.3, [t * proc.strength],
+                                               1e-12, eng)
+            assert np.array_equal(da, sa[:, 0])
+            assert np.array_equal(db, sb[:, 0])
+
+
+def test_mzi_output_marginals_match_dense_mixture():
+    # thermal mixture of dense-oracle block states, reduced through the
+    # joint (n_a, n_b) table rather than the block engine's index order
+    nbar, tol, t = 0.3, 1e-4, 1.1
+    P = fock.thermal_distribution(nbar, tol)
+    nmax = P.size - 1
+    assert nmax <= 6
+    for proc in (CrossPhase(s=1), Exchange(k=2), Exchange(k=3),
+                 Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))):
+        joint = np.zeros((nmax + 1, nmax + 1))
+        for N in range(nmax + 1):
+            amps = tensor_mzi_state(proc, t, N, nmax)
+            for j in range(N + 1):
+                joint[N - j, j] += P[N] * abs(amps[j]) ** 2
+        da, db = ev.mzi_output(proc, t, nbar, tail_tol=tol)
+        assert np.abs(da - joint.sum(axis=1)).max() < 1e-12
+        assert np.abs(db - joint.sum(axis=0)).max() < 1e-12
 
 
 def test_energy_conservation():

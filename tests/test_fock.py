@@ -1,10 +1,10 @@
-"""Thermal distributions, truncation bookkeeping, moments, reductions."""
+"""Thermal distributions, truncation bookkeeping, moments."""
 
 import numpy as np
 import pytest
 
 from nlmzi import fock
-from nlmzi.errors import DomainError
+from nlmzi.errors import ConfigurationError, DomainError
 
 
 def test_thermal_cutoff_minimality():
@@ -21,6 +21,16 @@ def test_thermal_cutoff_reference_points():
     assert fock.thermal_cutoff(0.0, 1e-12) == 0
     assert fock.thermal_cutoff(1.0, 1e-12) == 39
     assert fock.thermal_cutoff(5.0, 1e-12) == 151
+
+
+def test_thermal_distribution_block_budget():
+    # nbar = 100 at 1e-12 keeps 2777 blocks; nbar = 1e6 would ask for 27.6M
+    assert fock.thermal_distribution(100.0, 1e-12).size == 2777
+    assert fock.thermal_cutoff(1e6, 1e-12) == 27631034
+    with pytest.raises(ConfigurationError):
+        fock.thermal_distribution(1e6, 1e-12)
+    with pytest.raises(ConfigurationError):
+        fock.thermal_distribution(1000.0, 1e-2)
 
 
 def test_thermal_distribution_shape_and_mass():
@@ -75,16 +85,3 @@ def test_odd_mass_thermal():
         ref = x / ((1.0 + nbar) * (1.0 - x * x))
         assert abs(fock.odd_mass(p) - ref) < 1e-12
     assert abs(fock.odd_mass(fock.thermal_distribution(1.0, 1e-14)) - 1 / 3) < 1e-12
-
-
-def test_mode_reductions():
-    # block N=2 state (1/sqrt2)(|2,0> + |0,2>) plus a weighted N=1 block
-    amps2 = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
-    amps1 = np.array([1.0, 0.0])
-    da = fock.reduce_mode_a([(0.5, amps2), (0.5, amps1)])
-    db = fock.reduce_mode_b([(0.5, amps2), (0.5, amps1)])
-    # mode a: j indexes n_b, so amplitudes reverse; |2,0> -> n_a=2
-    assert np.allclose(da, [0.25, 0.5, 0.25])
-    assert np.allclose(db, [0.75, 0.0, 0.25])
-    with pytest.raises(DomainError):
-        fock.reduce_mode_a([(-0.1, amps1)])

@@ -43,6 +43,16 @@ def test_wc_reference_values():
         thermo.wc_from_dist([0.6, -0.2, 0.6])
 
 
+def test_ergotropy_rejects_a_negative_column_of_a_stack():
+    good = fock.thermal_distribution(1.0, 1e-12)
+    bad = np.zeros_like(good)
+    bad[:3] = [0.6, -0.2, 0.6]
+    stack = np.column_stack([good, good, bad, good])
+    with pytest.raises(DomainError):
+        thermo.ergotropy(stack)
+    assert thermo.ergotropy(stack[:, [0, 1, 3]]).wc.shape == (3,)
+
+
 def test_ergotropy_report_fields():
     rep = thermo.ergotropy([0.5, 0.0, 0.5], nbar=1.0)
     assert abs(rep.mean_energy - 1.0) < 1e-15
@@ -60,7 +70,8 @@ def test_wc_dispersion_is_variance_shift():
         q = thermo.passive_distribution(p)
         n = np.arange(6)
         var = lambda d: float(n ** 2 @ d - (n @ d) ** 2)
-        assert abs(thermo.wc_dispersion(p) - abs(var(p) - var(q))) < 1e-12
+        disp = thermo.ergotropy(p).wc_dispersion
+        assert abs(disp - abs(var(p) - var(q))) < 1e-12
 
 
 def test_cross_kerr_closed_form_against_pipeline():
@@ -131,6 +142,9 @@ def test_max_efficiency_cross_kerr():
     with pytest.raises(DomainError):
         thermo.max_efficiency(CrossPhase(s=1), 1.0, 2 * np.pi, grid=50)
     assert thermo.max_efficiency(CrossPhase(s=1), 0.0, 2 * np.pi) == (0.0, 0.0)
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            thermo.max_efficiency(CrossPhase(s=1), 1.0, bad)
 
 
 def test_one_photon_exchange_stays_passive():
@@ -142,4 +156,4 @@ def test_one_photon_exchange_stays_passive():
 
 def test_dispersion_anchor_cross_kerr_pi():
     da, _ = ev.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-14)
-    assert abs(thermo.wc_dispersion(da) - 26.0 / 27.0) < 1e-10
+    assert abs(thermo.ergotropy(da).wc_dispersion - 26.0 / 27.0) < 1e-10
