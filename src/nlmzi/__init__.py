@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from . import coherence, evolution, fock, operators, optomech, thermo
 from .errors import ConfigurationError, DomainError, FitError
 from .evolution import (BlockEngine, GenericEngine, GenericSystem,
-                        generic_evolve, mzi_output, mzi_unitary,
-                        pdc_signal_sweep, pdc_system, sweep_distributions)
+                        mzi_output, mzi_unitary, pdc_signal_sweep, pdc_system,
+                        sweep_distributions)
 from .fock import (thermal_cutoff, thermal_distribution, thermal_tail_energy,
                    thermal_tail_mass)
 from .operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
@@ -40,7 +40,7 @@ __all__ = [
     "stokes", "cross_phase_generator", "exchange_generator",
     "beam_splitter_unitary",
     "BlockEngine", "mzi_unitary", "mzi_output", "sweep_distributions",
-    "GenericSystem", "GenericEngine", "generic_evolve", "pdc_system",
+    "GenericSystem", "GenericEngine", "pdc_system",
     "pdc_signal_sweep",
     "ErgotropyReport", "SweepResult", "ergotropy", "passive_distribution",
     "wc_from_dist", "wc_sweep", "max_efficiency",

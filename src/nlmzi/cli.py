@@ -103,62 +103,53 @@ def write_manifest(args, argv, out_path, extras, cutoffs, tail_masses, wall):
 
 
 def build_process(args):
+    if args.command == "pdc":
+        return DegeneratePDC(g=1.0) if args.variant == "degenerate" \
+            else NonDegeneratePDC(g=1.0)
     if args.process == "cross-kerr":
         return CrossPhase(s=args.s, chi=1.0)
     return Exchange(k=args.k, g=1.0, allow_high_order=args.allow_high_order)
 
 
-def add_process_flags(p):
-    p.add_argument("--process", choices=["cross-kerr", "exchange"],
-                   required=True)
-    p.add_argument("--s", type=int, default=1, help="cross-phase order")
-    p.add_argument("--k", type=int, default=2, help="exchange order")
-    p.add_argument("--allow-high-order", action="store_true")
+def thermal_truncation(args):
+    """(cutoffs, tail masses) of the thermal input, one entry per --nbar."""
+    if args.command == "max-efficiency":
+        cutoffs, tails = {}, {}
+        for nbar in args.nbar:
+            key = "nbar=%s" % _fmt(nbar)
+            cutoffs[key] = fock.thermal_cutoff(nbar, args.tail_tol)
+            tails[key] = fock.thermal_tail_mass(nbar, cutoffs[key])
+        return cutoffs, tails
+    n_max = fock.thermal_cutoff(args.nbar, args.tail_tol)
+    key = "pump_cutoff" if args.command == "pdc" else "n_max"
+    return {key: n_max}, {"input": fock.thermal_tail_mass(args.nbar, n_max)}
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each computes (CSV header, rows, extra cutoffs, manifest extras)
 # ---------------------------------------------------------------------------
 
-def cmd_wc_sweep(args, argv):
-    t0 = time.perf_counter()
-    process = build_process(args)
-    thetas = parse_grid(args.theta)
-    res = thermo.wc_sweep(process, args.nbar, thetas, tail_tol=args.tail_tol)
+def cmd_wc_sweep(process, args):
+    res = thermo.wc_sweep(process, args.nbar, parse_grid(args.theta),
+                          tail_tol=args.tail_tol)
     rows = zip(res.thetas, res.wc, res.eta, res.wc_dispersion,
                res.mean_a, res.mean_b, res.odd_mass)
-    write_csv(args.out, ["theta", "W", "eta", "wc_dispersion",
-                         "mean_a", "mean_b", "parity_odd_mass"], rows)
-    n_max = fock.thermal_cutoff(args.nbar, args.tail_tol)
-    write_manifest(args, argv, args.out, {}, {"n_max": n_max},
-                   {"input": res.tail_mass}, time.perf_counter() - t0)
-    return 0
+    return (["theta", "W", "eta", "wc_dispersion", "mean_a", "mean_b",
+             "parity_odd_mass"], rows, {}, {})
 
 
-def cmd_max_efficiency(args, argv):
-    t0 = time.perf_counter()
-    process = build_process(args)
+def cmd_max_efficiency(process, args):
     rows = []
-    cutoffs = {}
-    tails = {}
     for nbar in args.nbar:
         eta, theta_star = thermo.max_efficiency(
             process, nbar, args.theta_max, grid=args.grid,
             tail_tol=args.tail_tol)
         rows.append((nbar, eta, theta_star, eta * nbar))
-        key = "nbar=%s" % _fmt(nbar)
-        cutoffs[key] = fock.thermal_cutoff(nbar, args.tail_tol)
-        tails[key] = fock.thermal_tail_mass(nbar, cutoffs[key])
-    write_csv(args.out, ["nbar", "eta_max", "theta_star",
-                         "eta_max_times_nbar"], rows)
-    write_manifest(args, argv, args.out, {}, cutoffs, tails,
-                   time.perf_counter() - t0)
-    return 0
+    return (["nbar", "eta_max", "theta_star", "eta_max_times_nbar"], rows,
+            {}, {})
 
 
-def cmd_coherence(args, argv):
-    t0 = time.perf_counter()
-    process = build_process(args)
+def cmd_coherence(process, args):
     thetas = parse_grid(args.theta)
     da, _, _ = evolution.sweep_distributions(process, args.nbar, thetas,
                                              tail_tol=args.tail_tol)
@@ -167,18 +158,11 @@ def cmd_coherence(args, argv):
     rows = zip(thetas, rep.wc, coh.g2, coh.g3, coh.g4,
                coh.g2_norm, coh.g3_norm, coh.g4_norm,
                coherence.g2_from_wc(rep))
-    write_csv(args.out, ["theta", "W", "g2", "g3", "g4", "g2_norm",
-                         "g3_norm", "g4_norm", "g2_from_wc"], rows)
-    n_max = fock.thermal_cutoff(args.nbar, args.tail_tol)
-    write_manifest(args, argv, args.out, {}, {"n_max": n_max},
-                   {"input": fock.thermal_tail_mass(args.nbar, n_max)},
-                   time.perf_counter() - t0)
-    return 0
+    return (["theta", "W", "g2", "g3", "g4", "g2_norm", "g3_norm",
+             "g4_norm", "g2_from_wc"], rows, {}, {})
 
 
-def cmd_optomech(args, argv):
-    t0 = time.perf_counter()
-    process = build_process(args)
+def cmd_optomech(process, args):
     dist_a, _ = evolution.mzi_output(process, args.t, args.nbar,
                                      tail_tol=args.tail_tol)
     taus = parse_grid(args.tau)
@@ -186,15 +170,11 @@ def cmd_optomech(args, argv):
         G=args.G, Omega=args.Omega, init=optomech.CoherentInit(args.alpha))
     osc_cutoff = args.osc_cutoff
     if osc_cutoff <= 0:
-        amp = abs(args.alpha) + 2.0 * abs(args.G) * (dist_a.size - 1) / args.Omega
-        osc_cutoff = int(math.ceil(amp * amp + 10.0 * amp + 20.0))
+        osc_cutoff = optomech.suggested_osc_cutoff(cfg, dist_a.size - 1)
     closed = optomech.phonon_trace_coherent(dist_a, cfg, taus)
     oracle = optomech.full_quantum_oracle(dist_a, cfg, osc_cutoff, taus)
     rows = zip(taus, closed.phonon, oracle.phonon, oracle.xvar)
-    write_csv(args.out, ["tau", "phonon_closed_form", "phonon_oracle",
-                         "xvar"], rows)
     inf = optomech.infer_wc(oracle)
-    n_max = fock.thermal_cutoff(args.nbar, args.tail_tol)
     extras = {
         "wc_inferred": inf.wc,
         "wc_direct": closed.field_summary.wc,
@@ -202,17 +182,11 @@ def cmd_optomech(args, argv):
         "dispersion_inferred": inf.wc_dispersion,
         "fit_residual": inf.residual,
     }
-    write_manifest(args, argv, args.out, extras,
-                   {"n_max": n_max, "osc_cutoff": osc_cutoff},
-                   {"input": fock.thermal_tail_mass(args.nbar, n_max)},
-                   time.perf_counter() - t0)
-    return 0
+    return (["tau", "phonon_closed_form", "phonon_oracle", "xvar"], rows,
+            {"osc_cutoff": osc_cutoff}, extras)
 
 
-def cmd_pdc(args, argv):
-    t0 = time.perf_counter()
-    process = DegeneratePDC(g=1.0) if args.variant == "degenerate" \
-        else NonDegeneratePDC(g=1.0)
+def cmd_pdc(process, args):
     gts = parse_grid(args.gt)
     signal = evolution.pdc_signal_sweep(process, args.nbar, gts,
                                         tail_tol=args.tail_tol)
@@ -220,16 +194,23 @@ def cmd_pdc(args, argv):
     m = min(PDC_HEAD, signal.shape[0])
     head[:m] = signal[:m]
     rows = zip(gts, *head, thermo.ergotropy(signal).wc)
-    write_csv(args.out, ["gt"] + ["p%d" % n for n in range(PDC_HEAD)]
-              + ["W_signal"], rows)
-    n_max = fock.thermal_cutoff(args.nbar, args.tail_tol)
-    write_manifest(args, argv, args.out, {}, {"pump_cutoff": n_max},
-                   {"input": fock.thermal_tail_mass(args.nbar, n_max)},
+    return (["gt"] + ["p%d" % n for n in range(PDC_HEAD)] + ["W_signal"],
+            rows, {}, {})
+
+
+def run_data_command(args, argv) -> int:
+    """Compute one data command, then write its CSV and manifest."""
+    t0 = time.perf_counter()
+    header, rows, cutoffs, extras = args.func(build_process(args), args)
+    write_csv(args.out, header, rows)
+    thermal_cutoffs, tails = thermal_truncation(args)
+    write_manifest(args, argv, args.out, extras,
+                   {**thermal_cutoffs, **cutoffs}, tails,
                    time.perf_counter() - t0)
     return 0
 
 
-def cmd_rerun(args, argv):
+def cmd_rerun(args):
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     old_argv = list(manifest["argv"])
@@ -261,35 +242,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="thermal-noise interferometer sweeps and readout")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("wc-sweep", help="work capacity vs interaction phase")
-    add_process_flags(p)
-    p.add_argument("--nbar", type=float, required=True)
-    p.add_argument("--theta", "--gt", dest="theta", type=grid_arg,
-                   required=True, metavar="START:STOP:COUNT")
-    p.add_argument("--tail-tol", type=float, default=1e-12)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_wc_sweep)
+    process = argparse.ArgumentParser(add_help=False)
+    process.add_argument("--process", choices=["cross-kerr", "exchange"],
+                         required=True)
+    process.add_argument("--s", type=int, default=1, help="cross-phase order")
+    process.add_argument("--k", type=int, default=2, help="exchange order")
+    process.add_argument("--allow-high-order", action="store_true")
 
-    p = sub.add_parser("max-efficiency", help="peak eta over a phase window")
-    add_process_flags(p)
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--nbar", type=float, required=True)
+    scan.add_argument("--theta", "--gt", dest="theta", type=grid_arg,
+                      required=True, metavar="START:STOP:COUNT")
+
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--tail-tol", type=float, default=1e-12)
+    output.add_argument("--out", required=True)
+
+    def data_command(name, summary, func, *parents):
+        p = sub.add_parser(name, help=summary, parents=[*parents, output])
+        p.set_defaults(func=func)
+        return p
+
+    data_command("wc-sweep", "work capacity vs interaction phase",
+                 cmd_wc_sweep, process, scan)
+
+    p = data_command("max-efficiency", "peak eta over a phase window",
+                     cmd_max_efficiency, process)
     p.add_argument("--nbar", type=float, nargs="+", required=True)
     p.add_argument("--theta-max", type=float, required=True)
     p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--tail-tol", type=float, default=1e-12)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_max_efficiency)
 
-    p = sub.add_parser("coherence", help="factorial-moment ratios vs phase")
-    add_process_flags(p)
-    p.add_argument("--nbar", type=float, required=True)
-    p.add_argument("--theta", "--gt", dest="theta", type=grid_arg,
-                   required=True, metavar="START:STOP:COUNT")
-    p.add_argument("--tail-tol", type=float, default=1e-12)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_coherence)
+    data_command("coherence", "factorial-moment ratios vs phase",
+                 cmd_coherence, process, scan)
 
-    p = sub.add_parser("optomech", help="oscillator readout of one output")
-    add_process_flags(p)
+    p = data_command("optomech", "oscillator readout of one output",
+                     cmd_optomech, process)
     p.add_argument("--nbar", type=float, required=True)
     p.add_argument("--t", type=float, required=True,
                    help="interferometer interaction time")
@@ -301,23 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="START:STOP:COUNT")
     p.add_argument("--osc-cutoff", type=int, default=0,
                    help="oscillator truncation; <=0 picks one automatically")
-    p.add_argument("--tail-tol", type=float, default=1e-12)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_optomech)
 
-    p = sub.add_parser("pdc", help="down-conversion signal distributions")
+    p = data_command("pdc", "down-conversion signal distributions", cmd_pdc)
     p.add_argument("--variant", choices=["degenerate", "non-degenerate"],
                    required=True)
     p.add_argument("--nbar", type=float, required=True)
     p.add_argument("--gt", type=grid_arg, required=True,
                    metavar="START:STOP:COUNT")
-    p.add_argument("--tail-tol", type=float, default=1e-12)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pdc)
 
     p = sub.add_parser("rerun", help="replay a manifest and verify digests")
     p.add_argument("manifest")
-    p.set_defaults(func=cmd_rerun)
 
     return ap
 
@@ -326,7 +306,9 @@ def _dispatch(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args, argv)
+        if args.command == "rerun":
+            return cmd_rerun(args)
+        return run_data_command(args, argv)
     except (DomainError, ConfigurationError, FitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

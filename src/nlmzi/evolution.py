@@ -83,7 +83,7 @@ def mzi_unitary(process: ProcessSpec, t: float, N: int) -> np.ndarray:
     if isinstance(process, (DegeneratePDC, NonDegeneratePDC)):
         raise ConfigurationError(
             "%s is not a block-diagonal interferometer arm; "
-            "use generic_evolve" % type(process).__name__)
+            "use pdc_signal_sweep" % type(process).__name__)
     B = beam_splitter_unitary(N)
     gen = process_generator(process, N)
     theta = t * process.strength
@@ -120,13 +120,14 @@ class BlockEngine:
         if isinstance(self.process, CrossPhase):
             j = np.arange(N + 1, dtype=float)
             lam = ((N - j) * j) ** self.process.s
-            self._blocks[N] = (Vx, ph, lam, c0, None)
+            # diagonal generator: the fold matrix is Vx.T itself, a view
+            self._blocks[N] = (Vx, ph, lam, c0, Vx.T)
             return
         gen = process_generator(self.process, N)
         if isinstance(self.process, Exchange) and N >= 1:
             k = self.process.k
             if N < k:
-                self._blocks[N] = (Vx, ph, np.zeros(N + 1), c0, None)
+                self._blocks[N] = (Vx, ph, np.zeros(N + 1), c0, Vx.T)
                 return
             # symmetric banded form: only the j <-> j-k couplings exist
             bands = np.zeros((k + 1, N + 1))
@@ -152,7 +153,7 @@ class BlockEngine:
             return np.ones((1, thetas.size), dtype=complex)
         Vx, ph, lam, y, M = self._factor(N)
         Z = np.exp(-1j * np.outer(lam, thetas)) * y[:, None]
-        Z = (Vx.T if M is None else M) @ Z
+        Z = M @ Z
         Z *= ph[:, None]
         return Vx @ Z
 
@@ -368,29 +369,6 @@ class GenericEngine:
             np.add.at(d, occ, weight)
             dists.append(d[:, 0] if ts.ndim == 0 else d)
         return dists
-
-
-def generic_evolve(system: GenericSystem, initial, t: float) -> List[np.ndarray]:
-    """Evolve a mixture of Fock product states and return per-mode
-    distributions.
-
-    initial: either a single occupation tuple or an iterable of
-    (weight, occupation tuple) pairs (e.g. a thermal pump tensored with
-    vacuum in the other modes).
-    """
-    if isinstance(initial, tuple):
-        initial = [(1.0, initial)]
-    eng = GenericEngine(system)
-    dists = [np.zeros(c + 1) for c in system.cutoffs]
-    for w, occ in initial:
-        if w < 0:
-            raise DomainError("negative mixture weight")
-        if w == 0:
-            continue
-        part = eng.mode_distributions(tuple(occ), t)
-        for m in range(len(dists)):
-            dists[m] += w * part[m]
-    return dists
 
 
 # ---------------------------------------------------------------------------

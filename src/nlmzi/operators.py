@@ -208,7 +208,7 @@ def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
     if isinstance(process, Hybrid):
         return hybrid_generator(N, process.terms)
     raise ConfigurationError(
-        "%s has no block generator; use evolution.generic_evolve"
+        "%s has no block generator; use evolution.pdc_signal_sweep"
         % type(process).__name__)
 
 

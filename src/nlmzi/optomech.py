@@ -208,6 +208,20 @@ def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
                   + m * np.log(complex(alpha)) - 0.5 * gammaln(m + 1))
 
 
+def suggested_osc_cutoff(cfg: OscillatorConfig, n_top: int) -> int:
+    """Oscillator truncation for field levels up to n_top.
+
+    ceil(amp^2 + 10 amp + 20), with amp the initial amplitude plus the
+    largest displacement 2 |G| n_top / Omega.
+    """
+    if isinstance(cfg.init, CoherentInit):
+        amp0 = abs(cfg.init.alpha)
+    else:
+        amp0 = np.sqrt(cfg.init.nbar_osc) + 3.0
+    amp = amp0 + 2.0 * abs(cfg.G) * n_top / cfg.Omega
+    return int(np.ceil(amp * amp + 10.0 * amp + 20.0))
+
+
 def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
                         taus) -> OscillatorTrace:
     """Exact evolution on a truncated oscillator, no closed forms used.
@@ -223,14 +237,12 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     sq = np.sqrt(mm[1:])
     if isinstance(cfg.init, CoherentInit):
         inits = [(1.0, _coherent_vector(cfg.init.alpha, osc_cutoff))]
-        amp0 = abs(cfg.init.alpha)
     else:
         wts = fock.thermal_distribution(cfg.init.nbar_osc, 1e-12)
         if wts.size > osc_cutoff + 1:
             wts = wts[: osc_cutoff + 1]
         eye = np.eye(osc_cutoff + 1, dtype=complex)
         inits = [(wts[k], eye[:, k]) for k in range(wts.size)]
-        amp0 = np.sqrt(cfg.init.nbar_osc) + 3.0
 
     phon = np.zeros(taus.size)
     ex = np.zeros(taus.size)
@@ -253,9 +265,7 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
             ex += pn * w * np.real(np.sum(np.conj(Z) * XZ, axis=0))
             ex2 += pn * w * np.real(np.sum(np.conj(XZ) * XZ, axis=0))
     if top > ORACLE_TOP_TOL:
-        n_top = p.size - 1
-        amp = amp0 + 2.0 * abs(cfg.G) * n_top / cfg.Omega
-        suggest = int(np.ceil(amp * amp + 10.0 * amp + 20.0))
+        suggest = suggested_osc_cutoff(cfg, p.size - 1)
         raise ConfigurationError(
             "oscillator cutoff %d too small (top-level population %.2e); "
             "try osc_cutoff >= %d" % (osc_cutoff, top, max(suggest, 2 * osc_cutoff)))

@@ -17,6 +17,29 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+MANIFEST_KEYS = {"command", "argv", "parameters", "engine_version",
+                 "cutoffs", "tail_masses", "wall_time_s", "outputs"}
+
+DATA_COMMANDS = {
+    "wc-sweep": ("wc-sweep", "--process", "cross-kerr", "--nbar", 0.5,
+                 "--theta", "0:3:5"),
+    "wc-sweep-gt": ("wc-sweep", "--process", "exchange", "--k", 2,
+                    "--nbar", 0.5, "--gt", "0:3:5"),
+    "max-efficiency": ("max-efficiency", "--process", "exchange", "--k", 2,
+                       "--nbar", 0.3, 0.6, "--theta-max", 10,
+                       "--grid", 100),
+    "coherence": ("coherence", "--process", "cross-kerr", "--nbar", 0.5,
+                  "--theta", "0.1:2.1:9"),
+    "coherence-gt": ("coherence", "--process", "exchange", "--k", 2,
+                     "--nbar", 0.5, "--gt", "0.1:2.1:9"),
+    "optomech": ("optomech", "--process", "cross-kerr", "--nbar", 0.3,
+                 "--t", 2.0, "--alpha", "1+0j", "--G", 0.02,
+                 "--tau", "0:12.6:24"),
+    "pdc": ("pdc", "--variant", "non-degenerate", "--nbar", 0.4,
+            "--gt", "0:0.5:3"),
+}
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
@@ -43,9 +66,7 @@ def test_wc_sweep_csv_and_manifest(tmp_path):
     assert float(rows[0][1]) < 1e-15         # no interaction, no work
     assert float(rows[-1][1]) > 0.22         # near the 2/9 peak
     man = json.loads((tmp_path / "wc.csv.manifest.json").read_text())
-    for key in ("command", "argv", "parameters", "engine_version",
-                "cutoffs", "tail_masses", "wall_time_s", "outputs"):
-        assert key in man
+    assert set(man) == MANIFEST_KEYS
     assert man["command"] == "wc-sweep"
     assert man["cutoffs"]["n_max"] == 39
     assert man["outputs"]["wc.csv"] == sha(out)
@@ -58,6 +79,21 @@ def test_runs_are_deterministic(tmp_path):
     assert run(*args, "--out", a) == 0
     assert run(*args, "--out", b) == 0
     assert sha(a) == sha(b)
+
+
+@pytest.mark.parametrize("argv", DATA_COMMANDS.values(), ids=DATA_COMMANDS)
+def test_every_data_command_writes_a_replayable_manifest(tmp_path, capsys,
+                                                         argv):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", out) == 0
+    man = tmp_path / "out.csv.manifest.json"
+    doc = json.loads(man.read_text())
+    assert MANIFEST_KEYS <= set(doc)
+    assert doc["command"] == argv[0]
+    assert doc["outputs"] == {"out.csv": sha(out)}
+    capsys.readouterr()
+    assert run("rerun", man) == 0
+    assert capsys.readouterr().out.split() == ["MATCH", "out.csv"]
 
 
 def test_rerun_verifies_and_detects_tamper(tmp_path, capsys):

@@ -121,8 +121,12 @@ def test_oracle_handles_any_parity_via_moment_forms():
 
 def test_oracle_cutoff_guard_suggests_larger():
     cfg = cfg_coherent(2.0, G=0.05)
-    with pytest.raises(ConfigurationError, match="osc_cutoff"):
-        om.full_quantum_oracle(EVEN3, cfg, 6, np.linspace(0, 10, 5))
+    taus = np.linspace(0, 10, 5)
+    suggest = om.suggested_osc_cutoff(cfg, len(EVEN3) - 1)
+    with pytest.raises(ConfigurationError,
+                       match="osc_cutoff >= %d$" % suggest):
+        om.full_quantum_oracle(EVEN3, cfg, 6, taus)
+    om.full_quantum_oracle(EVEN3, cfg, suggest, taus)  # the suggestion holds
 
 
 def test_beating_dominates_at_large_alpha():
