@@ -7,10 +7,12 @@ The interferometer unitary on block N is
 
 with g_N the nonlinear-arm generator on the block and theta = chi t (cross
 phase) or g t (exchange) the single dimensionless knob swept everywhere.
-The input |N, 0> enters as the closed-form first splitter column, the
-nonlinear phase is applied in the generator eigenbasis, and the second
-splitter is applied through the factorized J_x eigendecomposition, so one
-spectral factorization per block serves every theta in a sweep.
+The splitter on block N is B_N = diag((-i)^j) d_N diag(i^m), with d_N the
+real Wigner matrix exp(-i (pi/2) J_y), built by one division-free ladder
+step from d_{N-1}. Per block the engine keeps one matrix, the input's
+components on the generator eigenvectors carried through the second
+splitter, so every theta of a sweep costs one matrix product per block
+(a real one unless the generator mixes the parities of j).
 
 A small generic engine (connected-component enumeration plus one
 eigendecomposition per component, tridiagonal where the component is a
@@ -30,10 +32,10 @@ from scipy.linalg import eig_banded, eigh, eigh_tridiagonal
 from . import fock
 from .errors import ConfigurationError, DomainError
 from .fock import DEFAULT_DIM_GUARD
-from .operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
-                        NonDegeneratePDC, ProcessSpec, _jx_factorization,
-                        beam_splitter_unitary, process_generator,
-                        splitter_input_column)
+from .operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC, Exchange,
+                        Hybrid, LadderScratch, NonDegeneratePDC, ProcessSpec,
+                        beam_splitter_unitary, ladder_walk,
+                        process_generator)
 
 HERMITICITY_TOL = 1e-12
 REDUCED_OFFDIAG_TOL = 1e-10
@@ -95,15 +97,25 @@ def mzi_unitary(process: ProcessSpec, t: float, N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# block engine: one spectral factorization per block, any number of thetas
+# block engine: one splitter ladder step per block, any number of thetas
 # ---------------------------------------------------------------------------
 
 class BlockEngine:
-    """Caches per-block factorizations of one process family.
+    """Caches one matrix per block for one process family.
 
     amplitudes(N, thetas) returns the (N+1, T) output amplitudes
     <N-j, j| U(theta) |N, 0>, one column per theta; probs(N, thetas) their
     squared moduli.
+
+    The splitter is B_N = diag((-i)^j) d_N diag(i^m), and the ladder gives
+    the rung r_N = c_N d_N with c_N^2 = 2^(N mod 2) (operators.ladder_walk).
+    Block N keeps (A, lam), and its amplitudes are
+    (-i)^j [A exp(-i theta lam)]_j: column l of A is the input's component
+    on generator eigenvector l, carried through the second splitter. A is
+    real, applied as one real product on the real view of the phases,
+    unless the generator mixes the parities of j (odd-order exchange). A
+    new block takes ladder steps from the highest rung built so far, or
+    from r_0 when it lies below that one.
     """
 
     def __init__(self, process: ProcessSpec):
@@ -112,53 +124,88 @@ class BlockEngine:
                 "%s needs the generic engine" % type(process).__name__)
         self.process = process
         self._blocks: Dict[int, tuple] = {}
+        self._top = (0, np.ones((1, 1)))
+        self._scratch = LadderScratch()
+
+    def _rung(self, N: int) -> np.ndarray:
+        n, r = self._top
+        r = ladder_walk(N, (n, r) if n < N else None, self._scratch)
+        if N > n:
+            self._top = (N, r)
+        return r
 
     def _build(self, N: int):
-        mu, Vx = _jx_factorization(N)
-        ph = np.exp(-0.5j * np.pi * mu)
-        c0 = splitter_input_column(N)
-        if isinstance(self.process, CrossPhase):
-            j = np.arange(N + 1, dtype=float)
-            lam = ((N - j) * j) ** self.process.s
-            # diagonal generator: the fold matrix is Vx.T itself, a view
-            self._blocks[N] = (Vx, ph, lam, c0, Vx.T)
+        r = self._rung(N)
+        inv_c2 = 0.5 ** (N % 2)  # exact
+        if isinstance(self.process, CrossPhase) or (
+                isinstance(self.process, Exchange) and N < self.process.k):
+            # diagonal generator: it and the input column r_N[:, 0] are
+            # symmetric under j -> N-j, so columns m and N-m merge
+            h = N // 2 + 1
+            A = r[:, :h].copy()
+            A[:, : N + 1 - h] += r[:, : h - 1: -1]
+            A *= inv_c2 * r[:h, 0]
+            j = np.arange(h, dtype=float)
+            lam = (((N - j) * j) ** self.process.s
+                   if isinstance(self.process, CrossPhase) else np.zeros(h))
+            self._blocks[N] = (A, lam)
             return
-        gen = process_generator(self.process, N)
-        if isinstance(self.process, Exchange) and N >= 1:
-            k = self.process.k
-            if N < k:
-                self._blocks[N] = (Vx, ph, np.zeros(N + 1), c0, Vx.T)
-                return
+        gen = np.real(process_generator(self.process, N))
+        if isinstance(self.process, Exchange):
             # symmetric banded form: only the j <-> j-k couplings exist
+            k = self.process.k
             bands = np.zeros((k + 1, N + 1))
-            bands[k, : N + 1 - k] = np.real(gen[np.arange(k, N + 1) - k,
-                                                np.arange(k, N + 1)])
+            bands[k, : N + 1 - k] = gen[np.arange(k, N + 1) - k,
+                                        np.arange(k, N + 1)]
             lam, V = eig_banded(bands, lower=True)
         else:
-            lam, V = np.linalg.eigh(np.real(gen))
-        # fold the second splitter's rotation into the generator eigenbasis
-        # once, so each sweep is two multiplications instead of three
-        M = np.ascontiguousarray(Vx.T @ V)
-        self._blocks[N] = (Vx, ph, lam, V.T @ c0, M)
+            lam, V = np.linalg.eigh(gen)
+        # A = r_N diag(i^m) V diag(V^T diag((-i)^m) r_N[:, 0]) / c_N^2, with
+        # i^m = s_m i^(m mod 2). A generator that keeps the parity of j
+        # commutes with diag(i^(m mod 2)), which then cancels, leaving the
+        # real A = r_N W diag(W^T r_N[:, 0]) / c_N^2 with W = diag(s) V.
+        s = 1.0 - 2.0 * (np.arange(N + 1) // 2 % 2)
+        if not gen[0::2, 1::2].any():
+            W = s[:, None] * V
+            A = r @ W
+            A *= inv_c2 * (W.T @ r[:, 0])
+        else:
+            A = np.empty((N + 1, N + 1), dtype=complex)
+            A.real = r[:, 0::2] @ (s[0::2, None] * V[0::2])
+            A.imag = r[:, 1::2] @ (s[1::2, None] * V[1::2])
+            q = QUARTER_TURNS[np.arange(N + 1) % 4]
+            A *= inv_c2 * (V.T @ (q * r[:, 0]))
+        self._blocks[N] = (A, lam)
 
     def _factor(self, N: int):
         if N not in self._blocks:
             self._build(N)
         return self._blocks[N]
 
-    def amplitudes(self, N: int, thetas) -> np.ndarray:
-        """Output amplitudes, shape (N+1, len(thetas))."""
+    def amplitudes(self, N: int, thetas, phased: bool = True) -> np.ndarray:
+        """Output amplitudes, shape (N+1, len(thetas)).
+
+        phased=False leaves out the row phase (-i)^j, which no modulus
+        depends on.
+        """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        if N == 0:
-            return np.ones((1, thetas.size), dtype=complex)
-        Vx, ph, lam, y, M = self._factor(N)
-        Z = np.exp(-1j * np.outer(lam, thetas)) * y[:, None]
-        Z = M @ Z
-        Z *= ph[:, None]
-        return Vx @ Z
+        A, lam = self._factor(N)
+        ph = np.outer(lam, -thetas)
+        Z = np.empty(ph.shape, dtype=complex)
+        np.cos(ph, out=Z.real)
+        np.sin(ph, out=Z.imag)
+        if A.dtype == complex:
+            Z = A @ Z
+        else:
+            Z = (A @ Z.view(float)).view(complex)
+        if phased:
+            Z *= QUARTER_TURNS[np.arange(N + 1) % 4, None]
+        return Z
 
     def probs(self, N: int, thetas) -> np.ndarray:
-        return np.abs(self.amplitudes(N, thetas)) ** 2
+        R = self.amplitudes(N, thetas, phased=False).view(float)
+        R *= R
+        return R[:, 0::2] + R[:, 1::2]
 
 
 def mzi_output(process: ProcessSpec, t: float, nbar: float,

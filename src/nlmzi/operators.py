@@ -7,7 +7,9 @@ All operators act on the total-photon-number block N with basis
     J_x = (a+ b + a b+)/2,  J_y = -i (a+ b - a b+)/2,  J_z = (n_a - n_b)/2
 
 generate the linear optics; the nonlinear arm is either a cross-phase
-coupling (n_a n_b)^s or a k-photon exchange a+^k b^k + a^k b+^k.
+coupling (n_a n_b)^s or a k-photon exchange a+^k b^k + a^k b+^k. The 50:50
+splitter exp(-i (pi/2) J_x) is the phased view of the real Wigner matrix
+exp(-i (pi/2) J_y), which a division-free ladder builds block by block.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .errors import ConfigurationError, DomainError
@@ -213,23 +214,89 @@ def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# beam splitter
+# beam splitter: the real Wigner-d ladder
 # ---------------------------------------------------------------------------
 
-def _jx_factorization(N: int):
-    """Eigendecomposition J_x = V diag(mu) V^T on block N.
+# (-i)^j for j mod 4: the row phase of B_N = diag((-i)^j) d_N diag(i^m)
+QUARTER_TURNS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
-    J_x is a real symmetric tridiagonal matrix with exactly half-integer
-    spectrum mu = -N/2 .. N/2; the computed eigenvalues are snapped onto
-    that grid so repeated propagator applications stay exactly unitary.
+
+class LadderScratch:
+    """Work buffers of the ladder step, reused from step to step; the flat
+    buffer at least doubles when a step outgrows it."""
+
+    def __init__(self):
+        self._buf = np.empty(0)
+
+    def pair(self, N: int):
+        """Two (N+1, N) work arrays."""
+        n = (N + 1) * N
+        if self._buf.size < 2 * n:
+            self._buf = np.empty(max(2 * n, 2 * self._buf.size))
+        return (self._buf[:n].reshape(N + 1, N),
+                self._buf[n:2 * n].reshape(N + 1, N))
+
+
+def _jx_factorization(N: int, r_prev: np.ndarray,
+                      scratch: LadderScratch) -> np.ndarray:
+    """Ladder step: the rung r_N = 2^((N mod 2)/2) d_N from r_{N-1}.
+
+    d_N = exp(-i (pi/2) J_y) is the real Wigner matrix of block N. Block N
+    is the symmetric embedding of N-1 photons plus one, so
+
+        d_N[i, k] = sum_{x, y in {a, b}} w_x(i) w_y(k) u[x, y]
+                    d_{N-1}[i - [x=b], k - [y=b]]
+
+    with w_a(i) = sqrt((N-i)/N), w_b(i) = sqrt(i/N) and u = d_1 =
+    [[1, -1], [1, 1]]/sqrt(2) (Risbo, J. Geodesy 70, 383 (1996)): a
+    contraction that divides by nothing, stable for any N. u's 1/sqrt(2)
+    is applied as an exact 1/2 on every even step, hence the sqrt(2) odd
+    rungs carry; a rounded 1/sqrt(2) at every step drifts the norm by N
+    ulp. Intermediates live in scratch; only r_N is allocated. N >= 1.
+
+    The name is older than the step: the benchmark tracer (bench/tracer.py)
+    wraps operators._jx_factorization as the per-block splitter layer.
     """
-    if N == 0:
-        return np.ones(1), np.ones((1, 1))
-    j = np.arange(N, dtype=float)
-    e = 0.5 * np.sqrt((N - j) * (j + 1))
-    mu, V = eigh_tridiagonal(np.zeros(N + 1), e)
-    mu = np.round(2.0 * mu) / 2.0
-    return mu, V
+    i = np.arange(N + 1)
+    wa = np.sqrt((N - i) / N)
+    wb = np.sqrt(i / N)
+    P, Q = scratch.pair(N)
+    # row embeddings: P = rows from row i (weight w_a), Q = from row i-1 (w_b)
+    np.multiply(wa[:N, None], r_prev, out=P[:N])
+    P[N] = 0.0
+    np.multiply(wb[1:, None], r_prev, out=Q[1:])
+    Q[0] = 0.0
+    r = np.empty((N + 1, N + 1))
+    T = r[:, :N]
+    np.add(P, Q, out=T)            # u's first column: column k from k
+    np.subtract(Q, P, out=Q)       # u's second column: column k from k-1
+    half = 0.5 if N % 2 == 0 else 1.0
+    T *= half * wa[:N]
+    Q *= half * wb[1:]
+    r[:, N] = 0.0
+    r[:, 1:] += Q
+    return r
+
+
+def ladder_walk(N: int, start=None, scratch: LadderScratch | None = None):
+    """Rung r_N = 2^((N mod 2)/2) d_N of the Wigner-d ladder.
+
+    Walks up from start = (n, r_n) with n <= N, by default from
+    r_0 = [[1]], one _jx_factorization step per block.
+    """
+    if N < 0:
+        raise DomainError("block label N must be >= 0")
+    n, r = start if start is not None else (0, np.ones((1, 1)))
+    scratch = scratch if scratch is not None else LadderScratch()
+    for m in range(n + 1, N + 1):
+        r = _jx_factorization(m, r, scratch)
+    return r
+
+
+def wigner_d(N: int) -> np.ndarray:
+    """Real Wigner matrix d_N = exp(-i (pi/2) J_y) on block N."""
+    r = ladder_walk(N)
+    return r if N % 2 == 0 else r * np.sqrt(0.5)
 
 
 def beam_splitter_unitary(N: int) -> np.ndarray:
@@ -238,24 +305,10 @@ def beam_splitter_unitary(N: int) -> np.ndarray:
     Convention a -> (a - i b)/sqrt(2); on N = 1 this is
     [[1, -i], [-i, 1]]/sqrt(2). This sign choice is what makes the
     nonlinear-arm conjugation identities (tested in the suite) come out
-    with the signs used throughout.
+    with the signs used throughout. It is the phased view
+    diag((-i)^j) d_N diag(i^m) of the Wigner-d ladder the block engine
+    walks.
     """
-    if N < 0:
-        raise DomainError("block label N must be >= 0")
-    mu, V = _jx_factorization(N)
-    if N == 0:
-        return np.ones((1, 1), dtype=complex)
-    ph = np.exp(-0.5j * np.pi * mu)
-    return (V * ph) @ V.T
-
-
-def splitter_input_column(N: int) -> np.ndarray:
-    """First column of U_BS on block N, i.e. U_BS |N, 0>.
-
-    Closed form (-i)^j sqrt(C(N, j) / 2^N); evaluated through gammaln so
-    large blocks neither overflow nor lose the binomial envelope.
-    """
-    m = np.arange(N + 1)
-    mag = np.exp(0.5 * (gammaln(N + 1) - gammaln(m + 1) - gammaln(N - m + 1))
-                 - 0.5 * N * np.log(2.0))
-    return (-1j) ** (m % 4) * mag
+    d = wigner_d(N)
+    q = QUARTER_TURNS[np.arange(N + 1) % 4]
+    return q[:, None] * d * q.conj()

@@ -25,6 +25,11 @@ from .operators import CrossPhase, Exchange, ProcessSpec
 # negative work capacities can only be round-off: sorting minimizes the mean
 _ROUNDOFF = 1e-14
 
+# work capacities within this many ulp of a scan's maximum tie, and the
+# smallest tied angle wins: mirror peaks such as cross-phase's theta* and
+# 2 pi - theta* are then resolved by the rule, not by round-off
+_PEAK_ULPS = 64
+
 
 @dataclass(frozen=True)
 class ErgotropyReport:
@@ -172,6 +177,12 @@ def wc_sweep(process: ProcessSpec, nbar: float, thetas,
                        tail_mass=fock.thermal_tail_mass(nbar, P.size - 1))
 
 
+def _first_peak(w) -> int:
+    """Index of the first entry within _PEAK_ULPS ulp of max(w)."""
+    top = w.max()
+    return int(np.argmax(w >= top - _PEAK_ULPS * np.spacing(top)))
+
+
 def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
                    grid: int = 200, tail_tol: float = 1e-12,
                    engine: Optional[BlockEngine] = None,
@@ -179,10 +190,11 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
     """(eta_max, theta_star) over theta in [0, theta_max].
 
     Coarse grid scan followed by bracket refinement around the best grid
-    point. A sweep evaluating a dozen angles through the cached spectral
-    factorizations costs barely more than evaluating one (the cache
-    streaming dominates), so each refinement round re-grids the bracket
-    instead of bisecting point by point.
+    point; the best point of a grid is its smallest angle whose W lies
+    within _PEAK_ULPS ulp of the grid's maximum. A sweep evaluating a dozen
+    angles through the cached block factors costs barely more than
+    evaluating one (the cache streaming dominates), so each refinement
+    round re-grids the bracket instead of bisecting point by point.
     """
     if not (np.isfinite(theta_max) and theta_max > 0):
         raise DomainError("theta_max must be finite and > 0")
@@ -193,7 +205,7 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
     eng = engine if engine is not None else BlockEngine(process)
     thetas = np.linspace(0.0, theta_max, grid)
     res = wc_sweep(process, nbar, thetas, tail_tol, eng)
-    i = int(np.argmax(res.wc))
+    i = _first_peak(res.wc)
     step = thetas[1] - thetas[0] if grid > 1 else theta_max
     theta_star, w_star = float(thetas[i]), float(res.wc[i])
 
@@ -202,7 +214,7 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
     while hi - lo > xtol:
         sub = np.linspace(lo, hi, 13)
         w = wc_sweep(process, nbar, sub, tail_tol, eng).wc
-        j = int(np.argmax(w))
+        j = _first_peak(w)
         if w[j] > w_star:
             theta_star, w_star = float(sub[j]), float(w[j])
         lo, hi = sub[max(j - 1, 0)], sub[min(j + 1, sub.size - 1)]

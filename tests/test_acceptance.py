@@ -121,7 +121,7 @@ def test_c05_g2_from_work_capacity():
                     continue  # estimator undefined at zero work
                 errs.append(abs(coh.g2_from_wc(rep) - coh.g_m(da[:, j], 2)))
             errs = np.asarray(errs)
-            bad = int((errs >= 1e-9).sum())
+            bad = int((~(errs < 1e-9)).sum())  # a nan counts as a miss
             ok = ok and bad == 0
             details.append("%s nbar=%g max %.2e (%d/%d over)"
                            % (lbl, nbar, errs.max(), bad, errs.size))

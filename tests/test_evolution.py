@@ -6,12 +6,15 @@ from scipy.linalg import expm
 
 from nlmzi import evolution as ev
 from nlmzi import fock
+from nlmzi import operators as ops
 from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                              NonDegeneratePDC)
 
 
-from oracles import ladder, tensor_mzi_state
+from oracles import eig_block_amplitudes, ladder, tensor_mzi_state
+
+HYBRID = Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))
 
 @pytest.mark.parametrize("process", [
     CrossPhase(s=1), CrossPhase(s=2), Exchange(k=2), Exchange(k=3),
@@ -45,6 +48,79 @@ def test_engine_consistent_with_unitary():
             U = ev.mzi_unitary(proc, t, N)
             got = eng.amplitudes(N, [t * proc.strength])[:, 0]
             assert np.abs(got - U[:, 0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("N", [200, 694])
+def test_engine_matches_eigensolver_splitter(N):
+    # the J_x eigensystem path the Wigner-d ladder replaced; cross-phase
+    # eigenvalues are exact integers, so only the splitters differ
+    thetas = [0.3, 2.0, np.pi, 5.9]
+    proc = CrossPhase(s=1)
+    got = ev.BlockEngine(proc).amplitudes(N, thetas)
+    assert np.abs(got - eig_block_amplitudes(proc, N, thetas)).max() < 1e-13
+
+
+@pytest.mark.parametrize("process", [
+    Exchange(k=2), Exchange(k=3), Exchange(k=4, allow_high_order=True), HYBRID,
+    Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=3)))),
+])
+def test_engine_matches_eigensolver_splitter_exchange(process):
+    # the two generator eigensolvers differ by round-off relative to the
+    # largest eigenvalue, which the phase theta * lambda carries along
+    N, thetas = 200, [0.3, 2.0, np.pi]
+    ref = eig_block_amplitudes(process, N, thetas)
+    got = ev.BlockEngine(process).amplitudes(N, thetas)
+    scale = max(thetas) * np.abs(np.linalg.eigvalsh(np.real(
+        ops.process_generator(process, N)))).max()
+    assert np.abs(got - ref).max() < 2e-15 * scale
+
+
+@pytest.mark.parametrize("process", [CrossPhase(s=1), Exchange(k=2),
+                                     Exchange(k=3), HYBRID])
+def test_probs_are_squared_amplitudes(process):
+    eng = ev.BlockEngine(process)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 7)
+    for N in range(41):
+        p = eng.probs(N, thetas)
+        assert np.abs(p - np.abs(eng.amplitudes(N, thetas)) ** 2).max() < 1e-14
+
+
+@pytest.fixture
+def ladder_steps(monkeypatch):
+    """Block labels N of every ladder step taken while the test runs."""
+    steps = []
+    step = ops._jx_factorization
+
+    def counted(N, *args):
+        steps.append(N)
+        return step(N, *args)
+
+    monkeypatch.setattr(ops, "_jx_factorization", counted)
+    return steps
+
+
+@pytest.mark.parametrize("process", [CrossPhase(s=1), Exchange(k=2),
+                                     Exchange(k=3)])
+def test_cold_out_of_order_builds_match_in_order(process, ladder_steps):
+    thetas = [0.4, 2.2, 5.0]
+    ref = ev.BlockEngine(process)
+    for N in range(81):
+        ref.amplitudes(N, thetas)
+    ladder_steps.clear()
+    eng = ev.BlockEngine(process)
+    for N in (60, 10, 80, 70):
+        assert np.array_equal(eng.amplitudes(N, thetas),
+                              ref.amplitudes(N, thetas))
+    # 80 walks up from the highest rung, r_60; 60, 10 and 70 from r_0
+    assert len(ladder_steps) == 60 + 10 + 20 + 70
+
+
+def test_in_order_builds_take_one_ladder_step_each(ladder_steps):
+    n = fock.thermal_distribution(2.0, 1e-6).size
+    for proc in (CrossPhase(s=1), Exchange(k=2), HYBRID):
+        ladder_steps.clear()
+        ev.sweep_distributions(proc, 2.0, [0.5, 1.0], 1e-6)
+        assert ladder_steps == list(range(1, n))
 
 
 def test_hermitian_eig_guards():

@@ -1,12 +1,14 @@
 """Block operators: pseudospin algebra, generators, splitter identities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nlmzi import operators as ops
 from nlmzi.errors import ConfigurationError, DomainError
+from oracles import expm_splitter, splitter_input_column
 
 TOL = 1e-12
 
@@ -117,15 +119,47 @@ def test_beam_splitter_basics():
         assert np.abs(B - ref).max() < 1e-12
 
 
+def test_wigner_ladder_matches_dense_exponential():
+    # B_N = diag((-i)^j) d_N diag(i^m), with d_N walked up the ladder
+    for N in range(41):
+        d = ops.wigner_d(N)
+        assert d.dtype == float
+        B = ops.beam_splitter_unitary(N)
+        assert np.abs(B - expm_splitter(N)).max() < 1e-13
+
+
+def test_wigner_d_stays_orthogonal_at_large_blocks():
+    d = ops.wigner_d(694)
+    assert np.abs(d @ d.T - np.eye(695)).max() < 1e-12
+
+
+def test_ladder_walk_resumes_from_any_rung():
+    for n, N in ((10, 25), (9, 24), (0, 7)):
+        r = ops.ladder_walk(n)
+        assert np.array_equal(ops.ladder_walk(N, (n, r)), ops.ladder_walk(N))
+    # odd rungs carry sqrt(2)
+    assert np.abs(ops.ladder_walk(1) - [[1, -1], [1, 1]]).max() == 0
+    d25 = ops.wigner_d(25)
+    assert np.abs(ops.ladder_walk(25) - np.sqrt(2) * d25).max() < 1e-15
+    with pytest.raises(DomainError):
+        ops.ladder_walk(-1)
+
+
 def test_splitter_input_column():
     for N in range(9):
         B = ops.beam_splitter_unitary(N)
-        col = ops.splitter_input_column(N)
+        col = splitter_input_column(N)
         assert np.abs(col - B[:, 0]).max() < 1e-12
         # binomial magnitudes
         j = np.arange(N + 1)
         mag = np.sqrt([math.comb(N, int(m)) / 2.0 ** N for m in j])
         assert np.allclose(np.abs(col), mag, atol=1e-13)
+    # at large blocks the ladder's column keeps the binomial envelope to
+    # round-off (gammaln's own error reaches 6e-14 at N = 694)
+    for N in (200, 693):
+        exact = [math.sqrt(Fraction(math.comb(N, j), 2 ** N))
+                 for j in range(N + 1)]
+        assert np.abs(ops.wigner_d(N)[:, 0] - exact).max() < 1e-15
 
 
 def test_two_mode_monomial():

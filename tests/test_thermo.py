@@ -1,6 +1,7 @@
 """Ergotropy, closed-form work capacity, sweeps, peak efficiency."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,6 +146,42 @@ def test_max_efficiency_cross_kerr():
     for bad in (-1.0, 0.0, np.inf, np.nan):
         with pytest.raises(DomainError):
             thermo.max_efficiency(CrossPhase(s=1), 1.0, bad)
+
+
+def test_max_efficiency_reports_the_first_mirror_peak():
+    # cross-phase W(theta) = W(2 pi - theta): the peaks at theta* and
+    # 2 pi - theta* tie within round-off, and the smaller angle is reported
+    proc = CrossPhase(s=1)
+    eng = ev.BlockEngine(proc)
+    eta, theta_star = thermo.max_efficiency(proc, 40.0, 2 * np.pi, grid=100,
+                                            tail_tol=1e-3, engine=eng)
+    assert 2.9 < theta_star < np.pi
+    w = thermo.wc_sweep(proc, 40.0, [theta_star, 2 * np.pi - theta_star],
+                        1e-3, eng).wc
+    assert abs(w[1] - w[0]) < 1e-12 * w[0]
+    assert abs(eta - w[0] / 40.0) < 1e-15
+
+
+def test_max_efficiency_breaks_round_off_ties_to_the_smaller_angle(
+        monkeypatch):
+    # mirror peaks at pi -/+ 1, the later one 4 ulp higher
+    def mirrored(process, nbar, thetas, tail_tol, engine):
+        th = np.asarray(thetas)
+        w = 1.0 - (np.abs(th - np.pi) - 1.0) ** 2
+        return SimpleNamespace(wc=w + 4 * np.spacing(1.0) * (th > np.pi))
+
+    monkeypatch.setattr(thermo, "wc_sweep", mirrored)
+    _, theta_star = thermo.max_efficiency(CrossPhase(s=1), 1.0, 2 * np.pi,
+                                          grid=101)
+    assert abs(theta_star - (np.pi - 1.0)) < 1e-4
+
+
+def test_first_peak_rule():
+    top = 9.918929908551235
+    ulp = np.spacing(top)
+    assert thermo._first_peak(np.array([0.0, top - 60 * ulp, 1.0, top])) == 1
+    assert thermo._first_peak(np.array([0.0, top - 70 * ulp, 1.0, top])) == 3
+    assert thermo._first_peak(np.array([top, top, 0.0])) == 0
 
 
 def test_one_photon_exchange_stays_passive():
