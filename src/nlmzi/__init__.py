@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 from . import coherence, evolution, fock, operators, optomech, thermo
 from .errors import ConfigurationError, DomainError, FitError
-from .evolution import (BlockEngine, GenericEngine, GenericSystem,
-                        mzi_output, mzi_unitary, pdc_signal_sweep, pdc_system,
-                        sweep_distributions)
+from .evolution import (BlockEngine, GenericEngine, mzi_output,
+                        pdc_signal_sweep, sweep_distributions)
 from .fock import (thermal_cutoff, thermal_distribution, thermal_tail_energy,
                    thermal_tail_mass)
 from .operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
@@ -39,9 +38,8 @@ __all__ = [
     "CrossPhase", "Exchange", "Hybrid", "DegeneratePDC", "NonDegeneratePDC",
     "stokes", "cross_phase_generator", "exchange_generator",
     "beam_splitter_unitary",
-    "BlockEngine", "mzi_unitary", "mzi_output", "sweep_distributions",
-    "GenericSystem", "GenericEngine", "pdc_system",
-    "pdc_signal_sweep",
+    "BlockEngine", "mzi_output", "sweep_distributions",
+    "GenericEngine", "pdc_signal_sweep",
     "ErgotropyReport", "SweepResult", "ergotropy", "passive_distribution",
     "wc_from_dist", "wc_sweep", "max_efficiency",
     "wc_cross_kerr_closed_form", "wc_table_oracle", "wc_exchange3_windows",

@@ -14,86 +14,23 @@ components on the generator eigenvectors carried through the second
 splitter, so every theta of a sweep costs one matrix product per block
 (a real one unless the generator mixes the parities of j).
 
-A small generic engine (connected-component enumeration plus one
-eigendecomposition per component, tridiagonal where the component is a
-real chain) covers non-block Hamiltonians such as parametric
-down-conversion, where photons change modes in unequal numbers; it evolves
-each component over a whole time grid at once.
+Parametric down-conversion is not block-diagonal in N, but with n pump
+photons it reaches one chain of n + 1 states; a chain engine solves each
+pump level once and evolves it over a whole time grid at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh, eigh_tridiagonal
+from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from . import fock
 from .errors import ConfigurationError, DomainError
-from .fock import DEFAULT_DIM_GUARD
 from .operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC, Exchange,
-                        Hybrid, LadderScratch, NonDegeneratePDC, ProcessSpec,
-                        beam_splitter_unitary, ladder_walk,
-                        process_generator)
-
-HERMITICITY_TOL = 1e-12
-REDUCED_OFFDIAG_TOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# dense helpers
-# ---------------------------------------------------------------------------
-
-def _is_hermitian(op: np.ndarray) -> bool:
-    """|op - op^+|max within HERMITICITY_TOL of max(1, |op|max).
-
-    Relative, because entries built in different orders differ in their
-    last ulps: a degenerate PDC pump level of n ~ 400 gives |H| ~ 5e3.
-    """
-    return (np.abs(op - op.conj().T).max()
-            <= HERMITICITY_TOL * max(1.0, np.abs(op).max()))
-
-
-def hermitian_eig(op: np.ndarray):
-    """Eigendecomposition of a Hermitian block operator.
-
-    Returns (eigenvalues ascending, unitary eigenvector matrix); delegates
-    to LAPACK's Householder tridiagonalization + implicit QL solver, which
-    is the right tool at these block sizes.
-    """
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise DomainError("operator must be a square matrix")
-    if not _is_hermitian(op):
-        raise DomainError("operator is not Hermitian within %g of its scale"
-                          % HERMITICITY_TOL)
-    w, V = eigh(op)
-    return w, V
-
-
-def unitary_of(op: np.ndarray, theta: float) -> np.ndarray:
-    """exp(-i theta op) for Hermitian op, via the eigendecomposition."""
-    if not np.isfinite(theta):
-        raise DomainError("theta must be finite")
-    w, V = hermitian_eig(op)
-    return (V * np.exp(-1j * theta * w)) @ V.conj().T
-
-
-def mzi_unitary(process: ProcessSpec, t: float, N: int) -> np.ndarray:
-    """Full interferometer unitary U_BS exp(-i t strength g_N) U_BS on block N."""
-    if isinstance(process, (DegeneratePDC, NonDegeneratePDC)):
-        raise ConfigurationError(
-            "%s is not a block-diagonal interferometer arm; "
-            "use pdc_signal_sweep" % type(process).__name__)
-    B = beam_splitter_unitary(N)
-    gen = process_generator(process, N)
-    theta = t * process.strength
-    if isinstance(process, CrossPhase):
-        U_nl = np.diag(np.exp(-1j * theta * np.real(np.diag(gen))))
-    else:
-        U_nl = unitary_of(gen, theta)
-    return B @ U_nl @ B
+                        LadderScratch, NonDegeneratePDC, ProcessSpec,
+                        ladder_walk, process_generator)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +58,8 @@ class BlockEngine:
     def __init__(self, process: ProcessSpec):
         if isinstance(process, (DegeneratePDC, NonDegeneratePDC)):
             raise ConfigurationError(
-                "%s needs the generic engine" % type(process).__name__)
+                "%s has no photon-number blocks; use pdc_signal_sweep"
+                % type(process).__name__)
         self.process = process
         self._blocks: Dict[int, tuple] = {}
         self._top = (0, np.ones((1, 1)))
@@ -248,217 +186,90 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
 
 
 # ---------------------------------------------------------------------------
-# generic ladder-monomial engine (parametric processes)
+# parametric down-conversion: one chain per pump level
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GenericSystem:
-    """Truncated multi-mode system with a ladder-monomial Hamiltonian.
-
-    cutoffs[m] is the highest retained occupation of mode m. Each term is
-    (coefficient, powers) with powers[m] = (creation, annihilation)
-    exponents on mode m; the term list must be closed under Hermitian
-    conjugation.
-    """
-    cutoffs: Tuple[int, ...]
-    terms: Tuple[Tuple[complex, Tuple[Tuple[int, int], ...]], ...]
-    dim_guard: int = DEFAULT_DIM_GUARD
-
-    def __post_init__(self):
-        for c in self.cutoffs:
-            if c < 0:
-                raise DomainError("cutoffs must be >= 0")
-        for coeff, powers in self.terms:
-            if len(powers) != len(self.cutoffs):
-                raise DomainError("term arity does not match mode count")
-            conj = (np.conj(coeff), tuple((a, c) for c, a in powers))
-            ok = any(abs(conj[0] - c2) < 1e-15 and conj[1] == p2
-                     for c2, p2 in self.terms)
-            if not ok:
-                raise DomainError(
-                    "Hamiltonian not Hermitian: missing conjugate of %r" % (powers,))
-
-
-def _apply_term(state, coeff, powers, cutoffs):
-    """coeff * prod_m a_m+^cre a_m^ann applied to a Fock product state.
-
-    Returns (amplitude, new state) or None when annihilation underflows or
-    creation leaves the truncation window.
-    """
-    amp = coeff
-    out = list(state)
-    for m, (cre, ann) in enumerate(powers):
-        n = out[m]
-        if ann:
-            if n < ann:
-                return None
-            for i in range(ann):
-                amp *= np.sqrt(n - i)
-            n -= ann
-        if cre:
-            if n + cre > cutoffs[m]:
-                return None
-            for i in range(cre):
-                amp *= np.sqrt(n + 1 + i)
-            n += cre
-        out[m] = n
-    return amp, tuple(out)
-
 
 class GenericEngine:
-    """Connected-component evolution for a GenericSystem.
+    """Pump-level chains of one down-conversion variant.
 
-    Each initial Fock product state only couples to the states reachable
-    through the Hamiltonian terms, which for the parametric processes is a
-    short ladder, never the full tensor space. Each component is assembled
-    and eigendecomposed once, together with its per-mode reduction indices,
-    and then evolved over a whole time grid in one product, so a sweep costs
-    one call per component rather than one per (component, time) point.
-    Components whose Hamiltonian is real and tridiagonal in walk order (every
-    PDC ladder) take the O(L^2) MRRR tridiagonal eigensolver; any other
-    structure takes the dense one.
+    From |n, 0> (pump, signal) or |n, 0, 0> (pump, signal, idler), the
+    trilinear Hamiltonian g (a_p a_s+^2 + h.c.) or g (a_p a_s+ a_i+ + h.c.)
+    reaches only the n + 1 states (n-m, 2m) or (n-m, m, m), m = 0..n
+    (Walls & Barakat, Phys. Rev. A 1, 446 (1970)). In that order the
+    Hamiltonian is a real chain with zero diagonal and couplings
+
+        g sqrt(n-m) sqrt(2m+1) sqrt(2m+2)   (degenerate)
+        g sqrt(n-m) sqrt(m+1) sqrt(m+1)     (non-degenerate),
+
+    solved once per pump level by the tridiagonal eigensolver and evolved
+    over a whole time grid in one product. Every mode's occupation is fixed
+    by m, so each reduced state is diagonal.
+
+    The name is older than the chains: the benchmark tracer
+    (bench/tracer.py) wraps _component, evolve and mode_distributions.
     """
 
-    def __init__(self, system: GenericSystem):
-        self.system = system
-        self._components: Dict[tuple, tuple] = {}
-        self._reductions: Dict[tuple, list] = {}
-
-    def _component(self, initial: tuple):
-        if initial in self._components:
-            return self._components[initial]
-        sys = self.system
-        seen = {initial: 0}
-        order = [initial]
-        stack = [initial]
-        rows, cols, amps = [], [], []
-        while stack:
-            st = stack.pop()
-            col = seen[st]
-            for coeff, powers in sys.terms:
-                r = _apply_term(st, coeff, powers, sys.cutoffs)
-                if r is None:
-                    continue
-                row = seen.get(r[1])
-                if row is None:
-                    if len(order) >= sys.dim_guard:
-                        raise ConfigurationError(
-                            "reachable state set exceeds the dimension guard %d"
-                            % sys.dim_guard)
-                    row = seen[r[1]] = len(order)
-                    order.append(r[1])
-                    stack.append(r[1])
-                rows.append(row)
-                cols.append(col)
-                amps.append(r[0])
-        H = np.zeros((len(order), len(order)), dtype=complex)
-        np.add.at(H, (rows, cols), amps)
-        if not _is_hermitian(H):
-            raise DomainError("assembled Hamiltonian is not Hermitian")
-        if (not H.imag.any()
-                and not np.triu(H, 2).any() and not np.tril(H, -2).any()):
-            # the lower triangle is the one the dense eigh would read
-            w, V = eigh_tridiagonal(H.real.diagonal(), H.real.diagonal(-1))
+    def __init__(self, process):
+        # step: signal photons made per converted pump photon
+        if isinstance(process, DegeneratePDC):
+            self.step = 2
+        elif isinstance(process, NonDegeneratePDC):
+            self.step = 1
         else:
-            w, V = eigh(H)
-        self._components[initial] = (order, w, V)
-        return self._components[initial]
+            raise ConfigurationError("GenericEngine needs a PDC process spec")
+        self.process = process
+        self._components: Dict[int, tuple] = {}
 
-    def _reduction(self, initial: tuple):
-        """Per mode: occupation index of each component state, and the
-        (u, v) index pairs of states that differ only in that mode."""
-        if initial not in self._reductions:
-            order = self._component(initial)[0]
-            red = []
-            for m in range(len(self.system.cutoffs)):
-                groups: Dict[tuple, list] = {}
-                for i, st in enumerate(order):
-                    groups.setdefault(st[:m] + st[m + 1:], []).append(i)
-                pairs = [(u, v) for idxs in groups.values()
-                         for k, u in enumerate(idxs) for v in idxs[k + 1:]]
-                uv = np.array(pairs, dtype=int).reshape(-1, 2).T
-                red.append((np.array([st[m] for st in order]), uv[0], uv[1]))
-            self._reductions[initial] = red
-        return self._reductions[initial]
+    def _component(self, n: int):
+        """(eigenvalues, eigenvectors) of pump level n's chain."""
+        if n not in self._components:
+            m = np.arange(n, dtype=float)
+            s = self.step * m
+            # rounded left to right in the order the ladder operators act
+            # (a_p, then the two creations); another order changes the
+            # last bits of the couplings and with them the output bytes
+            off = self.process.g * np.sqrt(n - m) * np.sqrt(s + 1)
+            off *= np.sqrt(s + self.step)
+            self._components[n] = eigh_tridiagonal(np.zeros(n + 1), off)
+        return self._components[n]
 
-    def evolve(self, initial: tuple, t):
-        """Amplitudes over the component basis at time(s) t from |initial>.
+    def evolve(self, n: int, t):
+        """Chain amplitudes at time(s) t from pump level n.
 
-        Returns (order, psi): psi has shape (L,) for a scalar t and (L, T)
-        for a grid of T times, one column per time.
+        Shape (n+1,) for a scalar t and (n+1, T) for a grid of T times,
+        one column per time.
         """
-        order, w, V = self._component(initial)
+        w, V = self._component(n)
         ts = np.asarray(t, dtype=float)
-        psi = V @ (np.exp(-1j * np.outer(w, ts)) * np.conj(V[0])[:, None])
-        return order, (psi[:, 0] if ts.ndim == 0 else psi)
+        psi = V @ (np.exp(-1j * np.outer(w, ts)) * V[0][:, None])
+        return psi[:, 0] if ts.ndim == 0 else psi
 
-    def mode_distributions(self, initial: tuple, t) -> List[np.ndarray]:
-        """Per-mode photon distributions of the evolved pure state.
+    def mode_distributions(self, n: int, t) -> List[np.ndarray]:
+        """Photon distributions of pump, signal (and idler) from level n.
 
-        For a scalar t each distribution is 1d; for a grid of T times it is
-        (cutoff+1, T), one column per time. The reduced state of each mode
-        is checked to be numerically diagonal at every time (the parametric
-        Hamiltonians conserve enough charges to guarantee it); a violation
-        raises rather than silently dropping coherences.
+        They have n+1, step*n+1 (and n+1) rows; 1d for a scalar t, one
+        column per time for a grid.
         """
         ts = np.asarray(t, dtype=float)
-        psi = self.evolve(initial, np.atleast_1d(ts))[1]
-        weight = np.abs(psi) ** 2
-        dists = []
-        for m, (occ, u, v) in enumerate(self._reduction(initial)):
-            if u.size:
-                off = np.abs(psi[u] * np.conj(psi[v])).max()
-                if off > REDUCED_OFFDIAG_TOL:
-                    raise ConfigurationError(
-                        "reduced state of mode %d has off-diagonal "
-                        "weight %g" % (m, off))
-            d = np.zeros((self.system.cutoffs[m] + 1, weight.shape[1]))
-            np.add.at(d, occ, weight)
-            dists.append(d[:, 0] if ts.ndim == 0 else d)
-        return dists
-
-
-# ---------------------------------------------------------------------------
-# parametric down-conversion front ends
-# ---------------------------------------------------------------------------
-
-def pdc_system(process, nbar: float, tail_tol: float = 1e-12):
-    """(GenericSystem, pump mixture) for a PDC variant with a thermal pump.
-
-    Non-degenerate: modes (pump, signal, idler), signal/idler cutoffs equal
-    the pump cutoff. Degenerate: modes (pump, signal) with signal cutoff
-    twice the pump cutoff, since each converted pump photon makes a pair.
-    """
-    P = fock.thermal_distribution(nbar, tail_tol)
-    cut = P.size - 1
-    if isinstance(process, NonDegeneratePDC):
-        g = process.g
-        system = GenericSystem(
-            cutoffs=(cut, cut, cut),
-            terms=((g, ((0, 1), (1, 0), (1, 0))),
-                   (g, ((1, 0), (0, 1), (0, 1)))))
-        initial = [(P[n], (n, 0, 0)) for n in range(P.size)]
-    elif isinstance(process, DegeneratePDC):
-        g = process.g
-        system = GenericSystem(
-            cutoffs=(cut, 2 * cut),
-            terms=((g, ((0, 1), (2, 0))),
-                   (g, ((1, 0), (0, 2)))))
-        initial = [(P[n], (n, 0)) for n in range(P.size)]
-    else:
-        raise ConfigurationError("pdc_system needs a PDC process spec")
-    return system, initial
+        weight = np.abs(self.evolve(n, np.atleast_1d(ts))) ** 2
+        sig = np.zeros((self.step * n + 1, weight.shape[1]))
+        sig[:: self.step] = weight
+        dists = [weight[::-1], sig] + ([sig.copy()] if self.step == 1 else [])
+        return [d[:, 0] if ts.ndim == 0 else d for d in dists]
 
 
 def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
     """Signal-mode distributions across a g t grid, one column per point.
 
-    Each pump level's component is evolved once over the whole grid.
+    Rows are signal occupations 0..step*N_max for a thermal pump cut at
+    N_max. Each pump level's chain is evolved once over the whole grid and
+    added, weighted by P[n], into the leading step*n+1 rows.
     """
-    system, initial = pdc_system(process, nbar, tail_tol)
+    P = fock.thermal_distribution(nbar, tail_tol)
+    eng = GenericEngine(process)
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
-    eng = GenericEngine(system)
-    sig = np.zeros((system.cutoffs[1] + 1, gts.size))
-    for w, occ in initial:
-        sig += w * eng.mode_distributions(tuple(occ), gts)[1]
+    sig = np.zeros((eng.step * (P.size - 1) + 1, gts.size))
+    for n in range(P.size):
+        d = eng.mode_distributions(n, gts)[1]
+        sig[: d.shape[0]] += P[n] * d
     return sig

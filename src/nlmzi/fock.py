@@ -25,9 +25,9 @@ from .errors import ConfigurationError, DomainError
 CLAMP_TOL = 1e-14
 NORM_SLACK = 1e-12
 
-# Largest state count any one evolution may allocate: the number of thermal
-# blocks N = 0..N_max here, the reachable states of one generic component in
-# `evolution`.
+# Largest number of thermal blocks N = 0..N_max. It also bounds every
+# evolution in `evolution`: a block has N + 1 states, and a down-conversion
+# chain n + 1 for pump level n <= N_max.
 DEFAULT_DIM_GUARD = 4096
 
 

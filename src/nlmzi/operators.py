@@ -121,37 +121,6 @@ def stokes(N: int, axis: str) -> np.ndarray:
     return M
 
 
-def two_mode_monomial(N: int, ap: int, am: int, bp: int, bm: int) -> np.ndarray:
-    """Matrix of a+^ap a^am b+^bp b^bm on block N.
-
-    Only number-conserving monomials (ap - am + bp - bm = 0) stay on the
-    block; anything else is the zero matrix here. Handy for operator
-    identity checks.
-    """
-    M = np.zeros((N + 1, N + 1), dtype=complex)
-    if ap - am + bp - bm != 0:
-        return M
-    for j in range(N + 1):
-        na, nb = N - j, j
-        if nb < bm or na < am:
-            continue
-        amp = 1.0
-        for i in range(bm):
-            amp *= np.sqrt(nb - i)
-        nb2 = nb - bm + bp
-        for i in range(bp):
-            amp *= np.sqrt(nb - bm + 1 + i)
-        for i in range(am):
-            amp *= np.sqrt(na - i)
-        na2 = na - am + ap
-        for i in range(ap):
-            amp *= np.sqrt(na - am + 1 + i)
-        if na2 < 0 or nb2 < 0 or na2 + nb2 != N:
-            continue
-        M[nb2, j] = amp
-    return M
-
-
 def cross_phase_generator(N: int, s: int = 1) -> np.ndarray:
     """Diagonal generator (n_a n_b)^s on block N: entries ((N - j) j)^s."""
     if N < 0 or s < 1:
@@ -160,18 +129,15 @@ def cross_phase_generator(N: int, s: int = 1) -> np.ndarray:
     return np.diag(((N - j) * j) ** s).astype(complex)
 
 
-def exchange_generator(N: int, k: int, allow_high_order: bool = False) -> np.ndarray:
+def exchange_generator(N: int, k: int) -> np.ndarray:
     """Generator a+^k b^k + a^k b+^k on block N.
 
     Couples j <-> j - k with element sqrt((N-j+k)!/(N-j)! * j!/(j-k)!);
-    blocks with N < k cannot exchange and give the zero matrix.
+    blocks with N < k cannot exchange and give the zero matrix. The order
+    guard belongs to the Exchange spec; this takes any k >= 1.
     """
     if N < 0 or k < 1:
         raise DomainError("need N >= 0 and k >= 1")
-    if k > EXCHANGE_ORDER_GUARD and not allow_high_order:
-        raise ConfigurationError(
-            "exchange order k=%d exceeds the default guard k<=%d; "
-            "pass allow_high_order=True to override" % (k, EXCHANGE_ORDER_GUARD))
     M = np.zeros((N + 1, N + 1), dtype=complex)
     if N < k:
         return M
@@ -194,7 +160,7 @@ def hybrid_generator(N: int, terms) -> np.ndarray:
         if isinstance(spec, CrossPhase):
             M += coeff * cross_phase_generator(N, spec.s)
         elif isinstance(spec, Exchange):
-            M += coeff * exchange_generator(N, spec.k, spec.allow_high_order)
+            M += coeff * exchange_generator(N, spec.k)
         else:
             raise DomainError("hybrid terms must be CrossPhase or Exchange specs")
     return M
@@ -205,7 +171,7 @@ def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
     if isinstance(process, CrossPhase):
         return cross_phase_generator(N, process.s)
     if isinstance(process, Exchange):
-        return exchange_generator(N, process.k, process.allow_high_order)
+        return exchange_generator(N, process.k)
     if isinstance(process, Hybrid):
         return hybrid_generator(N, process.terms)
     raise ConfigurationError(

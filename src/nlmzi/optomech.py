@@ -186,14 +186,6 @@ def position_variance(field, cfg: OscillatorConfig, taus) -> np.ndarray:
         * s.wc_dispersion
 
 
-def position_variance_general(var_n: float, cfg: OscillatorConfig, taus,
-                              baseline: float = 0.5) -> np.ndarray:
-    """Variance form valid for any field: 8 (G/Omega)^2 sin^4 Var(n)."""
-    taus = np.asarray(taus, dtype=float)
-    u = cfg.G / cfg.Omega
-    return baseline + 8.0 * u ** 2 * np.sin(cfg.Omega * taus / 2.0) ** 4 * var_n
-
-
 # ---------------------------------------------------------------------------
 # independent dense oracle
 # ---------------------------------------------------------------------------

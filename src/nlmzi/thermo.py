@@ -57,9 +57,11 @@ def ergotropy(p, nbar: Optional[float] = None) -> ErgotropyReport:
     nbar, when given, is the input-side mean photon number used for the
     efficiency eta = W / nbar. A negative W is round-off and clipped to 0
     while it stays within _ROUNDOFF * n * max(1, <n>) of 0; a larger one,
-    or a probability below -1e-12, raises DomainError.
+    a probability below -1e-12 or a non-finite entry raises DomainError.
     """
     p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise DomainError("non-finite probability in distribution")
     if p.size and p.min() < -1e-12:
         raise DomainError("negative probability %g in distribution" % p.min())
     pas = passive_distribution(p)

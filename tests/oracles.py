@@ -1,17 +1,22 @@
-"""Dense oracles, built from scratch on purpose.
+"""Dense oracles and test-only helpers, built from scratch on purpose.
 
-Shared by the evolution tests and the acceptance gate. The two-mode
-tensor-product oracle is written against bare kron products, and the block
-splitter oracles against bare ladder elements (a dense exponential and the
-J_x eigensystem), so none can inherit a mistake from the Wigner-d ladder or
-the block machinery they check.
+Shared by the evolution tests and the acceptance gate. The two-mode and
+down-conversion tensor-product oracles are written against bare kron
+products, and the block splitter oracles against bare ladder elements (a
+dense exponential and the J_x eigensystem), so none can inherit a mistake
+from the Wigner-d ladder, the block machinery or the pump-level chains
+they check.
 """
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eigh, eigh_tridiagonal, expm
 from scipy.special import gammaln
 
-from nlmzi.operators import CrossPhase, Exchange, Hybrid, process_generator
+from nlmzi.errors import DomainError
+from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
+                             beam_splitter_unitary, process_generator)
+
+HERMITICITY_TOL = 1e-12
 
 
 def ladder(dim):
@@ -23,6 +28,31 @@ def tensor_ops(nmax):
     a = np.kron(ladder(d).conj().T, np.eye(d))  # creation on mode a
     b = np.kron(np.eye(d), ladder(d).conj().T)
     return a, b
+
+
+def pdc_tensor_marginals(process, n0, t, pump_cutoff=3):
+    """Pump, signal (and idler) distributions of exp(-i t H) |n0, 0(, 0)>.
+
+    H = g (a_p a_s+^2 + h.c.) or g (a_p a_s+ a_i+ + h.c.) on the full
+    tensor space, exponentiated densely. The signal keeps 2 pump_cutoff
+    (degenerate) or pump_cutoff photons, so from n0 <= pump_cutoff no
+    truncation edge is reached.
+    """
+    p = ladder(pump_cutoff + 1)
+    if isinstance(process, DegeneratePDC):
+        s = ladder(2 * pump_cutoff + 1)
+        dims = (pump_cutoff + 1, 2 * pump_cutoff + 1)
+        up = np.kron(p, s.conj().T @ s.conj().T)
+    else:
+        s = ladder(pump_cutoff + 1)
+        dims = (pump_cutoff + 1,) * 3
+        up = np.kron(np.kron(p, s.conj().T), s.conj().T)
+    H = process.g * (up + up.conj().T)
+    psi0 = np.zeros(H.shape[0], dtype=complex)
+    psi0[n0 * (H.shape[0] // dims[0])] = 1.0
+    prob = (np.abs(expm(-1j * t * H) @ psi0) ** 2).reshape(dims)
+    return [prob.sum(axis=tuple(k for k in range(len(dims)) if k != m))
+            for m in range(len(dims))]
 
 
 def tensor_generator(process, nmax):
@@ -108,3 +138,83 @@ def eig_block_amplitudes(process, N, thetas):
         lam, V = np.linalg.eigh(gen)
     Z = np.exp(-1j * np.outer(lam, np.atleast_1d(thetas)))
     return B @ (V @ (Z * (V.T @ B[:, 0])[:, None]))
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers: dense unitaries and ladder monomials
+# ---------------------------------------------------------------------------
+
+def _is_hermitian(op):
+    """|op - op^+|max within HERMITICITY_TOL of max(1, |op|max)."""
+    return (np.abs(op - op.conj().T).max()
+            <= HERMITICITY_TOL * max(1.0, np.abs(op).max()))
+
+
+def hermitian_eig(op):
+    """(eigenvalues ascending, unitary eigenvectors) of a Hermitian matrix."""
+    op = np.asarray(op)
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise DomainError("operator must be a square matrix")
+    if not _is_hermitian(op):
+        raise DomainError("operator is not Hermitian within %g of its scale"
+                          % HERMITICITY_TOL)
+    return eigh(op)
+
+
+def unitary_of(op, theta):
+    """exp(-i theta op) for Hermitian op, via the eigendecomposition."""
+    if not np.isfinite(theta):
+        raise DomainError("theta must be finite")
+    w, V = hermitian_eig(op)
+    return (V * np.exp(-1j * theta * w)) @ V.conj().T
+
+
+def mzi_unitary(process, t, N):
+    """Full interferometer unitary U_BS exp(-i t strength g_N) U_BS on block
+    N; a process without a block generator raises ConfigurationError."""
+    B = beam_splitter_unitary(N)
+    gen = process_generator(process, N)
+    theta = t * process.strength
+    if isinstance(process, CrossPhase):
+        U_nl = np.diag(np.exp(-1j * theta * np.real(np.diag(gen))))
+    else:
+        U_nl = unitary_of(gen, theta)
+    return B @ U_nl @ B
+
+
+def two_mode_monomial(N, ap, am, bp, bm):
+    """Matrix of a+^ap a^am b+^bp b^bm on block N.
+
+    Only number-conserving monomials (ap - am + bp - bm = 0) stay on the
+    block; anything else is the zero matrix here.
+    """
+    M = np.zeros((N + 1, N + 1), dtype=complex)
+    if ap - am + bp - bm != 0:
+        return M
+    for j in range(N + 1):
+        na, nb = N - j, j
+        if nb < bm or na < am:
+            continue
+        amp = 1.0
+        for i in range(bm):
+            amp *= np.sqrt(nb - i)
+        nb2 = nb - bm + bp
+        for i in range(bp):
+            amp *= np.sqrt(nb - bm + 1 + i)
+        for i in range(am):
+            amp *= np.sqrt(na - i)
+        na2 = na - am + ap
+        for i in range(ap):
+            amp *= np.sqrt(na - am + 1 + i)
+        if na2 < 0 or nb2 < 0 or na2 + nb2 != N:
+            continue
+        M[nb2, j] = amp
+    return M
+
+
+def position_variance_general(var_n, cfg, taus, baseline=0.5):
+    """Oscillator variance form valid for any field:
+    baseline + 8 (G/Omega)^2 sin^4(Omega tau / 2) Var(n)."""
+    taus = np.asarray(taus, dtype=float)
+    u = cfg.G / cfg.Omega
+    return baseline + 8.0 * u ** 2 * np.sin(cfg.Omega * taus / 2.0) ** 4 * var_n

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nlmzi.cli import main, parse_grid
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def sha(path):
@@ -231,3 +237,25 @@ def test_optomech_roundtrip_smoke(tmp_path):
     man = json.loads((tmp_path / "om.csv.manifest.json").read_text())
     assert man["wc_inferred"] == pytest.approx(man["wc_direct"], rel=1e-6)
     assert man["cutoffs"]["osc_cutoff"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("wc-sweep", "--process", "exchange", "--k", 2, "--nbar", 8,
+     "--theta", "0:6.283:400"),
+    ("pdc", "--variant", "degenerate", "--nbar", 3, "--gt", "0:3.1416:50"),
+], ids=["wc-sweep-exchange", "pdc-degenerate"])
+def test_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
+    # each thread count needs its own process: BLAS reads it at load time
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / ("threads%s.csv" % threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlmzi.cli"] + [str(a) for a in argv]
+            + ["--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(sha(out))
+    assert len(digests) == 1

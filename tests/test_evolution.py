@@ -1,8 +1,7 @@
-"""Block evolution against a dense two-mode oracle, plus the generic engine."""
+"""Block evolution against a dense two-mode oracle, plus the PDC chains."""
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from nlmzi import evolution as ev
 from nlmzi import fock
@@ -10,9 +9,8 @@ from nlmzi import operators as ops
 from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                              NonDegeneratePDC)
-
-
-from oracles import eig_block_amplitudes, ladder, tensor_mzi_state
+from oracles import (eig_block_amplitudes, hermitian_eig, mzi_unitary,
+                     pdc_tensor_marginals, tensor_mzi_state)
 
 HYBRID = Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))
 
@@ -34,10 +32,10 @@ def test_block_engine_matches_dense_tensor(process):
 def test_mzi_unitary_properties():
     for proc in (CrossPhase(s=1), Exchange(k=2)):
         for N in range(6):
-            U = ev.mzi_unitary(proc, 0.9, N)
+            U = mzi_unitary(proc, 0.9, N)
             assert np.abs(U @ U.conj().T - np.eye(N + 1)).max() < 1e-12
     with pytest.raises(ConfigurationError):
-        ev.mzi_unitary(DegeneratePDC(), 1.0, 3)
+        mzi_unitary(DegeneratePDC(), 1.0, 3)
 
 
 def test_engine_consistent_with_unitary():
@@ -45,7 +43,7 @@ def test_engine_consistent_with_unitary():
     eng = ev.BlockEngine(proc)
     for N in range(7):
         for t in (0.3, 1.7):
-            U = ev.mzi_unitary(proc, t, N)
+            U = mzi_unitary(proc, t, N)
             got = eng.amplitudes(N, [t * proc.strength])[:, 0]
             assert np.abs(got - U[:, 0]).max() < 1e-12
 
@@ -125,9 +123,9 @@ def test_in_order_builds_take_one_ladder_step_each(ladder_steps):
 
 def test_hermitian_eig_guards():
     with pytest.raises(DomainError):
-        ev.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DomainError):
-        ev.hermitian_eig(np.zeros((2, 3)))
+        hermitian_eig(np.zeros((2, 3)))
 
 
 def test_mzi_output_frozen_heads():
@@ -209,126 +207,52 @@ def test_identity_at_zero_angle():
 
 
 # ---------------------------------------------------------------------------
-# generic engine
+# down-conversion pump-level chains
 # ---------------------------------------------------------------------------
 
-def test_generic_system_hermiticity_validation():
-    with pytest.raises(DomainError):
-        ev.GenericSystem(cutoffs=(3, 3), terms=((1.0, ((0, 1), (1, 0))),))
-    ev.GenericSystem(cutoffs=(3, 3), terms=((1.0, ((0, 1), (1, 0))),
-                                            (1.0, ((1, 0), (0, 1)))))
-
-
-PAIR_G = 0.9
-
-
-def _pair_production_system():
-    # pair-production ladder: pump photon -> two signal photons
-    return ev.GenericSystem(cutoffs=(3, 6),
-                            terms=((PAIR_G, ((0, 1), (2, 0))),
-                                   (PAIR_G, ((1, 0), (0, 2)))))
-
-
-def _pair_production_oracle(t, n0):
-    """Signal distribution from the dense expm on the full 4 x 7 space."""
-    ap = ladder(4).conj().T
-    asig = ladder(7)
-    H = PAIR_G * (np.kron(ap.conj().T, asig.conj().T @ asig.conj().T)
-             + np.kron(ap, asig @ asig))
-    psi0 = np.zeros(28, dtype=complex)
-    psi0[n0 * 7] = 1.0
-    psi = expm(-1j * t * H) @ psi0
-    dist_sig_ref = np.zeros(7)
-    for i, amp in enumerate(psi):
-        dist_sig_ref[i % 7] += abs(amp) ** 2
-    return dist_sig_ref
+PDC_VARIANTS = [DegeneratePDC(g=0.9), NonDegeneratePDC(g=0.9)]
+PDC_TIMES = np.array([0.0, 0.5, 1.3, 1.9, 4.2])
 
 
 def test_generic_engine_matches_dense_tensor():
-    eng = ev.GenericEngine(_pair_production_system())
-    for t in (0.5, 1.9):
+    # every mode's marginal, padded by the oracle's wider truncation
+    for process in PDC_VARIANTS:
+        eng = ev.GenericEngine(process)
         for n0 in (1, 2, 3):
-            dist = eng.mode_distributions((n0, 0), t)[1]
-            assert np.abs(dist - _pair_production_oracle(t, n0)).max() < 1e-11
+            grid = eng.mode_distributions(n0, PDC_TIMES)
+            for i, t in enumerate(PDC_TIMES):
+                ref = pdc_tensor_marginals(process, n0, t)
+                assert len(grid) == len(ref)
+                for d, r in zip(grid, ref):
+                    rows = d.shape[0]
+                    assert np.abs(d[:, i] - r[:rows]).max() < 1e-11
+                    assert r[rows:].max(initial=0.0) < 1e-11
 
 
 def test_generic_engine_time_grid_matches_oracle_and_scalar_calls():
-    eng = ev.GenericEngine(_pair_production_system())
-    ts = np.array([0.0, 0.5, 1.3, 1.9, 4.2])
-    for n0 in (1, 2, 3):
-        grid = eng.mode_distributions((n0, 0), ts)
-        assert [d.shape for d in grid] == [(4, ts.size), (7, ts.size)]
-        for i, t in enumerate(ts):
-            ref = _pair_production_oracle(t, n0)
-            assert np.abs(grid[1][:, i] - ref).max() < 1e-11
-            # a one-column product rounds differently from a wide one
-            for d_scalar, d_grid in zip(eng.mode_distributions((n0, 0), t),
-                                        grid):
-                assert d_scalar.shape == d_grid[:, i].shape
-                assert np.abs(d_scalar - d_grid[:, i]).max() < 1e-14
-
-
-def test_generic_offdiag_guard_fires_on_a_single_column():
-    # a + a^+ on mode 0 builds coherences between its occupations
-    system = ev.GenericSystem(cutoffs=(2, 0),
-                              terms=((1.0, ((1, 0), (0, 0))),
-                                     (1.0, ((0, 1), (0, 0)))))
-    eng = ev.GenericEngine(system)
-    dists = eng.mode_distributions((0, 0), [0.0])
-    assert np.abs(dists[0][:, 0] - [1.0, 0.0, 0.0]).max() < 1e-14
-    with pytest.raises(ConfigurationError):
-        eng.mode_distributions((0, 0), [0.0, 0.5])
-    with pytest.raises(ConfigurationError):
-        eng.mode_distributions((0, 0), 0.5)
-
-
-def test_generic_engine_dense_path_matches_oracle():
-    # mode 0 hands photons to modes 1 and 2: the reachable states branch,
-    # so the component is not a chain and takes the dense eigensolver
-    system = ev.GenericSystem(cutoffs=(2, 2, 2),
-                              terms=((0.7, ((0, 1), (1, 0), (0, 0))),
-                                     (0.7, ((1, 0), (0, 1), (0, 0))),
-                                     (0.4, ((0, 1), (0, 0), (1, 0))),
-                                     (0.4, ((1, 0), (0, 0), (0, 1)))))
-    eng = ev.GenericEngine(system)
-    order, _, V = eng._component((2, 0, 0))
-    assert len(order) == 6 and np.iscomplexobj(V)
-    a, one = ladder(3), np.eye(3)
-    a0, a1, a2 = (np.kron(np.kron(a, one), one), np.kron(np.kron(one, a), one),
-                  np.kron(np.kron(one, one), a))
-    hop = 0.7 * a0 @ a1.conj().T + 0.4 * a0 @ a2.conj().T
-    H = hop + hop.conj().T
-    psi0 = np.zeros(27, dtype=complex)
-    psi0[2 * 9] = 1.0
-    ts = np.array([0.3, 1.1, 2.7])
-    got = eng.mode_distributions((2, 0, 0), ts)
-    for i, t in enumerate(ts):
-        prob = np.abs(expm(-1j * t * H) @ psi0).reshape(3, 3, 3) ** 2
-        for m in range(3):
-            ref = prob.sum(axis=tuple(k for k in range(3) if k != m))
-            assert np.abs(got[m][:, i] - ref).max() < 1e-11
+    for process in PDC_VARIANTS:
+        eng = ev.GenericEngine(process)
+        for n0 in (1, 2, 3):
+            grid = eng.mode_distributions(n0, PDC_TIMES)
+            rows = [n0 + 1, eng.step * n0 + 1, n0 + 1][: len(grid)]
+            assert [d.shape for d in grid] == [(r, PDC_TIMES.size)
+                                                for r in rows]
+            for i, t in enumerate(PDC_TIMES):
+                # a one-column product rounds differently from a wide one
+                for d_scalar, d_grid in zip(eng.mode_distributions(n0, t),
+                                            grid):
+                    assert d_scalar.shape == d_grid[:, i].shape
+                    assert np.abs(d_scalar - d_grid[:, i]).max() < 1e-14
 
 
 def test_degenerate_pdc_high_pump_component_is_hermitian_to_scale():
-    # at pump n = 362 of a nbar = 20 thermal pump the assembled |H| is
-    # ~5e3 and H - H^+ is ~2e-12 from the order in which amplitudes round
-    system, _ = ev.pdc_system(DegeneratePDC(), 20.0)
-    eng = ev.GenericEngine(system)
-    order, w, V = eng._component((362, 0))
-    assert len(order) == 363
-    sig = eng.mode_distributions((362, 0), np.linspace(0.0, np.pi, 5))[1]
+    # pump n = 362 of a nbar = 20 thermal pump: its chain couplings reach
+    # ~5e3 and must still give a unit-mass, paired signal
+    eng = ev.GenericEngine(DegeneratePDC())
+    assert len(eng._component(362)[0]) == 363
+    sig = eng.mode_distributions(362, np.linspace(0.0, np.pi, 5))[1]
     assert np.abs(sig.sum(axis=0) - 1.0).max() < 1e-12
     assert not sig[1::2].any()
-
-
-def test_generic_dim_guard():
-    system = ev.GenericSystem(cutoffs=(40, 80),
-                              terms=((1.0, ((0, 1), (2, 0))),
-                                     (1.0, ((1, 0), (0, 2)))),
-                              dim_guard=5)
-    eng = ev.GenericEngine(system)
-    with pytest.raises(ConfigurationError):
-        eng.mode_distributions((20, 0), 1.0)
 
 
 def test_pdc_identity_at_zero_time():
@@ -346,8 +270,7 @@ def test_degenerate_pdc_signal_is_paired():
 
 def test_nondegenerate_pdc_quarter_period():
     # signal and idler marginals stay identical by symmetry
-    system, initial = ev.pdc_system(NonDegeneratePDC(), 0.7, 1e-10)
-    eng = ev.GenericEngine(system)
-    for w, occ in initial[:4]:
-        dists = eng.mode_distributions(tuple(occ), 0.9)
+    eng = ev.GenericEngine(NonDegeneratePDC())
+    for n in range(4):
+        dists = eng.mode_distributions(n, 0.9)
         assert np.abs(dists[1] - dists[2]).max() < 1e-12

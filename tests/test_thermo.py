@@ -54,6 +54,19 @@ def test_ergotropy_rejects_a_negative_column_of_a_stack():
     assert thermo.ergotropy(stack[:, [0, 1, 3]]).wc.shape == (3,)
 
 
+def test_ergotropy_rejects_non_finite_entries():
+    for p in ([np.nan, 1.0], [0.5, np.inf], [1.0, -np.inf]):
+        with pytest.raises(DomainError):
+            thermo.ergotropy(p)
+    good = fock.thermal_distribution(1.0, 1e-12)
+    bad = good.copy()
+    bad[2] = np.nan
+    stack = np.column_stack([good, bad, good])
+    with pytest.raises(DomainError):
+        thermo.ergotropy(stack)
+    assert np.isfinite(thermo.ergotropy(stack[:, [0, 2]]).wc).all()
+
+
 def test_ergotropy_report_fields():
     rep = thermo.ergotropy([0.5, 0.0, 0.5], nbar=1.0)
     assert abs(rep.mean_energy - 1.0) < 1e-15
