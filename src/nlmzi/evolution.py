@@ -12,7 +12,11 @@ real Wigner matrix exp(-i (pi/2) J_y), built by one division-free ladder
 step from d_{N-1}. Per block the engine keeps one matrix, the input's
 components on the generator eigenvectors carried through the second
 splitter, so every theta of a sweep costs one matrix product per block
-(a real one unless the generator mixes the parities of j).
+(a real one unless the generator mixes the parities of j). The input
+and every generator are symmetric under the mirror j -> N-j, so mirror
+eigenvectors of one eigenvalue share a column: exchange is solved on its
+k chains j = c, c+k, ..., and an even-order block keeps N//2 + 1 columns
+at most.
 
 Parametric down-conversion is not block-diagonal in N, but with n pump
 photons it reaches one chain of n + 1 states; a chain engine solves each
@@ -29,8 +33,8 @@ from scipy.linalg import eig_banded, eigh_tridiagonal
 from . import fock
 from .errors import ConfigurationError, DomainError
 from .operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC, Exchange,
-                        LadderScratch, NonDegeneratePDC, ProcessSpec,
-                        ladder_walk, process_generator)
+                        Hybrid, LadderScratch, NonDegeneratePDC, ProcessSpec,
+                        exchange_couplings, ladder_walk, process_generator)
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +52,14 @@ class BlockEngine:
     the rung r_N = c_N d_N with c_N^2 = 2^(N mod 2) (operators.ladder_walk).
     Block N keeps (A, lam), and its amplitudes are
     (-i)^j [A exp(-i theta lam)]_j: column l of A is the input's component
-    on generator eigenvector l, carried through the second splitter. A is
-    real, applied as one real product on the real view of the phases,
-    unless the generator mixes the parities of j (odd-order exchange). A
-    new block takes ladder steps from the highest rung built so far, or
-    from r_0 when it lies below that one.
+    on generator eigenvector l, carried through the second splitter, with
+    the columns of mirror eigenvectors of one eigenvalue merged. Diagonal
+    generators merge columns m and N-m; exchange blocks are solved chain by
+    chain (_exchange_chains); a Hybrid block by a dense eigh. A is real,
+    applied as one real product on the real view of the phases, unless the
+    generator mixes the parities of j (odd-order exchange). A new block
+    takes ladder steps from the highest rung built so far, or from r_0 when
+    it lies below that one.
     """
 
     def __init__(self, process: ProcessSpec):
@@ -75,8 +82,14 @@ class BlockEngine:
     def _build(self, N: int):
         r = self._rung(N)
         inv_c2 = 0.5 ** (N % 2)  # exact
-        if isinstance(self.process, CrossPhase) or (
-                isinstance(self.process, Exchange) and N < self.process.k):
+        if isinstance(self.process, Exchange) and N >= self.process.k:
+            lam, A = _exchange_chains(r, N, self.process.k, inv_c2)
+        elif isinstance(self.process, Hybrid):
+            gen = np.real(process_generator(self.process, N))
+            lam, V = np.linalg.eigh(gen)
+            A = _image(r, np.arange(N + 1), V, inv_c2,
+                       real=not gen[0::2, 1::2].any())
+        else:
             # diagonal generator: it and the input column r_N[:, 0] are
             # symmetric under j -> N-j, so columns m and N-m merge
             h = N // 2 + 1
@@ -86,33 +99,6 @@ class BlockEngine:
             j = np.arange(h, dtype=float)
             lam = (((N - j) * j) ** self.process.s
                    if isinstance(self.process, CrossPhase) else np.zeros(h))
-            self._blocks[N] = (A, lam)
-            return
-        gen = np.real(process_generator(self.process, N))
-        if isinstance(self.process, Exchange):
-            # symmetric banded form: only the j <-> j-k couplings exist
-            k = self.process.k
-            bands = np.zeros((k + 1, N + 1))
-            bands[k, : N + 1 - k] = gen[np.arange(k, N + 1) - k,
-                                        np.arange(k, N + 1)]
-            lam, V = eig_banded(bands, lower=True)
-        else:
-            lam, V = np.linalg.eigh(gen)
-        # A = r_N diag(i^m) V diag(V^T diag((-i)^m) r_N[:, 0]) / c_N^2, with
-        # i^m = s_m i^(m mod 2). A generator that keeps the parity of j
-        # commutes with diag(i^(m mod 2)), which then cancels, leaving the
-        # real A = r_N W diag(W^T r_N[:, 0]) / c_N^2 with W = diag(s) V.
-        s = 1.0 - 2.0 * (np.arange(N + 1) // 2 % 2)
-        if not gen[0::2, 1::2].any():
-            W = s[:, None] * V
-            A = r @ W
-            A *= inv_c2 * (W.T @ r[:, 0])
-        else:
-            A = np.empty((N + 1, N + 1), dtype=complex)
-            A.real = r[:, 0::2] @ (s[0::2, None] * V[0::2])
-            A.imag = r[:, 1::2] @ (s[1::2, None] * V[1::2])
-            q = QUARTER_TURNS[np.arange(N + 1) % 4]
-            A *= inv_c2 * (V.T @ (q * r[:, 0]))
         self._blocks[N] = (A, lam)
 
     def _factor(self, N: int):
@@ -144,6 +130,81 @@ class BlockEngine:
         R = self.amplitudes(N, thetas, phased=False).view(float)
         R *= R
         return R[:, 0::2] + R[:, 1::2]
+
+
+def _signs(m):
+    """s_m in i^m = s_m i^(m mod 2)."""
+    return 1.0 - 2.0 * (m // 2 % 2)
+
+
+def _image(r, pos, V, scale, real, mirror=False):
+    """Columns r_N diag(i^m) V diag(V^T diag((-i)^m) r_N[:, 0]) * scale.
+
+    V's rows are the basis states pos. With i^m = s_m i^(m mod 2), a V that
+    keeps the parity of m leaves the real r_N W diag(W^T r_N[:, 0]) with
+    W = diag(s) V (real=True). mirror=True adds the splitter columns N - pos
+    to those of pos: V then lives on the mirror sector of pos + (N - pos)
+    that the input lies in.
+    """
+    W = _signs(pos)[:, None] * V
+    if real:
+        R = r[:, pos] + r[:, r.shape[0] - 1 - pos] if mirror else r[:, pos]
+        A = R @ W
+        A *= scale * (W.T @ r[pos, 0])
+        return A
+    odd = pos % 2 == 1
+    A = np.empty((r.shape[0], V.shape[1]), dtype=complex)
+    A.real = r[:, pos[~odd]] @ W[~odd]
+    A.imag = r[:, pos[odd]] @ W[odd]
+    A *= scale * (V.T @ (QUARTER_TURNS[pos % 4] * r[pos, 0]))
+    return A
+
+
+def _exchange_chains(r, N: int, k: int, scale):
+    """(lam, A) of exchange block N >= k, one chain or mirror pair at a time.
+
+    The generator couples only j and j - k, so it splits into k real
+    chains j = c, c+k, ... with zero diagonal, each solved by eig_banded
+    as a bandwidth-1 band. The mirror j -> N-j commutes with it and maps
+    chain c onto chain (N - c) mod k reversed, eigenvalue for eigenvalue:
+    a pair of distinct chains is solved once and each eigenvalue's two
+    columns merge into one. For even k a chain that is its own mirror is
+    folded onto the mirror sector sigma = s_c s_(N-c) of the input, which
+    is zero on the other one: half the chain, with sqrt(2) on the coupling
+    to the middle site N/2 (odd length) or sigma times the central
+    coupling on the last diagonal entry (even length). For odd k that
+    chain mixes the parities of j and stays whole, with complex columns.
+    """
+    e = exchange_couplings(N, k)
+    lams, As = [], []
+    for c in range(k):
+        m = (N - c) % k
+        if m < c:
+            continue  # merged into chain m
+        pos, off, last = np.arange(c, N + 1, k), e[c::k], 0.0
+        if m == c and k % 2 == 0:
+            h = pos.size // 2
+            if pos.size % 2:
+                pos, off = pos[: h + 1], off[:h].copy()
+                off[-1:] *= np.sqrt(2.0)
+            else:
+                last = _signs(c) * _signs(N - c) * off[h - 1]
+                pos, off = pos[:h], off[: h - 1]
+        bands = np.zeros((2, pos.size))
+        bands[0, -1] = last
+        bands[1, : pos.size - 1] = off
+        lam, V = eig_banded(bands, lower=True)
+        if k % 2 == 0:
+            if 2 * pos[-1] == N:
+                V[-1] *= np.sqrt(0.5)  # the middle site is its own mirror
+            A = _image(r, pos, V, scale, real=True, mirror=True)
+        else:
+            A = _image(r, pos, V, scale, real=False)
+            if m != c:
+                A += _image(r, N - pos, V, scale, real=False)
+        lams.append(lam)
+        As.append(A)
+    return np.concatenate(lams), np.hstack(As)
 
 
 def mzi_output(process: ProcessSpec, t: float, nbar: float,
@@ -262,14 +323,17 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
     """Signal-mode distributions across a g t grid, one column per point.
 
     Rows are signal occupations 0..step*N_max for a thermal pump cut at
-    N_max. Each pump level's chain is evolved once over the whole grid and
-    added, weighted by P[n], into the leading step*n+1 rows.
+    N_max. The chain couplings carry g, so each pump level's chain is
+    evolved once over the times t = g t / g and added, weighted by P[n],
+    into the leading step*n+1 rows.
     """
     P = fock.thermal_distribution(nbar, tail_tol)
     eng = GenericEngine(process)
-    gts = np.atleast_1d(np.asarray(gts, dtype=float))
-    sig = np.zeros((eng.step * (P.size - 1) + 1, gts.size))
+    if not (np.isfinite(process.g) and process.g != 0.0):
+        raise DomainError("the coupling g must be finite and non-zero")
+    ts = np.atleast_1d(np.asarray(gts, dtype=float)) / process.g
+    sig = np.zeros((eng.step * (P.size - 1) + 1, ts.size))
     for n in range(P.size):
-        d = eng.mode_distributions(n, gts)[1]
+        d = eng.mode_distributions(n, ts)[1]
         sig[: d.shape[0]] += P[n] * d
     return sig

@@ -129,23 +129,32 @@ def cross_phase_generator(N: int, s: int = 1) -> np.ndarray:
     return np.diag(((N - j) * j) ** s).astype(complex)
 
 
-def exchange_generator(N: int, k: int) -> np.ndarray:
-    """Generator a+^k b^k + a^k b+^k on block N.
+def exchange_couplings(N: int, k: int) -> np.ndarray:
+    """Elements <j-k| a+^k b^k |j> = sqrt((N-j+k)!/(N-j)! * j!/(j-k)!),
+    j = k..N, of the exchange generator on block N; empty for N < k.
 
-    Couples j <-> j - k with element sqrt((N-j+k)!/(N-j)! * j!/(j-k)!);
-    blocks with N < k cannot exchange and give the zero matrix. The order
-    guard belongs to the Exchange spec; this takes any k >= 1.
+    Entry j - k couples j - k with j, so chain c (j = c, c+k, ...) has the
+    couplings [c::k].
     """
     if N < 0 or k < 1:
         raise DomainError("need N >= 0 and k >= 1")
-    M = np.zeros((N + 1, N + 1), dtype=complex)
-    if N < k:
-        return M
     j = np.arange(k, N + 1, dtype=float)
-    val = np.exp(0.5 * (gammaln(N - j + k + 1) - gammaln(N - j + 1))
-                 + 0.5 * (gammaln(j + 1) - gammaln(j - k + 1)))
-    M[(np.arange(k, N + 1) - k), np.arange(k, N + 1)] = val
-    M[np.arange(k, N + 1), (np.arange(k, N + 1) - k)] = val
+    return np.exp(0.5 * (gammaln(N - j + k + 1) - gammaln(N - j + 1))
+                  + 0.5 * (gammaln(j + 1) - gammaln(j - k + 1)))
+
+
+def exchange_generator(N: int, k: int) -> np.ndarray:
+    """Generator a+^k b^k + a^k b+^k on block N.
+
+    Couples j <-> j - k with the exchange_couplings; blocks with N < k
+    cannot exchange and give the zero matrix. The order guard belongs to
+    the Exchange spec; this takes any k >= 1.
+    """
+    val = exchange_couplings(N, k)
+    M = np.zeros((N + 1, N + 1), dtype=complex)
+    j = np.arange(k, N + 1)
+    M[j - k, j] = val
+    M[j, j - k] = val
     return M
 
 

@@ -61,16 +61,32 @@ def test_engine_matches_eigensolver_splitter(N):
 @pytest.mark.parametrize("process", [
     Exchange(k=2), Exchange(k=3), Exchange(k=4, allow_high_order=True), HYBRID,
     Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=3)))),
+    Exchange(k=1),
 ])
 def test_engine_matches_eigensolver_splitter_exchange(process):
     # the two generator eigensolvers differ by round-off relative to the
-    # largest eigenvalue, which the phase theta * lambda carries along
-    N, thetas = 200, [0.3, 2.0, np.pi]
-    ref = eig_block_amplitudes(process, N, thetas)
-    got = ev.BlockEngine(process).amplitudes(N, thetas)
-    scale = max(thetas) * np.abs(np.linalg.eigvalsh(np.real(
-        ops.process_generator(process, N)))).max()
-    assert np.abs(got - ref).max() < 2e-15 * scale
+    # largest eigenvalue, which the phase theta * lambda carries along;
+    # even N folds the self-mirror chains, odd N merges mirror pairs
+    thetas = [0.3, 2.0, np.pi]
+    eng = ev.BlockEngine(process)
+    for N in (200, 201):
+        ref = eig_block_amplitudes(process, N, thetas)
+        got = eng.amplitudes(N, thetas)
+        scale = max(thetas) * np.abs(np.linalg.eigvalsh(np.real(
+            ops.process_generator(process, N)))).max()
+        assert np.abs(got - ref).max() < 2e-15 * scale
+
+
+@pytest.mark.parametrize("process", [Exchange(k=2),
+                                     Exchange(k=4, allow_high_order=True)])
+def test_even_order_exchange_keeps_half_the_columns(process):
+    # mirror pairs merge and self-mirror chains fold onto the input's sector
+    eng = ev.BlockEngine(process)
+    for N in range(300):
+        eng.amplitudes(N, [0.0])
+        A, lam = eng._blocks[N]
+        assert A.dtype == float and A.shape == (N + 1, lam.size)
+        assert lam.size <= N // 2 + 1
 
 
 @pytest.mark.parametrize("process", [CrossPhase(s=1), Exchange(k=2),
@@ -260,6 +276,16 @@ def test_pdc_identity_at_zero_time():
         sig = ev.pdc_signal_sweep(proc, 1.0, [0.0], tail_tol=1e-10)
         assert sig[0, 0] > 1.0 - 1e-9
         assert sig[1:, 0].max() < 1e-20
+
+
+def test_pdc_signal_sweep_axis_is_g_t():
+    for variant in (DegeneratePDC, NonDegeneratePDC):
+        ref = ev.pdc_signal_sweep(variant(g=1.0), 1.0, [0.6])
+        got = ev.pdc_signal_sweep(variant(g=2.0), 1.0, [0.6])
+        assert np.abs(got - ref).max() < 1e-13
+    for g in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            ev.pdc_signal_sweep(DegeneratePDC(g=g), 1.0, [0.6])
 
 
 def test_degenerate_pdc_signal_is_paired():
