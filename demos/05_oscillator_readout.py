@@ -11,13 +11,13 @@ readout backwards: trace in, work capacity out, with and without noise.
 
 import numpy as np
 
-from nlmzi import evolution, optomech
+from nlmzi import evolution, optomech, thermo
 from nlmzi.operators import CrossPhase
 
 
 def main():
     da, _ = evolution.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-13)
-    w_true = optomech.field_summary(da).wc
+    w_true = thermo.ergotropy(da).wc
     print("field: bright output at phase pi, nbar = 1; W = %.10f" % w_true)
 
     cfg = optomech.OscillatorConfig(G=0.01, Omega=1.0,
@@ -43,7 +43,7 @@ def main():
     rng = np.random.default_rng(7)
     noisy = optomech.OscillatorTrace(
         taus=taus, phonon=trace.phonon + rng.normal(0.0, 1e-3, taus.size),
-        xvar=trace.xvar, config=cfg, field_summary=trace.field_summary)
+        xvar=trace.xvar, config=cfg)
     res_n = optomech.infer_wc(noisy)
     print("with 1e-3 Gaussian noise on the phonon record:")
     print("  W    = %.8f  (rel err %.2e)"

@@ -18,10 +18,10 @@ from .fock import (thermal_cutoff, thermal_distribution, thermal_tail_energy,
 from .operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                         NonDegeneratePDC, beam_splitter_unitary,
                         cross_phase_generator, exchange_generator, stokes)
-from .optomech import (CoherentInit, FieldSummary, OscillatorConfig,
-                       OscillatorTrace, ThermalInit, field_summary,
-                       full_quantum_oracle, infer_wc, phonon_trace_coherent,
-                       phonon_trace_thermal, position_variance)
+from .optomech import (CoherentInit, OscillatorConfig, OscillatorTrace,
+                       ThermalInit, full_quantum_oracle, infer_wc,
+                       phonon_trace_coherent, phonon_trace_thermal,
+                       position_variance)
 from .thermo import (ErgotropyReport, SweepResult, ergotropy,
                      max_efficiency, passive_distribution,
                      wc_cross_kerr_closed_form, wc_exchange3_windows,
@@ -45,8 +45,7 @@ __all__ = [
     "wc_cross_kerr_closed_form", "wc_table_oracle", "wc_exchange3_windows",
     "CoherenceReport", "ScalingPrediction", "g_m", "coherence_report",
     "g2_from_wc", "small_nbar_scalings",
-    "OscillatorConfig", "CoherentInit", "ThermalInit", "FieldSummary",
-    "OscillatorTrace", "field_summary", "phonon_trace_coherent",
-    "phonon_trace_thermal", "position_variance", "full_quantum_oracle",
-    "infer_wc",
+    "OscillatorConfig", "CoherentInit", "ThermalInit", "OscillatorTrace",
+    "phonon_trace_coherent", "phonon_trace_thermal", "position_variance",
+    "full_quantum_oracle", "infer_wc",
 ]

@@ -139,11 +139,13 @@ def cmd_wc_sweep(process, args):
 
 
 def cmd_max_efficiency(process, args):
+    # the blocks do not depend on nbar: one engine serves every --nbar
+    engine = evolution.BlockEngine(process)
     rows = []
     for nbar in args.nbar:
         eta, theta_star = thermo.max_efficiency(
             process, nbar, args.theta_max, grid=args.grid,
-            tail_tol=args.tail_tol)
+            tail_tol=args.tail_tol, engine=engine)
         rows.append((nbar, eta, theta_star, eta * nbar))
     return (["nbar", "eta_max", "theta_star", "eta_max_times_nbar"], rows,
             {}, {})
@@ -177,7 +179,7 @@ def cmd_optomech(process, args):
     inf = optomech.infer_wc(oracle)
     extras = {
         "wc_inferred": inf.wc,
-        "wc_direct": closed.field_summary.wc,
+        "wc_direct": thermo.ergotropy(dist_a).wc,
         "quad_inferred": inf.quad,
         "dispersion_inferred": inf.wc_dispersion,
         "fit_residual": inf.residual,

@@ -26,19 +26,19 @@ MEAN_FLOOR = 1e-10
 REGIME_NBAR = 0.1
 
 
-def g_m(p, m: int, floor: float = MEAN_FLOOR):
+def g_m(p, m: int):
     """m-th order zero-delay coherence of a distribution (n,), or per column
     of a stack (n, T).
 
     Returns nan (an explicit not-a-value, never a silent zero) where the
-    mean photon number sits below the floor.
+    mean photon number sits below MEAN_FLOOR.
     """
     if not 2 <= m <= 4:
         raise DomainError("coherence order m must be 2, 3 or 4")
     mean = fock.mean_photon(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = fock.factorial_moment(p, m) / mean ** m
-    return np.where(mean < floor, np.nan, g)[()]
+    return np.where(mean < MEAN_FLOOR, np.nan, g)[()]
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,15 @@ class CoherenceReport:
     g4_norm: float
 
 
-def coherence_report(p, floor: float = MEAN_FLOOR) -> CoherenceReport:
-    g2 = g_m(p, 2, floor)
-    g3 = g_m(p, 3, floor)
-    g4 = g_m(p, 4, floor)
+def coherence_report(p) -> CoherenceReport:
+    g2 = g_m(p, 2)
+    g3 = g_m(p, 3)
+    g4 = g_m(p, 4)
     return CoherenceReport(g2=g2, g3=g3, g4=g4,
                            g2_norm=g2 / 2.0, g3_norm=g3 / 6.0, g4_norm=g4 / 24.0)
 
 
-def g2_from_wc(report: ErgotropyReport, floor: float = MEAN_FLOOR):
+def g2_from_wc(report: ErgotropyReport):
     """Second-order coherence from the work-capacity report alone, one value
     per distribution of the report:
 
@@ -72,12 +72,12 @@ def g2_from_wc(report: ErgotropyReport, floor: float = MEAN_FLOOR):
     weights rise has W = <n>/2 + W(q) instead, and the formula misses the
     direct moment ratio (exchange k=2 at theta = pi, nbar = 1: 12.7 against
     15.9). The formula is returned all the same; nan comes back only where
-    W sits below the floor.
+    W sits below MEAN_FLOOR.
     """
     w = report.wc
     with np.errstate(divide="ignore", invalid="ignore"):
         g2 = 1.0 - 1.0 / (2.0 * w) + report.wc_dispersion / (3.0 * w ** 2)
-    return np.where(np.isfinite(w) & (w >= floor), g2, np.nan)[()]
+    return np.where(np.isfinite(w) & (w >= MEAN_FLOOR), g2, np.nan)[()]
 
 
 # ---------------------------------------------------------------------------

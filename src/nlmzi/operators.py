@@ -75,6 +75,9 @@ class Hybrid:
     def __post_init__(self):
         if len(self.terms) == 0:
             raise DomainError("hybrid process needs at least one term")
+        if not all(isinstance(spec, (CrossPhase, Exchange))
+                   for _, spec in self.terms):
+            raise DomainError("hybrid terms must be CrossPhase or Exchange specs")
 
 
 @dataclass(frozen=True)
@@ -159,19 +162,10 @@ def exchange_generator(N: int, k: int) -> np.ndarray:
 
 
 def hybrid_generator(N: int, terms) -> np.ndarray:
-    """Weighted sum of cross-phase / exchange generators; Hermitian by
-    construction."""
-    terms = list(terms)
-    if not terms:
-        raise DomainError("hybrid generator needs at least one term")
+    """Weighted sum of the terms' generators; Hermitian by construction."""
     M = np.zeros((N + 1, N + 1), dtype=complex)
     for coeff, spec in terms:
-        if isinstance(spec, CrossPhase):
-            M += coeff * cross_phase_generator(N, spec.s)
-        elif isinstance(spec, Exchange):
-            M += coeff * exchange_generator(N, spec.k)
-        else:
-            raise DomainError("hybrid terms must be CrossPhase or Exchange specs")
+        M += coeff * process_generator(spec, N)
     return M
 
 

@@ -3,15 +3,16 @@
 The interferometer output drives an oscillator through
 H = omega n + Omega O+O + G n (O+ + O). Since n is conserved, each field
 Fock level just displaces its own oscillator, and every observable has a
-closed form. For parity-filtered fields the phonon trace is
+closed form. For any field the phonon trace depends only on <n> and <n^2>:
 
-    <O+O>(tau) = nbar_O
-        + (2 sqrt2 G/Omega) W [ (a+a*)/sqrt2 (1-cos) - (a-a*)/(sqrt2 i) sin ]
-        + [ |dW^2|/3 + W^2 ] (16 G^2/Omega^2) sin^2(Omega tau/2),
+    <O+O>(tau) = |alpha|^2 + (2G/Omega) <n> [ Re(alpha) (1-cos) - Im(alpha) sin ]
+        + <n^2> (4 G^2/Omega^2) sin^2(Omega tau/2)
 
-so the beating amplitude reads out W directly, and the position variance
-reads out the dispersion. A dense truncated-oscillator oracle provides the
-independent cross-check, and infer_wc inverts a measured trace back to W.
+for a coherent init (a thermal init starts at nbar_O and does not beat).
+On a parity-filtered field <n> = 2W and <n^2> = 4(|dW^2|/3 + W^2), so the
+beating amplitude reads out W directly, and the position variance reads out
+the dispersion. A dense truncated-oscillator oracle provides the independent
+cross-check, and infer_wc inverts a measured trace back to W.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from scipy.special import gammaln
 
 from . import fock
 from .errors import ConfigurationError, DomainError, FitError
+from .thermo import ergotropy
 
 PARITY_TOL = 1e-10
 ORACLE_TOP_TOL = 1e-8
@@ -61,39 +63,13 @@ class OscillatorConfig:
             raise DomainError("G must be finite")
 
 
-@dataclass(frozen=True)
-class FieldSummary:
-    """What the oscillator sees of the field: work capacity, its dispersion,
-    the first two number moments, and the parity diagnostic."""
-    wc: float
-    wc_dispersion: float
-    mean: float
-    second_moment: float
-    odd_mass: float
-
-
-def field_summary(dist) -> FieldSummary:
-    from .thermo import ergotropy
-    p = np.asarray(dist, dtype=float)
-    rep = ergotropy(p)
-    return FieldSummary(wc=rep.wc, wc_dispersion=rep.wc_dispersion,
-                        mean=rep.mean_energy,
-                        second_moment=fock.second_moment(p),
-                        odd_mass=fock.odd_mass(p))
-
-
-def _as_summary(field) -> FieldSummary:
-    if isinstance(field, FieldSummary):
-        return field
-    return field_summary(field)
-
-
-def _require_parity(summary: FieldSummary, what: str):
-    if summary.odd_mass > PARITY_TOL:
+def _require_parity(p: np.ndarray, what: str):
+    odd = fock.odd_mass(p)
+    if odd > PARITY_TOL:
         raise DomainError(
             "%s assumes a parity-filtered field (odd mass %.2e > %g); "
             "use full_quantum_oracle for general fields"
-            % (what, summary.odd_mass, PARITY_TOL))
+            % (what, odd, PARITY_TOL))
 
 
 @dataclass(frozen=True)
@@ -102,7 +78,6 @@ class OscillatorTrace:
     phonon: np.ndarray
     xvar: Optional[np.ndarray]
     config: OscillatorConfig
-    field_summary: FieldSummary
 
 
 def _beat(alpha: complex, c: np.ndarray) -> np.ndarray:
@@ -110,80 +85,79 @@ def _beat(alpha: complex, c: np.ndarray) -> np.ndarray:
     return np.real(alpha) * (1.0 - np.cos(c)) - np.imag(alpha) * np.sin(c)
 
 
-def phonon_trace_moments(mean: float, second_moment: float, alpha: complex,
+def phonon_trace_moments(mean: float, second_moment: float,
                          cfg: OscillatorConfig, taus) -> np.ndarray:
-    """General-field phonon trace; only <n> and <n^2> of the field enter:
+    """Phonon trace of any field; only <n> and <n^2> of the field enter:
 
-        nbar_O + (sqrt2 G/Omega) <n> beat + <n^2> (4G^2/Omega^2) sin^2(.../2)
+        base + 2 (G/Omega) <n> beat + <n^2> (4 G^2/Omega^2) sin^2(.../2)
+
+    A coherent init beats with its alpha from base |alpha|^2; a thermal
+    init does not beat (its phase averages out) and starts at nbar_O.
     """
     taus = np.asarray(taus, dtype=float)
     c = cfg.Omega * taus
     u = cfg.G / cfg.Omega
-    return (abs(alpha) ** 2
-            + 2.0 * u * mean * _beat(alpha, c)
-            + second_moment * 4.0 * u ** 2 * np.sin(c / 2.0) ** 2)
+    bulge = second_moment * 4.0 * u ** 2 * np.sin(c / 2.0) ** 2
+    if isinstance(cfg.init, ThermalInit):
+        return cfg.init.nbar_osc + bulge
+    alpha = cfg.init.alpha
+    return abs(alpha) ** 2 + 2.0 * u * mean * _beat(alpha, c) + bulge
 
 
-def phonon_trace_coherent(field, cfg: OscillatorConfig, taus) -> OscillatorTrace:
-    """Closed-form phonon trace for a coherent-state oscillator.
+def _parity_trace(dist, cfg: OscillatorConfig, taus, what: str,
+                  small_nbar: bool = False) -> OscillatorTrace:
+    """phonon_trace_moments read through <n> = 2W and
+    <n^2> = 4 (|dW^2|/3 + W^2), with the position variance attached."""
+    p = np.asarray(dist, dtype=float)
+    _require_parity(p, what)
+    rep = ergotropy(p)
+    bundle = rep.wc if small_nbar else rep.wc_dispersion / 3.0 + rep.wc ** 2
+    taus = np.asarray(taus, dtype=float)
+    return OscillatorTrace(
+        taus=taus, phonon=phonon_trace_moments(2.0 * rep.wc, 4.0 * bundle,
+                                               cfg, taus),
+        xvar=_xvar(rep.wc_dispersion, cfg, taus), config=cfg)
 
-    field: a FieldSummary or the photon distribution itself; must be
-    parity-filtered, since the W-form of the trace uses <n> = 2W and the
-    dispersion identity.
-    """
+
+def phonon_trace_coherent(dist, cfg: OscillatorConfig, taus) -> OscillatorTrace:
+    """Closed-form phonon trace of a parity-filtered field for a
+    coherent-state oscillator: the beat amplitude reads out W."""
     if not isinstance(cfg.init, CoherentInit):
         raise DomainError("cfg.init must be CoherentInit here")
-    s = _as_summary(field)
-    _require_parity(s, "phonon_trace_coherent")
-    taus = np.asarray(taus, dtype=float)
-    c = cfg.Omega * taus
-    u = cfg.G / cfg.Omega
-    alpha = cfg.init.alpha
-    phonon = (cfg.init.nbar_osc
-              + 4.0 * u * s.wc * _beat(alpha, c)
-              + (s.wc_dispersion / 3.0 + s.wc ** 2)
-              * 16.0 * u ** 2 * np.sin(c / 2.0) ** 2)
-    xv = position_variance(s, cfg, taus)
-    return OscillatorTrace(taus=taus, phonon=phonon, xvar=xv,
-                           config=cfg, field_summary=s)
+    return _parity_trace(dist, cfg, taus, "phonon_trace_coherent")
 
 
-def phonon_trace_thermal(field, cfg: OscillatorConfig, taus,
+def phonon_trace_thermal(dist, cfg: OscillatorConfig, taus,
                          small_nbar: bool = False) -> OscillatorTrace:
-    """Thermal-oscillator phonon trace: no beating, only the sin^2 bulge.
+    """Thermal-oscillator phonon trace of a parity-filtered field: no
+    beating, only the sin^2 bulge.
 
     small_nbar=True swaps the exact coefficient |dW^2|/3 + W^2 for its
     small-field limit W (flagged variant; the exact form is the default).
     """
     if not isinstance(cfg.init, ThermalInit):
         raise DomainError("cfg.init must be ThermalInit here")
-    s = _as_summary(field)
-    _require_parity(s, "phonon_trace_thermal")
-    taus = np.asarray(taus, dtype=float)
-    c = cfg.Omega * taus
+    return _parity_trace(dist, cfg, taus, "phonon_trace_thermal", small_nbar)
+
+
+def _xvar(wc_dispersion: float, cfg: OscillatorConfig, taus: np.ndarray):
     u = cfg.G / cfg.Omega
-    coeff = s.wc if small_nbar else s.wc_dispersion / 3.0 + s.wc ** 2
-    phonon = cfg.init.nbar_osc + coeff * 16.0 * u ** 2 * np.sin(c / 2.0) ** 2
-    xv = position_variance(s, cfg, taus)
-    return OscillatorTrace(taus=taus, phonon=phonon, xvar=xv,
-                           config=cfg, field_summary=s)
+    base = 0.5 if isinstance(cfg.init, CoherentInit) \
+        else (1.0 + 2.0 * cfg.init.nbar_osc) / 2.0
+    return base + (32.0 / 3.0) * u ** 2 * np.sin(cfg.Omega * taus / 2.0) ** 4 \
+        * wc_dispersion
 
 
-def position_variance(field, cfg: OscillatorConfig, taus) -> np.ndarray:
-    """Oscillator position variance:
+def position_variance(dist, cfg: OscillatorConfig, taus) -> np.ndarray:
+    """Oscillator position variance of a parity-filtered field:
 
         <dX^2>(tau) = baseline + (32 G^2 / 3 Omega^2) sin^4(.../2) |dW^2|
 
     with baseline 1/2 for a coherent init and (1 + 2 nbar_O)/2 thermal.
     """
-    s = _as_summary(field)
-    _require_parity(s, "position_variance")
-    taus = np.asarray(taus, dtype=float)
-    u = cfg.G / cfg.Omega
-    base = 0.5 if isinstance(cfg.init, CoherentInit) \
-        else (1.0 + 2.0 * cfg.init.nbar_osc) / 2.0
-    return base + (32.0 / 3.0) * u ** 2 * np.sin(cfg.Omega * taus / 2.0) ** 4 \
-        * s.wc_dispersion
+    p = np.asarray(dist, dtype=float)
+    _require_parity(p, "position_variance")
+    return _xvar(ergotropy(p).wc_dispersion, cfg, np.asarray(taus, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +236,7 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
             "oscillator cutoff %d too small (top-level population %.2e); "
             "try osc_cutoff >= %d" % (osc_cutoff, top, max(suggest, 2 * osc_cutoff)))
     return OscillatorTrace(taus=taus, phonon=phon, xvar=ex2 - ex ** 2,
-                           config=cfg, field_summary=field_summary(p))
+                           config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +267,9 @@ def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
 
         D = 4 (G/Omega) W Re(alpha) + 8 (G/Omega)^2 (W^2 + |dW^2|/3)
 
-    is a quadratic in W whose stable root is returned.
+    is a quadratic in W whose stable root is returned. For a purely
+    imaginary alpha the sine coefficient B = -4 (G/Omega) W Im(alpha) gives
+    W linearly instead, and the quadratic is not consulted.
     """
     cfg = trace.config
     if alpha is None:
@@ -330,14 +306,16 @@ def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
         if r2 < 2:
             raise FitError("grid never leaves sin^4 = 0; variance channel empty")
         disp = float(cf2[1]) / ((32.0 / 3.0) * u ** 2)
-        # D = 4u W ar + 8u^2 (W^2 + disp/3), quadratic in W
-        rad = ar ** 2 + 2.0 * (D - (8.0 / 3.0) * u ** 2 * disp)
-        if rad < 0:
-            raise FitError("inconsistent trace: negative discriminant in W solve")
-        w = (-ar + np.sqrt(rad)) / (4.0 * u) if ar >= 0 \
-            else (-ar - np.sqrt(rad)) / (4.0 * u)
         if abs(ar) < 1e-9 and abs(ai) > 0:
             w = -B / (4.0 * u * ai)
+        else:
+            # D = 4u W ar + 8u^2 (W^2 + disp/3), quadratic in W
+            rad = ar ** 2 + 2.0 * (D - (8.0 / 3.0) * u ** 2 * disp)
+            if rad < 0:
+                raise FitError(
+                    "inconsistent trace: negative discriminant in W solve")
+            w = (-ar + np.sqrt(rad)) / (4.0 * u) if ar >= 0 \
+                else (-ar - np.sqrt(rad)) / (4.0 * u)
         return InferenceResult(wc=w, wc_dispersion=disp,
                                quad=w ** 2 + disp / 3.0,
                                residual=residual, from_xvar=True)

@@ -30,6 +30,9 @@ _ROUNDOFF = 1e-14
 # 2 pi - theta* are then resolved by the rule, not by round-off
 _PEAK_ULPS = 64
 
+# max_efficiency refines its bracket until it is narrower than this angle
+_THETA_XTOL = 1e-5
+
 
 @dataclass(frozen=True)
 class ErgotropyReport:
@@ -187,8 +190,7 @@ def _first_peak(w) -> int:
 
 def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
                    grid: int = 200, tail_tol: float = 1e-12,
-                   engine: Optional[BlockEngine] = None,
-                   xtol: float = 1e-5) -> Tuple[float, float]:
+                   engine: Optional[BlockEngine] = None) -> Tuple[float, float]:
     """(eta_max, theta_star) over theta in [0, theta_max].
 
     Coarse grid scan followed by bracket refinement around the best grid
@@ -208,12 +210,12 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
     thetas = np.linspace(0.0, theta_max, grid)
     res = wc_sweep(process, nbar, thetas, tail_tol, eng)
     i = _first_peak(res.wc)
-    step = thetas[1] - thetas[0] if grid > 1 else theta_max
+    step = thetas[1] - thetas[0]
     theta_star, w_star = float(thetas[i]), float(res.wc[i])
 
     lo = max(0.0, theta_star - step)
     hi = min(theta_max, theta_star + step)
-    while hi - lo > xtol:
+    while hi - lo > _THETA_XTOL:
         sub = np.linspace(lo, hi, 13)
         w = wc_sweep(process, nbar, sub, tail_tol, eng).wc
         j = _first_peak(w)

@@ -207,7 +207,7 @@ def test_c09_inference_round_trip():
     for _ in range(100):
         noisy = om.OscillatorTrace(
             taus=taus, phonon=trace.phonon + rng.normal(0.0, 1e-3, taus.size),
-            xvar=trace.xvar, config=cfg, field_summary=trace.field_summary)
+            xvar=trace.xvar, config=cfg)
         rels.append(abs(om.infer_wc(noisy).wc - target) / target)
     ok = clean < 1e-8 and max(rels) < 0.01
     assert _verdict(9, ok, "noiseless err %.2e; noisy rel err max %.2e "

@@ -199,6 +199,21 @@ def test_max_efficiency_rows(tmp_path):
         assert abs(float(r[3]) - float(r[0]) * float(r[1])) < 1e-15
 
 
+def test_max_efficiency_rows_do_not_depend_on_the_other_nbars(tmp_path):
+    # every --nbar shares one block engine; a row must still be the bytes
+    # of its single-nbar run, whether the shared blocks were built for a
+    # smaller or a larger nbar first
+    common = ("max-efficiency", "--process", "exchange", "--k", 2,
+              "--theta-max", 6, "--grid", 100)
+    multi = tmp_path / "multi.csv"
+    assert run(*common, "--nbar", 1.0, 0.3, 2.0, "--out", multi) == 0
+    rows = multi.read_text().splitlines()[1:]
+    for nbar, row in zip((1.0, 0.3, 2.0), rows):
+        single = tmp_path / ("single_%s.csv" % nbar)
+        assert run(*common, "--nbar", nbar, "--out", single) == 0
+        assert single.read_text().splitlines()[1:] == [row]
+
+
 def test_coherence_blank_cells_at_zero_mean(tmp_path):
     out = tmp_path / "coh.csv"
     rc = run("coherence", "--process", "cross-kerr", "--nbar", 1.0,

@@ -99,6 +99,12 @@ def test_process_spec_validation():
         ops.CrossPhase(s=0)
     with pytest.raises(DomainError):
         ops.Hybrid(terms=())
+    # a Hybrid only holds block processes, checked when it is built
+    with pytest.raises(DomainError):
+        ops.Hybrid(terms=((1.0, ops.DegeneratePDC()),))
+    nested = ops.Hybrid(terms=((1.0, ops.CrossPhase()),))
+    with pytest.raises(DomainError):
+        ops.Hybrid(terms=((0.5, ops.Exchange(k=2)), (0.5, nested)))
     with pytest.raises(ConfigurationError):
         ops.process_generator(ops.DegeneratePDC(), 3)
 

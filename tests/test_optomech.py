@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nlmzi import fock, optomech as om, thermo
+from nlmzi import evolution, fock, optomech as om, thermo
+from nlmzi.operators import CrossPhase
 from nlmzi.errors import ConfigurationError, DomainError, FitError
 from oracles import position_variance_general
 
@@ -21,12 +22,12 @@ def cfg_thermal(nbar_osc, G=0.05, Omega=1.0):
 
 
 def test_field_summary_values():
-    s = om.field_summary(EVEN3)
-    assert abs(s.wc - 0.5) < 1e-15
-    assert abs(s.wc_dispersion - 0.75) < 1e-15
-    assert abs(s.mean - 1.0) < 1e-15
-    assert abs(s.second_moment - 2.0) < 1e-15
-    assert s.odd_mass == 0.0
+    rep = thermo.ergotropy(EVEN3)
+    assert abs(rep.wc - 0.5) < 1e-15
+    assert abs(rep.wc_dispersion - 0.75) < 1e-15
+    assert abs(rep.mean_energy - 1.0) < 1e-15
+    assert abs(fock.second_moment(np.array(EVEN3)) - 2.0) < 1e-15
+    assert fock.odd_mass(np.array(EVEN3)) == 0.0
 
 
 def test_uncoupled_oscillator_is_flat():
@@ -114,10 +115,35 @@ def test_oracle_handles_any_parity_via_moment_forms():
     taus = np.linspace(0, 4 * np.pi, 21)
     oracle = om.full_quantum_oracle(dist, cfg, 30, taus)
     mom = om.phonon_trace_moments(mean=0.4, second_moment=0.4,
-                                  alpha=1.0, cfg=cfg, taus=taus)
+                                  cfg=cfg, taus=taus)
     assert np.abs(oracle.phonon - mom).max() < 1e-9
     gen = position_variance_general(0.24, cfg, taus)
     assert np.abs(oracle.xvar - gen).max() < 1e-9
+    # a thermal init: no beat, baseline nbar_O
+    cfg = cfg_thermal(0.3, G=0.05)
+    oracle = om.full_quantum_oracle(dist, cfg, 60, taus)
+    mom = om.phonon_trace_moments(mean=0.4, second_moment=0.4,
+                                  cfg=cfg, taus=taus)
+    assert np.abs(oracle.phonon - mom).max() < 1e-8
+
+
+def test_parity_traces_are_views_of_the_moment_form():
+    taus = np.linspace(0, 4 * np.pi, 33)
+    rep = thermo.ergotropy(EVEN5)
+    w, disp = rep.wc, rep.wc_dispersion
+    bundle = disp / 3.0 + w ** 2
+    for alpha in (0.0, 2.0 + 1.0j, -1.5j):
+        cfg = cfg_coherent(alpha, G=0.07, Omega=1.3)
+        tr = om.phonon_trace_coherent(EVEN5, cfg, taus)
+        ref = om.phonon_trace_moments(2.0 * w, 4.0 * bundle, cfg, taus)
+        assert tr.phonon.tobytes() == ref.tobytes()
+    for nbar_osc in (0.0, 0.3):
+        cfg = cfg_thermal(nbar_osc, G=0.07, Omega=1.3)
+        for small_nbar, coeff in ((False, bundle), (True, w)):
+            tr = om.phonon_trace_thermal(EVEN5, cfg, taus,
+                                         small_nbar=small_nbar)
+            ref = om.phonon_trace_moments(2.0 * w, 4.0 * coeff, cfg, taus)
+            assert tr.phonon.tobytes() == ref.tobytes()
 
 
 def test_oracle_cutoff_guard_suggests_larger():
@@ -131,10 +157,10 @@ def test_oracle_cutoff_guard_suggests_larger():
 
 
 def test_beating_dominates_at_large_alpha():
-    s = om.field_summary(EVEN3)
+    rep = thermo.ergotropy(EVEN3)
     u = 0.01
-    lin_amp = 4.0 * u * s.wc * 100.0
-    quad_amp = (s.wc_dispersion / 3.0 + s.wc ** 2) * 16.0 * u ** 2
+    lin_amp = 4.0 * u * rep.wc * 100.0
+    quad_amp = (rep.wc_dispersion / 3.0 + rep.wc ** 2) * 16.0 * u ** 2
     assert quad_amp / lin_amp < 1e-3
 
 
@@ -155,8 +181,7 @@ def test_infer_ignores_constant_background():
     taus = np.linspace(0, 6 * np.pi, 40)
     tr = om.phonon_trace_coherent(EVEN3, cfg, taus)
     shifted = om.OscillatorTrace(taus=taus, phonon=tr.phonon + 0.7,
-                                 xvar=tr.xvar, config=cfg,
-                                 field_summary=tr.field_summary)
+                                 xvar=tr.xvar, config=cfg)
     assert abs(om.infer_wc(shifted).wc - om.infer_wc(tr).wc) < 1e-12
 
 
@@ -165,6 +190,23 @@ def test_infer_pure_imaginary_alpha_uses_sine_channel():
     taus = np.linspace(0, 6 * np.pi, 40)
     res = om.infer_wc(om.phonon_trace_coherent(EVEN3, cfg, taus))
     assert abs(res.wc - 0.5) < 1e-9
+
+
+def test_infer_pure_imaginary_alpha_survives_phonon_noise():
+    # c09's setup with alpha = 10i: the sine channel alone carries W, so
+    # noise that makes the (unused) quadratic's discriminant negative must
+    # not reject the trace
+    da, _ = evolution.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-13)
+    cfg = cfg_coherent(10.0j, G=0.01)
+    taus = np.linspace(0.0, 6.0 * np.pi, 128)
+    trace = om.phonon_trace_coherent(da, cfg, taus)
+    target = 2.0 / 9.0
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        noisy = om.OscillatorTrace(
+            taus=taus, phonon=trace.phonon + rng.normal(0.0, 1e-3, taus.size),
+            xvar=trace.xvar, config=cfg)
+        assert abs(om.infer_wc(noisy).wc - target) / target < 0.01
 
 
 def test_infer_thermal_trace_with_declared_alpha():
@@ -182,7 +224,7 @@ def test_infer_without_variance_channel():
     taus = np.linspace(0, 6 * np.pi, 40)
     tr = om.phonon_trace_coherent(EVEN5, cfg, taus)
     blind = om.OscillatorTrace(taus=taus, phonon=tr.phonon, xvar=None,
-                               config=cfg, field_summary=tr.field_summary)
+                               config=cfg)
     res = om.infer_wc(blind)
     assert not res.from_xvar
     # the small-field dispersion stand-in leaves a visible but small bias
@@ -190,8 +232,7 @@ def test_infer_without_variance_channel():
     exact3 = om.OscillatorTrace(
         taus=taus,
         phonon=om.phonon_trace_coherent(EVEN3, cfg, taus).phonon,
-        xvar=None, config=cfg,
-        field_summary=om.field_summary(EVEN3))
+        xvar=None, config=cfg)
     # on EVEN3 the stand-in relation is exact, so no bias at all
     assert abs(om.infer_wc(exact3).wc - 0.5) < 1e-12
 
@@ -201,8 +242,7 @@ def test_infer_error_cases():
     good = np.linspace(0, 6 * np.pi, 40)
     tr = om.phonon_trace_coherent(EVEN3, cfg, good)
     short = om.OscillatorTrace(taus=good[:3], phonon=tr.phonon[:3],
-                               xvar=tr.xvar[:3], config=cfg,
-                               field_summary=tr.field_summary)
+                               xvar=tr.xvar[:3], config=cfg)
     with pytest.raises(FitError):
         om.infer_wc(short)
     with pytest.raises(FitError):
