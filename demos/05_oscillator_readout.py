@@ -5,8 +5,9 @@ Reading the work capacity off a mechanical oscillator
 Coupling the bright output to a mechanical mode imprints the field's work
 capacity on the oscillator's phonon number as a slow beat, and the work
 dispersion on its position variance. The closed-form traces are checked
-against an exact dense simulation, and the inference routine then runs the
-readout backwards: trace in, work capacity out, with and without noise.
+against the exact truncated-oscillator oracle (tridiagonal eigensolve,
+banded moments), and the inference routine then runs the readout
+backwards: trace in, work capacity out, with and without noise.
 """
 
 import numpy as np
@@ -25,12 +26,13 @@ def main():
     taus = np.linspace(0.0, 6.0 * np.pi, 128)
     trace = optomech.phonon_trace_coherent(da, cfg, taus)
 
-    # exact dense cross-check on a coarser grid (the oracle rebuilds the
-    # full field-oscillator state, so keep its grid small)
+    # exact truncated-oscillator oracle (tridiagonal eigensolve, banded
+    # moments) on a coarser grid: it evolves the full field-oscillator
+    # state, so keep its grid small
     coarse = taus[::16]
     oracle = optomech.full_quantum_oracle(da, cfg, 180, coarse)
     closed = optomech.phonon_trace_coherent(da, cfg, coarse)
-    print("closed form vs dense oracle: max phonon gap %.2e"
+    print("closed form vs exact oracle: max phonon gap %.2e"
           % np.abs(closed.phonon - oracle.phonon).max())
     print()
 

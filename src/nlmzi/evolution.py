@@ -37,6 +37,24 @@ from .operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC, Exchange,
                         exchange_couplings, ladder_walk, process_generator)
 
 
+def phase_product(A, lam, ts) -> np.ndarray:
+    """A @ exp(-i outer(lam, ts)), shape (rows, len(ts)).
+
+    Column i is A diag(exp(-i lam ts[i])) applied to the ones vector. This
+    is the one phase kernel of the block engine, the pump-level chains and
+    the oscillator oracle: cos and sin are written into the real and
+    imaginary parts of one complex buffer; a real A takes one real product
+    on its float view, a complex A a complex product.
+    """
+    ph = np.outer(lam, -np.asarray(ts, dtype=float))
+    Z = np.empty(ph.shape, dtype=complex)
+    np.cos(ph, out=Z.real)
+    np.sin(ph, out=Z.imag)
+    if np.iscomplexobj(A):
+        return A @ Z
+    return (A @ Z.view(float)).view(complex)
+
+
 # ---------------------------------------------------------------------------
 # block engine: one splitter ladder step per block, any number of thetas
 # ---------------------------------------------------------------------------
@@ -113,15 +131,7 @@ class BlockEngine:
         depends on.
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        A, lam = self._factor(N)
-        ph = np.outer(lam, -thetas)
-        Z = np.empty(ph.shape, dtype=complex)
-        np.cos(ph, out=Z.real)
-        np.sin(ph, out=Z.imag)
-        if A.dtype == complex:
-            Z = A @ Z
-        else:
-            Z = (A @ Z.view(float)).view(complex)
+        Z = phase_product(*self._factor(N), thetas)
         if phased:
             Z *= QUARTER_TURNS[np.arange(N + 1) % 4, None]
         return Z
@@ -298,11 +308,12 @@ class GenericEngine:
         """Chain amplitudes at time(s) t from pump level n.
 
         Shape (n+1,) for a scalar t and (n+1, T) for a grid of T times,
-        one column per time.
+        one column per time: phase_product of the real V diag(V[0]) with
+        the eigenvalues, one real product for the whole grid.
         """
         w, V = self._component(n)
         ts = np.asarray(t, dtype=float)
-        psi = V @ (np.exp(-1j * np.outer(w, ts)) * V[0][:, None])
+        psi = phase_product(V * V[0], w, np.atleast_1d(ts))
         return psi[:, 0] if ts.ndim == 0 else psi
 
     def mode_distributions(self, n: int, t) -> List[np.ndarray]:

@@ -11,8 +11,9 @@ closed form. For any field the phonon trace depends only on <n> and <n^2>:
 for a coherent init (a thermal init starts at nbar_O and does not beat).
 On a parity-filtered field <n> = 2W and <n^2> = 4(|dW^2|/3 + W^2), so the
 beating amplitude reads out W directly, and the position variance reads out
-the dispersion. A dense truncated-oscillator oracle provides the independent
-cross-check, and infer_wc inverts a measured trace back to W.
+the dispersion. The exact truncated-oscillator oracle (tridiagonal
+eigensolve, banded moments) provides the independent cross-check, and
+infer_wc inverts a measured trace back to W.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from scipy.special import gammaln
 
 from . import fock
 from .errors import ConfigurationError, DomainError, FitError
-from .thermo import ergotropy
+from .evolution import phase_product
+from .thermo import checked_probabilities, ergotropy
 
 PARITY_TOL = 1e-10
 ORACLE_TOP_TOL = 1e-8
@@ -35,6 +37,10 @@ ORACLE_TOP_TOL = 1e-8
 @dataclass(frozen=True)
 class CoherentInit:
     alpha: complex
+
+    def __post_init__(self):
+        if not np.isfinite(complex(self.alpha)):
+            raise DomainError("alpha must be finite")
 
     @property
     def nbar_osc(self) -> float:
@@ -46,8 +52,8 @@ class ThermalInit:
     nbar_osc: float
 
     def __post_init__(self):
-        if self.nbar_osc < 0:
-            raise DomainError("oscillator nbar must be >= 0")
+        if not (np.isfinite(self.nbar_osc) and self.nbar_osc >= 0):
+            raise DomainError("oscillator nbar must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -161,17 +167,21 @@ def position_variance(dist, cfg: OscillatorConfig, taus) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# independent dense oracle
+# exact truncated-oscillator oracle (tridiagonal eigensolve, banded moments)
 # ---------------------------------------------------------------------------
 
 def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
+    """Fock amplitudes of |alpha>; real for a real alpha, whose sign enters
+    as the exact (-1)^m."""
     m = np.arange(cutoff + 1)
+    alpha = complex(alpha)
     if alpha == 0:
-        v = np.zeros(cutoff + 1, dtype=complex)
-        v[0] = 1.0
-        return v
-    return np.exp(-abs(alpha) ** 2 / 2.0
-                  + m * np.log(complex(alpha)) - 0.5 * gammaln(m + 1))
+        return (m == 0).astype(float)
+    if alpha.imag != 0:
+        return np.exp(-abs(alpha) ** 2 / 2.0
+                      + m * np.log(alpha) - 0.5 * gammaln(m + 1))
+    return np.sign(alpha.real) ** m * np.exp(
+        -abs(alpha) ** 2 / 2.0 + m * np.log(abs(alpha)) - 0.5 * gammaln(m + 1))
 
 
 def suggested_osc_cutoff(cfg: OscillatorConfig, n_top: int) -> int:
@@ -188,48 +198,75 @@ def suggested_osc_cutoff(cfg: OscillatorConfig, n_top: int) -> int:
     return int(np.ceil(amp * amp + 10.0 * amp + 20.0))
 
 
+def _pairs(v: np.ndarray) -> np.ndarray:
+    """Sums of the (real, imaginary) pairs of a complex vector's float view."""
+    return v[0::2] + v[1::2]
+
+
 def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
                         taus) -> OscillatorTrace:
-    """Exact evolution on a truncated oscillator, no closed forms used.
+    """Exact truncated-oscillator oracle (tridiagonal eigensolve, banded
+    moments); no closed form is used.
 
     The field level n is conserved, so each level evolves under the
-    displaced oscillator H_n = Omega m + G n (O + O+), diagonalized densely.
-    Raises when the top oscillator level accumulates more than 1e-8
-    population anywhere on the grid, with a suggested larger cutoff.
+    displaced oscillator H_n = Omega m + G n (O + O+), solved once as a
+    tridiagonal eigensystem (lam, V) whose phases every initial state
+    shares: the states at all taus are evolution.phase_product of
+    V diag(V^T psi0), one real product when psi0 is real (a real alpha or
+    a thermal basis state). With h_m = sqrt(m+1)/sqrt2 the moments of the
+    truncated position X are read off the bands
+
+        <X>   = 2 sum h_m Re(conj(Z_m) Z_(m+1))
+        <X^2> = sum d_m |Z_m|^2 + 2 sum h_m h_(m+1) Re(conj(Z_m) Z_(m+2)),
+
+    d the diagonal of the truncated X^2. Raises DomainError on a
+    non-finite tau, a non-finite or negative (below -1e-12) dist entry or
+    osc_cutoff < 1, and ConfigurationError when the top oscillator level
+    accumulates more than 1e-8 population anywhere on the grid, with a
+    suggested larger cutoff.
     """
-    p = np.asarray(dist, dtype=float)
+    p = checked_probabilities(dist)
     taus = np.asarray(taus, dtype=float)
+    if not np.isfinite(taus).all():
+        raise DomainError("taus must be finite")
+    if osc_cutoff < 1:
+        raise DomainError("osc_cutoff must be >= 1")
     mm = np.arange(osc_cutoff + 1, dtype=float)
     sq = np.sqrt(mm[1:])
     if isinstance(cfg.init, CoherentInit):
-        inits = [(1.0, _coherent_vector(cfg.init.alpha, osc_cutoff))]
+        wts = np.ones(1)
+        psi0 = _coherent_vector(cfg.init.alpha, osc_cutoff)[None]
     else:
         wts = fock.thermal_distribution(cfg.init.nbar_osc, 1e-12)
-        if wts.size > osc_cutoff + 1:
-            wts = wts[: osc_cutoff + 1]
-        eye = np.eye(osc_cutoff + 1, dtype=complex)
-        inits = [(wts[k], eye[:, k]) for k in range(wts.size)]
+        wts = wts[: osc_cutoff + 1]
+        psi0 = np.eye(wts.size, osc_cutoff + 1)[wts != 0]
+        wts = wts[wts != 0]
+    h = np.sqrt(0.5) * sq
+    hh = h[:-1] * h[1:]
+    d = mm + 0.5
+    d[-1] = 0.5 * mm[-1]  # X couples the top level downwards only
 
     phon = np.zeros(taus.size)
     ex = np.zeros(taus.size)
     ex2 = np.zeros(taus.size)
-    X = (np.diag(sq, 1) + np.diag(sq, -1)) / np.sqrt(2.0)
+    buf = np.empty((osc_cutoff + 1, 2 * taus.size))
     top = 0.0
     for n, pn in enumerate(p):
         if pn == 0:
             continue
         lam, V = eigh_tridiagonal(cfg.Omega * mm, cfg.G * n * sq)
-        for w, psi0 in inits:
-            if w == 0:
-                continue
-            y = V.T @ psi0
-            Z = V @ (np.exp(-1j * np.outer(lam, taus)) * y[:, None])
-            pr = np.abs(Z) ** 2
-            top = max(top, float(pr[-1].max()))
-            phon += pn * w * (mm @ pr)
-            XZ = X @ Z
-            ex += pn * w * np.real(np.sum(np.conj(Z) * XZ, axis=0))
-            ex2 += pn * w * np.real(np.sum(np.conj(XZ) * XZ, axis=0))
+        Y = psi0 @ V
+        A = (V * Y[:, None, :]).reshape(-1, V.shape[1])
+        Z = phase_product(A, lam, taus).view(float)
+        for w, Zk in zip(pn * wts, np.split(Z, wts.size)):
+            np.multiply(Zk, Zk, out=buf)
+            top = max(top, float(_pairs(buf[-1]).max()))
+            phon += w * _pairs(mm @ buf)
+            x2 = _pairs(d @ buf)
+            np.multiply(Zk[:-1], Zk[1:], out=buf[:-1])
+            ex += w * 2.0 * _pairs(h @ buf[:-1])
+            np.multiply(Zk[:-2], Zk[2:], out=buf[:-2])
+            ex2 += w * (x2 + 2.0 * _pairs(hh @ buf[:-2]))
     if top > ORACLE_TOP_TOL:
         suggest = suggested_osc_cutoff(cfg, p.size - 1)
         raise ConfigurationError(

@@ -54,6 +54,17 @@ def wc_from_dist(p) -> float:
     return ergotropy(p).wc
 
 
+def checked_probabilities(p) -> np.ndarray:
+    """p as a float array; a non-finite entry or one below -1e-12 raises
+    DomainError."""
+    p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise DomainError("non-finite probability in distribution")
+    if p.size and p.min() < -1e-12:
+        raise DomainError("negative probability %g in distribution" % p.min())
+    return p
+
+
 def ergotropy(p, nbar: Optional[float] = None) -> ErgotropyReport:
     """Full work-capacity report of a distribution (n,) or a stack (n, T).
 
@@ -62,11 +73,7 @@ def ergotropy(p, nbar: Optional[float] = None) -> ErgotropyReport:
     while it stays within _ROUNDOFF * n * max(1, <n>) of 0; a larger one,
     a probability below -1e-12 or a non-finite entry raises DomainError.
     """
-    p = np.asarray(p, dtype=float)
-    if not np.isfinite(p).all():
-        raise DomainError("non-finite probability in distribution")
-    if p.size and p.min() < -1e-12:
-        raise DomainError("negative probability %g in distribution" % p.min())
+    p = checked_probabilities(p)
     pas = passive_distribution(p)
     mean = fock.mean_photon(p)
     pas_mean = fock.mean_photon(pas)

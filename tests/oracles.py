@@ -3,16 +3,19 @@
 Shared by the evolution tests and the acceptance gate. The two-mode and
 down-conversion tensor-product oracles are written against bare kron
 products, and the block splitter oracles against bare ladder elements (a
-dense exponential and the J_x eigensystem), so none can inherit a mistake
-from the Wigner-d ladder, the block machinery or the pump-level chains
-they check.
+dense exponential and the J_x eigensystem), and the oscillator oracle
+against a dense position matrix, so none can inherit a mistake from the
+Wigner-d ladder, the block machinery, the pump-level chains or the banded
+oscillator moments they check.
 """
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, expm
 from scipy.special import gammaln
 
+from nlmzi import fock
 from nlmzi.errors import DomainError
+from nlmzi.optomech import CoherentInit
 from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                              beam_splitter_unitary, process_generator)
 
@@ -218,3 +221,47 @@ def position_variance_general(var_n, cfg, taus, baseline=0.5):
     taus = np.asarray(taus, dtype=float)
     u = cfg.G / cfg.Omega
     return baseline + 8.0 * u ** 2 * np.sin(cfg.Omega * taus / 2.0) ** 4 * var_n
+
+
+def dense_oscillator_oracle(dist, cfg, osc_cutoff, taus):
+    """(phonon, xvar, <X^2>) of a field driving a truncated oscillator, by
+    the textbook route: a complex coherent vector, complex phase
+    exponentials and the position operator as a dense (cutoff+1)^2
+    matrix."""
+    p = np.asarray(dist, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    mm = np.arange(osc_cutoff + 1, dtype=float)
+    sq = np.sqrt(mm[1:])
+    if isinstance(cfg.init, CoherentInit):
+        alpha = cfg.init.alpha
+        if alpha == 0:
+            psi = np.zeros(osc_cutoff + 1, dtype=complex)
+            psi[0] = 1.0
+        else:
+            psi = np.exp(-abs(alpha) ** 2 / 2.0 + mm * np.log(complex(alpha))
+                         - 0.5 * gammaln(mm + 1))
+        inits = [(1.0, psi)]
+    else:
+        wts = fock.thermal_distribution(cfg.init.nbar_osc, 1e-12)
+        wts = wts[: osc_cutoff + 1]
+        eye = np.eye(osc_cutoff + 1, dtype=complex)
+        inits = [(wts[k], eye[:, k]) for k in range(wts.size)]
+    phon = np.zeros(taus.size)
+    ex = np.zeros(taus.size)
+    ex2 = np.zeros(taus.size)
+    X = (np.diag(sq, 1) + np.diag(sq, -1)) / np.sqrt(2.0)
+    for n, pn in enumerate(p):
+        if pn == 0:
+            continue
+        lam, V = eigh_tridiagonal(cfg.Omega * mm, cfg.G * n * sq)
+        for w, psi0 in inits:
+            if w == 0:
+                continue
+            y = V.T @ psi0
+            Z = V @ (np.exp(-1j * np.outer(lam, taus)) * y[:, None])
+            pr = np.abs(Z) ** 2
+            phon += pn * w * (mm @ pr)
+            XZ = X @ Z
+            ex += pn * w * np.real(np.sum(np.conj(Z) * XZ, axis=0))
+            ex2 += pn * w * np.real(np.sum(np.conj(XZ) * XZ, axis=0))
+    return phon, ex2 - ex ** 2, ex2

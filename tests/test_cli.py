@@ -163,6 +163,9 @@ def test_domain_errors_exit_three(tmp_path):
     rc = run("pdc", "--variant", "degenerate", "--nbar", 1e6,
              "--gt", "0:1:3", "--out", tmp_path / "z.csv")
     assert rc == 3
+    rc = run("optomech", "--process", "cross-kerr", "--nbar", 0.5,
+             "--t", np.pi, "--alpha", "nan", "--out", tmp_path / "o.csv")
+    assert rc == 3
 
 
 def test_high_order_exchange_behind_flag(tmp_path):
@@ -258,7 +261,9 @@ def test_optomech_roundtrip_smoke(tmp_path):
     ("wc-sweep", "--process", "exchange", "--k", 2, "--nbar", 8,
      "--theta", "0:6.283:400"),
     ("pdc", "--variant", "degenerate", "--nbar", 3, "--gt", "0:3.1416:50"),
-], ids=["wc-sweep-exchange", "pdc-degenerate"])
+    ("optomech", "--process", "exchange", "--k", 2, "--nbar", 1, "--t", 1.3,
+     "--alpha", "3+2j", "--tau", "0:12.6:24"),
+], ids=["wc-sweep-exchange", "pdc-degenerate", "optomech-exchange"])
 def test_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
     # each thread count needs its own process: BLAS reads it at load time
     digests = set()

@@ -222,6 +222,17 @@ def test_identity_at_zero_angle():
     assert da[0] > 1.0 - 1e-12
 
 
+def test_phase_product_is_the_complex_exponential_product():
+    rng = np.random.default_rng(7)
+    lam, ts = rng.normal(size=6), np.array([0.0, 0.4, -1.7, 3.0])
+    ref_phases = np.exp(-1j * np.outer(lam, ts))
+    for A in (rng.normal(size=(5, 6)),
+              rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))):
+        got = ev.phase_product(A, lam, ts)
+        assert got.shape == (5, ts.size) and got.dtype == complex
+        assert np.abs(got - A @ ref_phases).max() < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # down-conversion pump-level chains
 # ---------------------------------------------------------------------------

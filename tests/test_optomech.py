@@ -1,4 +1,4 @@
-"""Oscillator readout: closed forms, dense oracle, work-capacity inference."""
+"""Oscillator readout: closed forms, exact oracle, work-capacity inference."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from nlmzi import evolution, fock, optomech as om, thermo
 from nlmzi.operators import CrossPhase
 from nlmzi.errors import ConfigurationError, DomainError, FitError
-from oracles import position_variance_general
+from oracles import dense_oscillator_oracle, position_variance_general
 
 EVEN3 = [0.5, 0.0, 0.5]          # W = 1/2, |dW^2| = 3/4
 EVEN5 = [0.5, 0.0, 0.3, 0.0, 0.2]  # W = 0.7, |dW^2| = 1.83
@@ -146,6 +146,40 @@ def test_parity_traces_are_views_of_the_moment_form():
             assert tr.phonon.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("init", [
+    om.CoherentInit(10.0), om.CoherentInit(3 + 7j), om.CoherentInit(-2.5),
+    om.CoherentInit(0.0), om.ThermalInit(0.3)], ids=str)
+def test_oracle_matches_dense_position_matrix(init):
+    # the banded moments against a dense X @ Z, both with odd field levels
+    dist, _ = evolution.mzi_output(CrossPhase(s=1), 1.3, 1.0)
+    cfg = om.OscillatorConfig(G=0.02, Omega=1.0, init=init)
+    cutoff = om.suggested_osc_cutoff(cfg, dist.size - 1)
+    taus = np.linspace(0, 4 * np.pi, 24)
+    tr = om.full_quantum_oracle(dist, cfg, cutoff, taus)
+    phon, xvar, x2 = dense_oscillator_oracle(dist, cfg, cutoff, taus)
+    assert np.abs(tr.phonon - phon).max() <= 1e-14 * np.abs(phon).max()
+    eps = np.finfo(float).eps
+    assert np.abs(tr.xvar - xvar).max() <= 64 * eps * max(1.0, x2.max())
+
+
+TAUS9 = np.linspace(0, 4 * np.pi, 9)
+
+
+@pytest.mark.parametrize("dist,cutoff,taus", [
+    (EVEN3, 30, np.append(TAUS9, np.nan)),
+    (EVEN3, 30, np.append(TAUS9, np.inf)),
+    ([0.5, np.nan, 0.5], 30, TAUS9),
+    ([0.5, np.inf, 0.5], 30, TAUS9),
+    ([1.5, 0.0, -0.5], 30, TAUS9),
+    (EVEN3, -3, TAUS9),
+    (EVEN3, 0, TAUS9),
+], ids=["nan-tau", "inf-tau", "nan-dist", "inf-dist", "negative-dist",
+        "cutoff-3", "cutoff0"])
+def test_oracle_rejects_bad_input(dist, cutoff, taus):
+    with pytest.raises(DomainError):
+        om.full_quantum_oracle(dist, cfg_coherent(1.0), cutoff, taus)
+
+
 def test_oracle_cutoff_guard_suggests_larger():
     cfg = cfg_coherent(2.0, G=0.05)
     taus = np.linspace(0, 10, 5)
@@ -255,7 +289,11 @@ def test_infer_error_cases():
 def test_config_validation():
     with pytest.raises(DomainError):
         om.OscillatorConfig(G=0.1, Omega=0.0, init=om.CoherentInit(1.0))
-    with pytest.raises(DomainError):
-        om.ThermalInit(-0.5)
+    for nbar_osc in (-0.5, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            om.ThermalInit(nbar_osc)
+    for alpha in (np.nan, complex(1.0, np.inf)):
+        with pytest.raises(DomainError):
+            om.CoherentInit(alpha)
     with pytest.raises(DomainError):
         om.phonon_trace_coherent(EVEN3, cfg_thermal(0.1), [0.0, 1.0])
