@@ -9,14 +9,17 @@ with g_N the nonlinear-arm generator on the block and theta = chi t (cross
 phase) or g t (exchange) the single dimensionless knob swept everywhere.
 The splitter on block N is B_N = diag((-i)^j) d_N diag(i^m), with d_N the
 real Wigner matrix exp(-i (pi/2) J_y), built by one division-free ladder
-step from d_{N-1}. Per block the engine keeps one matrix, the input's
-components on the generator eigenvectors carried through the second
-splitter, so every theta of a sweep costs one matrix product per block
-(a real one unless the generator mixes the parities of j). The input
-and every generator are symmetric under the mirror j -> N-j, so mirror
-eigenvectors of one eigenvalue share a column: exchange is solved on its
-k chains j = c, c+k, ..., and an even-order block keeps N//2 + 1 columns
-at most.
+step from d_{N-1}. Per block the engine keeps the input's components on
+the generator eigenvectors carried through the second splitter, so every
+theta of a sweep costs real matrix products per block, whatever the
+number of thetas. The input and every generator are symmetric under the
+mirror j -> N-j, so mirror eigenvectors of one eigenvalue share a
+column: exchange is solved on its k chains j = c, c+k, .... A chain with
+zero diagonal is bipartite, so its eigenpairs come in exact pairs
+(mu, v), (-mu, S v), S = diag((-1)^i): the negative half is built, not
+solved, and a pair takes one cos and one sin per theta. An even-order
+block keeps N//2 + 1 columns at most, and only its rows j of the parity
+of N; the others are exact zeros.
 
 Parametric down-conversion is not block-diagonal in N, but with n pump
 photons it reaches one chain of n + 1 states; a chain engine solves each
@@ -37,22 +40,42 @@ from .operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC, Exchange,
                         exchange_couplings, ladder_walk, process_generator)
 
 
-def phase_product(A, lam, ts) -> np.ndarray:
-    """A @ exp(-i outer(lam, ts)), shape (rows, len(ts)).
+def phase_product(C, D, mu, ts) -> np.ndarray:
+    """Real and imaginary parts of C cos(mu t) - i D sin(mu t), column i
+    at ts[i]: shape (2, rows, len(ts)).
 
-    Column i is A diag(exp(-i lam ts[i])) applied to the ones vector. This
-    is the one phase kernel of the block engine, the pump-level chains and
-    the oscillator oracle: cos and sin are written into the real and
-    imaginary parts of one complex buffer; a real A takes one real product
-    on its float view, a complex A a complex product.
+    The one phase kernel of the block engine, the pump-level chains and
+    the oscillator oracle. With C is D this is C exp(-i mu t): cos and sin
+    fill one complex buffer, a real C takes one real product on its float
+    view (a complex C a complex product), and the parts are views of the
+    interleaved result. The pair form, C = a+b and D = a-b for the columns
+    a, b of eigenvalues mu and -mu, takes one cos and one sin per pair:
+    two contiguous real products C @ cos and D @ sin, or for complex C and
+    D one real product of their stacked real and imaginary parts.
     """
-    ph = np.outer(lam, -np.asarray(ts, dtype=float))
-    Z = np.empty(ph.shape, dtype=complex)
-    np.cos(ph, out=Z.real)
-    np.sin(ph, out=Z.imag)
-    if np.iscomplexobj(A):
-        return A @ Z
-    return (A @ Z.view(float)).view(complex)
+    ph = np.outer(mu, -np.asarray(ts, dtype=float))
+    if C is D:
+        Z = np.empty(ph.shape, dtype=complex)
+        np.cos(ph, out=Z.real)
+        np.sin(ph, out=Z.imag)
+        Z = C @ Z if np.iscomplexobj(C) else (C @ Z.view(float)).view(complex)
+        return Z.view(float).reshape(Z.shape + (2,)).transpose(2, 0, 1)
+    cs = np.empty((2,) + ph.shape)
+    np.cos(ph, out=cs[0])
+    np.sin(ph, out=cs[1])  # -sin(mu t)
+    if np.iscomplexobj(C) or np.iscomplexobj(D):
+        G = np.block([[C.real, -D.imag], [C.imag, D.real]])
+        return (G @ cs.reshape(-1, ph.shape[1])).reshape(2, C.shape[0], -1)
+    P = np.empty((2, C.shape[0], ph.shape[1]))
+    np.matmul(C, cs[0], out=P[0])
+    np.matmul(D, cs[1], out=P[1])
+    return P
+
+
+def interleaved(P) -> np.ndarray:
+    """phase_product's parts as the float view of a complex array, shape
+    (rows, 2 T); no copy when they came from one interleaved buffer."""
+    return P.transpose(1, 2, 0).reshape(P.shape[1], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -60,24 +83,31 @@ def phase_product(A, lam, ts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class BlockEngine:
-    """Caches one matrix per block for one process family.
+    """Caches one factorization per block for one process family.
 
     amplitudes(N, thetas) returns the (N+1, T) output amplitudes
     <N-j, j| U(theta) |N, 0>, one column per theta; probs(N, thetas) their
-    squared moduli.
+    squared moduli on the rows rows(N), outside which they are exact zeros.
 
     The splitter is B_N = diag((-i)^j) d_N diag(i^m), and the ladder gives
     the rung r_N = c_N d_N with c_N^2 = 2^(N mod 2) (operators.ladder_walk).
-    Block N keeps (A, lam), and its amplitudes are
-    (-i)^j [A exp(-i theta lam)]_j: column l of A is the input's component
-    on generator eigenvector l, carried through the second splitter, with
-    the columns of mirror eigenvectors of one eigenvalue merged. Diagonal
-    generators merge columns m and N-m; exchange blocks are solved chain by
-    chain (_exchange_chains); a Hybrid block by a dense eigh. A is real,
-    applied as one real product on the real view of the phases, unless the
-    generator mixes the parities of j (odd-order exchange). A new block
-    takes ladder steps from the highest rung built so far, or from r_0 when
-    it lies below that one.
+    Block N keeps (C, D, mu, rows), and its amplitudes are
+    (-i)^j [C cos(theta mu) - i D sin(theta mu)]_j on the rows j of the
+    slice rows (phase_product). Column l of C and D comes from the input's
+    components on generator eigenvectors, carried through the second
+    splitter, with the columns of mirror eigenvectors of one eigenvalue
+    merged. Where a chain has zero diagonal its eigenvectors come in exact
+    pairs (mu, v), (-mu, S v) with S = diag((-1)^i) (Coulson & Rushbrooke,
+    Proc. Camb. Phil. Soc. 36, 193 (1940)): a pair's columns a, b enter
+    as C = a+b, D = a-b, and a zero mode once, with mu = 0.0 exactly. An
+    unpaired column has C = D, and a block with no pairs keeps C is D, the
+    one-product path of phase_product. Diagonal generators merge columns m and
+    N-m; exchange blocks are solved chain by chain (_exchange_chains); a
+    Hybrid block by a dense eigh. Even-order exchange keeps the rows
+    j = N mod 2, N mod 2 + 2, ...: the mirror merge makes the others exact
+    zeros. C and D are real, unless the generator mixes the parities of j
+    (odd-order exchange). A new block takes ladder steps from the highest
+    rung built so far, or from r_0 when it lies below that one.
     """
 
     def __init__(self, process: ProcessSpec):
@@ -100,46 +130,62 @@ class BlockEngine:
     def _build(self, N: int):
         r = self._rung(N)
         inv_c2 = 0.5 ** (N % 2)  # exact
+        rows = slice(0, N + 1, 1)
         if isinstance(self.process, Exchange) and N >= self.process.k:
-            lam, A = _exchange_chains(r, N, self.process.k, inv_c2)
+            if self.process.k % 2 == 0:
+                rows = slice(N % 2, N + 1, 2)
+            C, D, mu = _exchange_chains(r, N, self.process.k, inv_c2, rows)
         elif isinstance(self.process, Hybrid):
             gen = np.real(process_generator(self.process, N))
-            lam, V = np.linalg.eigh(gen)
-            A = _image(r, np.arange(N + 1), V, inv_c2,
-                       real=not gen[0::2, 1::2].any())
+            mu, V = np.linalg.eigh(gen)
+            U, kappa = _image(r, rows, np.arange(N + 1), V,
+                              real=not gen[0::2, 1::2].any())
+            C = D = U * (inv_c2 * kappa)
         else:
             # diagonal generator: it and the input column r_N[:, 0] are
             # symmetric under j -> N-j, so columns m and N-m merge
             h = N // 2 + 1
-            A = r[:, :h].copy()
-            A[:, : N + 1 - h] += r[:, : h - 1: -1]
-            A *= inv_c2 * r[:h, 0]
+            C = r[:, :h].copy()
+            C[:, : N + 1 - h] += r[:, : h - 1: -1]
+            C *= inv_c2 * r[:h, 0]
+            D = C
             j = np.arange(h, dtype=float)
-            lam = (((N - j) * j) ** self.process.s
-                   if isinstance(self.process, CrossPhase) else np.zeros(h))
-        self._blocks[N] = (A, lam)
+            mu = (((N - j) * j) ** self.process.s
+                  if isinstance(self.process, CrossPhase) else np.zeros(h))
+        self._blocks[N] = (C, D, mu, rows)
 
     def _factor(self, N: int):
         if N not in self._blocks:
             self._build(N)
         return self._blocks[N]
 
+    def rows(self, N: int) -> slice:
+        """The rows j that probs(N, .) returns; the others are exact zeros."""
+        return self._factor(N)[3]
+
     def amplitudes(self, N: int, thetas, phased: bool = True) -> np.ndarray:
         """Output amplitudes, shape (N+1, len(thetas)).
 
-        phased=False leaves out the row phase (-i)^j, which no modulus
-        depends on.
+        phased=False returns instead phase_product's parts, shape
+        (2, rows, len(thetas)): the amplitudes on the rows rows(N) without
+        the row phase (-i)^j, which no modulus depends on.
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        Z = phase_product(*self._factor(N), thetas)
-        if phased:
-            Z *= QUARTER_TURNS[np.arange(N + 1) % 4, None]
+        C, D, mu, rows = self._factor(N)
+        P = phase_product(C, D, mu, thetas)
+        if not phased:
+            return P
+        Z = np.zeros((N + 1, thetas.size), dtype=complex)
+        Z.real[rows] = P[0]
+        Z.imag[rows] = P[1]
+        Z *= QUARTER_TURNS[np.arange(N + 1) % 4, None]
         return Z
 
     def probs(self, N: int, thetas) -> np.ndarray:
-        R = self.amplitudes(N, thetas, phased=False).view(float)
-        R *= R
-        return R[:, 0::2] + R[:, 1::2]
+        """Squared moduli on the rows rows(N), shape (rows, len(thetas))."""
+        P = self.amplitudes(N, thetas, phased=False)
+        P *= P
+        return P[0] + P[1]
 
 
 def _signs(m):
@@ -147,31 +193,34 @@ def _signs(m):
     return 1.0 - 2.0 * (m // 2 % 2)
 
 
-def _image(r, pos, V, scale, real, mirror=False):
-    """Columns r_N diag(i^m) V diag(V^T diag((-i)^m) r_N[:, 0]) * scale.
+def _image(r, rows, pos, V, real, mirror=False):
+    """(U, kappa): the columns r_N diag(i^m) V diag(V^T diag((-i)^m) r_N[:, 0])
+    are U diag(kappa), taken on the output rows rows.
 
-    V's rows are the basis states pos. With i^m = s_m i^(m mod 2), a V that
-    keeps the parity of m leaves the real r_N W diag(W^T r_N[:, 0]) with
-    W = diag(s) V (real=True). mirror=True adds the splitter columns N - pos
-    to those of pos: V then lives on the mirror sector of pos + (N - pos)
-    that the input lies in.
+    V's rows are the basis states pos; U and kappa are each linear in V.
+    With i^m = s_m i^(m mod 2), a V that keeps the parity of m leaves the
+    real U = r_N W and kappa = W^T r_N[:, 0] with W = diag(s) V
+    (real=True). mirror=True adds the splitter columns N - pos to those of
+    pos: V then lives on the mirror sector of pos + (N - pos) that the
+    input lies in.
     """
     W = _signs(pos)[:, None] * V
     if real:
-        R = r[:, pos] + r[:, r.shape[0] - 1 - pos] if mirror else r[:, pos]
-        A = R @ W
-        A *= scale * (W.T @ r[pos, 0])
-        return A
+        R = r[rows, pos]
+        if mirror:
+            R += r[rows, r.shape[0] - 1 - pos]
+        return R @ W, W.T @ r[pos, 0]
     odd = pos % 2 == 1
-    A = np.empty((r.shape[0], V.shape[1]), dtype=complex)
-    A.real = r[:, pos[~odd]] @ W[~odd]
-    A.imag = r[:, pos[odd]] @ W[odd]
-    A *= scale * (V.T @ (QUARTER_TURNS[pos % 4] * r[pos, 0]))
-    return A
+    even = r[rows, pos[~odd]] @ W[~odd]
+    U = np.empty(even.shape, dtype=complex)
+    U.real = even
+    U.imag = r[rows, pos[odd]] @ W[odd]
+    return U, V.T @ (QUARTER_TURNS[pos % 4] * r[pos, 0])
 
 
-def _exchange_chains(r, N: int, k: int, scale):
-    """(lam, A) of exchange block N >= k, one chain or mirror pair at a time.
+def _exchange_chains(r, N: int, k: int, scale, rows):
+    """(C, D, mu) of exchange block N >= k on the output rows rows, one
+    chain or mirror pair at a time.
 
     The generator couples only j and j - k, so it splits into k real
     chains j = c, c+k, ... with zero diagonal, each solved by eig_banded
@@ -184,9 +233,17 @@ def _exchange_chains(r, N: int, k: int, scale):
     to the middle site N/2 (odd length) or sigma times the central
     coupling on the last diagonal entry (even length). For odd k that
     chain mixes the parities of j and stays whole, with complex columns.
+
+    Every chain but the even-length fold keeps a zero diagonal, so its
+    spectrum is built from eig_banded's positive half: (mu, v) gives
+    (-mu, S v). Splitting v into its even and odd sites i, the columns are
+    U(v) kappa(v) with U and kappa linear, so a pair's C = a+b and D = a-b
+    are 2 (U_e kappa_e + U_o kappa_o) and 2 (U_e kappa_o + U_o kappa_e).
+    An odd-length chain's zero mode lives on the even sites: it gets
+    mu = 0.0, odd entries 0.0, and enters once, as C = a, D = 0.
     """
     e = exchange_couplings(N, k)
-    lams, As = [], []
+    mus, Cs, Ds = [], [], []
     for c in range(k):
         m = (N - c) % k
         if m < c:
@@ -204,17 +261,41 @@ def _exchange_chains(r, N: int, k: int, scale):
         bands[0, -1] = last
         bands[1, : pos.size - 1] = off
         lam, V = eig_banded(bands, lower=True)
-        if k % 2 == 0:
-            if 2 * pos[-1] == N:
-                V[-1] *= np.sqrt(0.5)  # the middle site is its own mirror
-            A = _image(r, pos, V, scale, real=True, mirror=True)
-        else:
-            A = _image(r, pos, V, scale, real=False)
+        if k % 2 == 0 and 2 * pos[-1] == N:
+            V[-1] *= np.sqrt(0.5)  # the middle site is its own mirror
+
+        def image(p, W):
+            if k % 2 == 0:
+                return [_image(r, rows, p, W, real=True, mirror=True)]
+            terms = [_image(r, rows, p, W, real=False)]
             if m != c:
-                A += _image(r, N - pos, V, scale, real=False)
-        lams.append(lam)
-        As.append(A)
-    return np.concatenate(lams), np.hstack(As)
+                terms.append(_image(r, rows, N - p, W, real=False))
+            return terms
+
+        if last != 0.0:  # the even-length fold has no pairs
+            A = sum(U * (scale * kappa) for U, kappa in image(pos, V))
+            mus.append(lam)
+            Cs.append(A)
+            Ds.append(A)
+            continue
+        h = pos.size // 2
+        mu, top = lam[h:], V[:, h:]
+        if pos.size % 2:
+            mu[0] = 0.0
+            top[1::2, 0] = 0.0
+        C = D = 0.0
+        for (Ue, ke), (Uo, ko) in zip(image(pos[0::2], top[0::2]),
+                                      image(pos[1::2], top[1::2])):
+            C = C + Ue * ke + Uo * ko
+            D = D + Ue * ko + Uo * ke
+        C *= 2.0 * scale
+        D *= 2.0 * scale
+        if pos.size % 2:
+            C[:, 0] *= 0.5  # the zero mode is its own partner
+        mus.append(mu)
+        Cs.append(C)
+        Ds.append(D)
+    return np.hstack(Cs), np.hstack(Ds), np.concatenate(mus)
 
 
 def mzi_output(process: ProcessSpec, t: float, nbar: float,
@@ -251,8 +332,9 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
     for N in range(M):
         pb = eng.probs(N, thetas)
         pb *= P[N]
-        da[N::-1] += pb
-        db[: N + 1] += pb
+        rows = eng.rows(N)
+        da[N - rows.start::-rows.step] += pb
+        db[rows] += pb
     return da, db, P
 
 
@@ -313,7 +395,9 @@ class GenericEngine:
         """
         w, V = self._component(n)
         ts = np.asarray(t, dtype=float)
-        psi = phase_product(V * V[0], w, np.atleast_1d(ts))
+        A = V * V[0]
+        psi = interleaved(phase_product(A, A, w, np.atleast_1d(ts)))
+        psi = psi.view(complex)
         return psi[:, 0] if ts.ndim == 0 else psi
 
     def mode_distributions(self, n: int, t) -> List[np.ndarray]:

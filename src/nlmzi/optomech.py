@@ -27,11 +27,16 @@ from scipy.special import gammaln
 
 from . import fock
 from .errors import ConfigurationError, DomainError, FitError
-from .evolution import phase_product
+from .evolution import interleaved, phase_product
 from .thermo import checked_probabilities, ergotropy
 
 PARITY_TOL = 1e-10
 ORACLE_TOP_TOL = 1e-8
+# tail mass of a thermal init's Fock weights left out of the oracle
+THERMAL_INIT_TAIL = 1e-12
+# entries of the largest (components * levels, levels) matrix the oracle
+# forms at once; thermal inits are evolved in chunks of components
+ORACLE_CHUNK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -188,12 +193,16 @@ def suggested_osc_cutoff(cfg: OscillatorConfig, n_top: int) -> int:
     """Oscillator truncation for field levels up to n_top.
 
     ceil(amp^2 + 10 amp + 20), with amp the initial amplitude plus the
-    largest displacement 2 |G| n_top / Omega.
+    largest displacement 2 |G| n_top / Omega. A thermal init's amplitude
+    is sqrt(m_top), m_top its highest Fock level before the tail
+    THERMAL_INIT_TAIL, so that the oracle keeps every init level it weighs
+    and none of them starts at the top.
     """
     if isinstance(cfg.init, CoherentInit):
         amp0 = abs(cfg.init.alpha)
     else:
-        amp0 = np.sqrt(cfg.init.nbar_osc) + 3.0
+        amp0 = np.sqrt(fock.thermal_cutoff(cfg.init.nbar_osc,
+                                           THERMAL_INIT_TAIL))
     amp = amp0 + 2.0 * abs(cfg.G) * n_top / cfg.Omega
     return int(np.ceil(amp * amp + 10.0 * amp + 20.0))
 
@@ -219,11 +228,13 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
         <X>   = 2 sum h_m Re(conj(Z_m) Z_(m+1))
         <X^2> = sum d_m |Z_m|^2 + 2 sum h_m h_(m+1) Re(conj(Z_m) Z_(m+2)),
 
-    d the diagonal of the truncated X^2. Raises DomainError on a
-    non-finite tau, a non-finite or negative (below -1e-12) dist entry or
-    osc_cutoff < 1, and ConfigurationError when the top oscillator level
-    accumulates more than 1e-8 population anywhere on the grid, with a
-    suggested larger cutoff.
+    d the diagonal of the truncated X^2. A thermal init is the mixture of
+    its Fock levels up to the tail THERMAL_INIT_TAIL (and osc_cutoff),
+    evolved in chunks of at most ORACLE_CHUNK_ENTRIES matrix entries.
+    Raises DomainError on a non-finite tau, a non-finite or negative
+    (below -1e-12) dist entry or osc_cutoff < 1, and ConfigurationError
+    when the top oscillator level accumulates more than 1e-8 population
+    anywhere on the grid, with a suggested larger cutoff.
     """
     p = checked_probabilities(dist)
     taus = np.asarray(taus, dtype=float)
@@ -237,7 +248,7 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
         wts = np.ones(1)
         psi0 = _coherent_vector(cfg.init.alpha, osc_cutoff)[None]
     else:
-        wts = fock.thermal_distribution(cfg.init.nbar_osc, 1e-12)
+        wts = fock.thermal_distribution(cfg.init.nbar_osc, THERMAL_INIT_TAIL)
         wts = wts[: osc_cutoff + 1]
         psi0 = np.eye(wts.size, osc_cutoff + 1)[wts != 0]
         wts = wts[wts != 0]
@@ -250,23 +261,26 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     ex = np.zeros(taus.size)
     ex2 = np.zeros(taus.size)
     buf = np.empty((osc_cutoff + 1, 2 * taus.size))
+    chunk = max(1, ORACLE_CHUNK_ENTRIES // (osc_cutoff + 1) ** 2)
     top = 0.0
     for n, pn in enumerate(p):
         if pn == 0:
             continue
         lam, V = eigh_tridiagonal(cfg.Omega * mm, cfg.G * n * sq)
         Y = psi0 @ V
-        A = (V * Y[:, None, :]).reshape(-1, V.shape[1])
-        Z = phase_product(A, lam, taus).view(float)
-        for w, Zk in zip(pn * wts, np.split(Z, wts.size)):
-            np.multiply(Zk, Zk, out=buf)
-            top = max(top, float(_pairs(buf[-1]).max()))
-            phon += w * _pairs(mm @ buf)
-            x2 = _pairs(d @ buf)
-            np.multiply(Zk[:-1], Zk[1:], out=buf[:-1])
-            ex += w * 2.0 * _pairs(h @ buf[:-1])
-            np.multiply(Zk[:-2], Zk[2:], out=buf[:-2])
-            ex2 += w * (x2 + 2.0 * _pairs(hh @ buf[:-2]))
+        for lo in range(0, wts.size, chunk):
+            Yc = Y[lo: lo + chunk]
+            A = (V * Yc[:, None, :]).reshape(-1, V.shape[1])
+            Z = interleaved(phase_product(A, A, lam, taus))
+            for w, Zk in zip(pn * wts[lo: lo + chunk], np.split(Z, len(Yc))):
+                np.multiply(Zk, Zk, out=buf)
+                top = max(top, float(_pairs(buf[-1]).max()))
+                phon += w * _pairs(mm @ buf)
+                x2 = _pairs(d @ buf)
+                np.multiply(Zk[:-1], Zk[1:], out=buf[:-1])
+                ex += w * 2.0 * _pairs(h @ buf[:-1])
+                np.multiply(Zk[:-2], Zk[2:], out=buf[:-2])
+                ex2 += w * (x2 + 2.0 * _pairs(hh @ buf[:-2]))
     if top > ORACLE_TOP_TOL:
         suggest = suggested_osc_cutoff(cfg, p.size - 1)
         raise ConfigurationError(

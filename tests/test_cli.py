@@ -263,7 +263,15 @@ def test_optomech_roundtrip_smoke(tmp_path):
     ("pdc", "--variant", "degenerate", "--nbar", 3, "--gt", "0:3.1416:50"),
     ("optomech", "--process", "exchange", "--k", 2, "--nbar", 1, "--t", 1.3,
      "--alpha", "3+2j", "--tau", "0:12.6:24"),
-], ids=["wc-sweep-exchange", "pdc-degenerate", "optomech-exchange"])
+    ("max-efficiency", "--process", "exchange", "--k", 2, "--nbar", 20,
+     "--theta-max", 100, "--grid", 2000, "--tail-tol", "1e-3"),
+    ("wc-sweep", "--process", "exchange", "--k", 3, "--nbar", 5,
+     "--theta", "0:6.283:400"),
+    ("pdc", "--variant", "non-degenerate", "--nbar", 5, "--gt",
+     "0:3.1416:50"),
+], ids=["wc-sweep-exchange", "pdc-degenerate", "optomech-exchange",
+        "max-efficiency-exchange", "wc-sweep-exchange-k3",
+        "pdc-non-degenerate"])
 def test_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
     # each thread count needs its own process: BLAS reads it at load time
     digests = set()

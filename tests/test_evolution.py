@@ -80,13 +80,17 @@ def test_engine_matches_eigensolver_splitter_exchange(process):
 @pytest.mark.parametrize("process", [Exchange(k=2),
                                      Exchange(k=4, allow_high_order=True)])
 def test_even_order_exchange_keeps_half_the_columns(process):
-    # mirror pairs merge and self-mirror chains fold onto the input's sector
+    # mirror pairs merge and self-mirror chains fold onto the input's sector;
+    # the rows of the other parity than N are exact zeros and are not kept
     eng = ev.BlockEngine(process)
     for N in range(300):
         eng.amplitudes(N, [0.0])
-        A, lam = eng._blocks[N]
-        assert A.dtype == float and A.shape == (N + 1, lam.size)
-        assert lam.size <= N // 2 + 1
+        C, D, mu, rows = eng._blocks[N]
+        kept = N // 2 + 1 if N >= process.k else N + 1
+        assert C.dtype == D.dtype == float
+        assert C.shape == D.shape == (kept, mu.size)
+        assert len(range(N + 1)[rows]) == kept
+        assert mu.size <= N // 2 + 1
 
 
 @pytest.mark.parametrize("process", [CrossPhase(s=1), Exchange(k=2),
@@ -96,7 +100,43 @@ def test_probs_are_squared_amplitudes(process):
     thetas = np.linspace(0.0, 2.0 * np.pi, 7)
     for N in range(41):
         p = eng.probs(N, thetas)
-        assert np.abs(p - np.abs(eng.amplitudes(N, thetas)) ** 2).max() < 1e-14
+        amps = eng.amplitudes(N, thetas)
+        rows = eng.rows(N)
+        assert np.abs(p - np.abs(amps[rows]) ** 2).max() < 1e-14
+        dropped = np.ones(N + 1, dtype=bool)
+        dropped[rows] = False
+        assert np.all(amps[dropped] == 0.0)
+
+
+@pytest.mark.parametrize("process", [Exchange(k=2), Exchange(k=3),
+                                     Exchange(k=4, allow_high_order=True)])
+def test_exchange_pairs_are_built_exactly(process):
+    # the negative half of each zero-diagonal chain's spectrum is built as
+    # (-mu, S v): pairs keep mu >= 0, a zero mode is exactly 0.0, and the
+    # engine still matches the eigensolver oracle over long_scan's range.
+    # Both solvers round the phase theta * lambda, so the gap is bounded
+    # relative to theta times the largest eigenvalue, as above
+    eng = ev.BlockEngine(process)
+    thetas = np.array([0.0, 0.7, 13.0, 57.3, 100.0])
+    zero_modes = 0
+    for N in range(61):
+        got = eng.amplitudes(N, thetas)
+        ref = eig_block_amplitudes(process, N, thetas)
+        lmax = np.abs(np.linalg.eigvalsh(np.real(
+            ops.process_generator(process, N)))).max()
+        scale = np.maximum(thetas * max(lmax, 1.0), 1.0)
+        assert np.all(np.abs(got - ref).max(axis=0) < 4e-15 * scale), N
+        C, D, mu, rows = eng._blocks[N]
+        assert np.all(mu[np.any(C != D, axis=0)] >= 0.0)
+        near_zero = np.abs(mu) < 1e-8 * max(lmax, 1.0)
+        assert np.all(mu[near_zero] == 0.0)
+        zero_modes += np.count_nonzero(mu == 0.0) if N >= process.k else 0
+        dropped = np.ones(N + 1, dtype=bool)
+        dropped[rows] = False
+        assert np.all(got[dropped] == 0.0)
+        assert dropped.sum() == (N + 1) // 2 * (process.k % 2 == 0
+                                                and N >= process.k)
+    assert zero_modes > 0
 
 
 @pytest.fixture
@@ -226,11 +266,24 @@ def test_phase_product_is_the_complex_exponential_product():
     rng = np.random.default_rng(7)
     lam, ts = rng.normal(size=6), np.array([0.0, 0.4, -1.7, 3.0])
     ref_phases = np.exp(-1j * np.outer(lam, ts))
-    for A in (rng.normal(size=(5, 6)),
-              rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))):
-        got = ev.phase_product(A, lam, ts)
-        assert got.shape == (5, ts.size) and got.dtype == complex
-        assert np.abs(got - A @ ref_phases).max() < 1e-14
+
+    def draw(dtype):
+        M = rng.normal(size=(5, 6))
+        return M + 1j * rng.normal(size=(5, 6)) if dtype is complex else M
+
+    for dtype in (float, complex):
+        A = draw(dtype)
+        got = ev.phase_product(A, A, lam, ts)
+        assert got.shape == (2, 5, ts.size) and got.dtype == float
+        assert np.abs(got[0] + 1j * got[1] - A @ ref_phases).max() < 1e-14
+        # the pair form: columns a, b of eigenvalues lam, -lam
+        a, b = draw(dtype), draw(dtype)
+        got = ev.phase_product(a + b, a - b, lam, ts)
+        ref = a @ ref_phases + b @ ref_phases.conj()
+        assert got.shape == (2, 5, ts.size) and got.dtype == float
+        assert np.abs(got[0] + 1j * got[1] - ref).max() < 1e-14
+        assert np.array_equal(ev.interleaved(got).view(complex),
+                              got[0] + 1j * got[1])
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,19 @@ def test_oracle_cutoff_guard_suggests_larger():
     om.full_quantum_oracle(EVEN3, cfg, suggest, taus)  # the suggestion holds
 
 
+def test_thermal_init_oracle_runs_at_its_suggested_cutoff():
+    # the suggestion clears every init level the oracle weighs, so no init
+    # starts at the top level; the trace then meets the closed form
+    cfg = cfg_thermal(10.0, G=0.01)
+    taus = np.linspace(0, 2 * np.pi, 6)
+    suggest = om.suggested_osc_cutoff(cfg, len(EVEN3) - 1)
+    assert suggest > fock.thermal_cutoff(10.0, om.THERMAL_INIT_TAIL)
+    tr = om.full_quantum_oracle(EVEN3, cfg, suggest, taus)
+    ref = om.phonon_trace_thermal(EVEN3, cfg, taus).phonon
+    # the init tail beyond THERMAL_INIT_TAIL carries 3.0e-10 phonons
+    assert np.abs(tr.phonon - ref).max() < 1e-9
+
+
 def test_beating_dominates_at_large_alpha():
     rep = thermo.ergotropy(EVEN3)
     u = 0.01
