@@ -17,17 +17,24 @@ mirror j -> N-j, so mirror eigenvectors of one eigenvalue share a
 column: exchange is solved on its k chains j = c, c+k, .... A chain with
 zero diagonal is bipartite, so its eigenpairs come in exact pairs
 (mu, v), (-mu, S v), S = diag((-1)^i): the negative half is built, not
-solved, and a pair takes one cos and one sin per theta. An even-order
-block keeps N//2 + 1 columns at most, and only its rows j of the parity
-of N; the others are exact zeros.
+solved, and a pair takes one phase exp(-i mu theta) per theta. An
+even-order block keeps N//2 + 1 columns at most, and only its rows j of
+the parity of N; the others are exact zeros. An odd-order block's
+unphased amplitudes are real, one real product per block.
 
 Parametric down-conversion is not block-diagonal in N, but with n pump
 photons it reaches one chain of n + 1 states; a chain engine solves each
 pump level once and evolves it over a whole time grid at once.
+
+Every evolution goes through one phase kernel, phase_product. On a
+uniform grid of T points (every linspace) it takes the phases by angle
+addition from two tables of about sqrt(T) columns each, so cos and sin
+run O(sqrt(T)) times per eigenvalue rather than T times.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List
 
 import numpy as np
@@ -40,35 +47,71 @@ from .operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC, Exchange,
                         exchange_couplings, ladder_walk, process_generator)
 
 
-def phase_product(C, D, mu, ts) -> np.ndarray:
+def _cis(mu, ts) -> np.ndarray:
+    """exp(-i outer(mu, ts)) by one cos and one sin per cell."""
+    ph = np.outer(mu, -ts)
+    Z = np.empty(ph.shape, dtype=complex)
+    np.cos(ph, out=Z.real)
+    np.sin(ph, out=Z.imag)
+    return Z
+
+
+def _phases(mu, ts) -> np.ndarray:
+    """exp(-i outer(mu, ts)), shape (mu.size, ts.size).
+
+    A uniform grid, every point within 4 ulp of max|ts| of ts[0] + i h (a
+    linspace), is cut into runs of B = isqrt(T) points: with i = q B + r,
+    column i is exp(-i mu ts[q B]) exp(-i mu r h), one complex product of
+    a column of each of two tables of about sqrt(T) columns, so cos and
+    sin run on O(M sqrt(T)) phases instead of M T. _cis builds both
+    tables, so columns q B are its own bit for bit, and a column t = 0 is
+    exactly 1 wherever it lies; it also takes any other grid, and one of
+    fewer than 16 points, whose tables would save less than the uniformity
+    test costs.
+    """
+    T = ts.size
+    B = math.isqrt(T)
+    if B < 4:
+        return _cis(mu, ts)
+    h = (ts[-1] - ts[0]) / (T - 1)
+    dev = np.abs(ts - (ts[0] + h * np.arange(T))).max()
+    if not dev <= 4.0 * np.finfo(float).eps * np.abs(ts).max():
+        return _cis(mu, ts)
+    hi = _cis(mu, ts[::B])
+    lo = _cis(mu, h * np.arange(B))
+    Z = np.empty((mu.size, T), dtype=complex)
+    Q, F = T // B, T - T % B
+    np.multiply(hi[:, :Q, None], lo[:, None, :],
+                out=Z[:, :F].reshape(mu.size, Q, B))
+    np.multiply(hi[:, Q:], lo[:, : T - F], out=Z[:, F:])
+    Z[:, ts == 0.0] = 1.0  # as _cis gives it, also off the columns q B
+    return Z
+
+
+def phase_product(C, D, mu, ts, real: bool = False) -> np.ndarray:
     """Real and imaginary parts of C cos(mu t) - i D sin(mu t), column i
     at ts[i]: shape (2, rows, len(ts)).
 
     The one phase kernel of the block engine, the pump-level chains and
-    the oscillator oracle. With C is D this is C exp(-i mu t): cos and sin
-    fill one complex buffer, a real C takes one real product on its float
-    view (a complex C a complex product), and the parts are views of the
-    interleaved result. The pair form, C = a+b and D = a-b for the columns
-    a, b of eigenvalues mu and -mu, takes one cos and one sin per pair:
-    two contiguous real products C @ cos and D @ sin, or for complex C and
-    D one real product of their stacked real and imaginary parts.
+    the oscillator oracle; its phases exp(-i mu t) come from _phases. With
+    C is D this is C exp(-i mu t): a real C takes one real product on the
+    phases' float view (a complex C a complex product), and the parts are
+    views of the interleaved result. The pair form, C = a+b and D = a-b
+    for the columns a, b of eigenvalues mu and -mu, takes one phase per
+    pair and two real products, C @ cos and D @ sin. real=True takes a
+    pair form with a real C and an imaginary D, passed as the real array
+    iD: its amplitudes C cos(mu t) - iD sin(mu t) are real, one real
+    product of [C | iD], shape (1, rows, len(ts)).
     """
-    ph = np.outer(mu, -np.asarray(ts, dtype=float))
+    Z = _phases(mu, np.asarray(ts, dtype=float))
     if C is D:
-        Z = np.empty(ph.shape, dtype=complex)
-        np.cos(ph, out=Z.real)
-        np.sin(ph, out=Z.imag)
         Z = C @ Z if np.iscomplexobj(C) else (C @ Z.view(float)).view(complex)
         return Z.view(float).reshape(Z.shape + (2,)).transpose(2, 0, 1)
-    cs = np.empty((2,) + ph.shape)
-    np.cos(ph, out=cs[0])
-    np.sin(ph, out=cs[1])  # -sin(mu t)
-    if np.iscomplexobj(C) or np.iscomplexobj(D):
-        G = np.block([[C.real, -D.imag], [C.imag, D.real]])
-        return (G @ cs.reshape(-1, ph.shape[1])).reshape(2, C.shape[0], -1)
-    P = np.empty((2, C.shape[0], ph.shape[1]))
-    np.matmul(C, cs[0], out=P[0])
-    np.matmul(D, cs[1], out=P[1])
+    if real:
+        return (np.hstack([C, D]) @ np.concatenate([Z.real, Z.imag]))[None]
+    P = np.empty((2, C.shape[0], Z.shape[1]))
+    np.matmul(C, Z.real, out=P[0])
+    np.matmul(D, Z.imag, out=P[1])  # Im Z = -sin(mu t)
     return P
 
 
@@ -105,9 +148,13 @@ class BlockEngine:
     N-m; exchange blocks are solved chain by chain (_exchange_chains); a
     Hybrid block by a dense eigh. Even-order exchange keeps the rows
     j = N mod 2, N mod 2 + 2, ...: the mirror merge makes the others exact
-    zeros. C and D are real, unless the generator mixes the parities of j
-    (odd-order exchange). A new block takes ladder steps from the highest
-    rung built so far, or from r_0 when it lies below that one.
+    zeros. C and D are real, except that odd-order exchange, whose
+    generator mixes the parities of j, has a real C and an imaginary D:
+    its blocks keep iD in place of D, and its unphased amplitudes
+    C cos(theta mu) - iD sin(theta mu) are real (phase_product's real
+    form), except below N = k, where C is D. Hybrid blocks may be complex.
+    A new block takes ladder steps from the highest rung built so far, or
+    from r_0 when it lies below that one.
     """
 
     def __init__(self, process: ProcessSpec):
@@ -116,6 +163,7 @@ class BlockEngine:
                 "%s has no photon-number blocks; use pdc_signal_sweep"
                 % type(process).__name__)
         self.process = process
+        self._real = isinstance(process, Exchange) and process.k % 2 == 1
         self._blocks: Dict[int, tuple] = {}
         self._top = (0, np.ones((1, 1)))
         self._scratch = LadderScratch()
@@ -167,17 +215,19 @@ class BlockEngine:
         """Output amplitudes, shape (N+1, len(thetas)).
 
         phased=False returns instead phase_product's parts, shape
-        (2, rows, len(thetas)): the amplitudes on the rows rows(N) without
-        the row phase (-i)^j, which no modulus depends on.
+        (2, rows, len(thetas)), or (1, rows, len(thetas)) where they are
+        real (odd-order exchange): the amplitudes on the rows rows(N)
+        without the row phase (-i)^j, which no modulus depends on.
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         C, D, mu, rows = self._factor(N)
-        P = phase_product(C, D, mu, thetas)
+        P = phase_product(C, D, mu, thetas, real=self._real)
         if not phased:
             return P
         Z = np.zeros((N + 1, thetas.size), dtype=complex)
         Z.real[rows] = P[0]
-        Z.imag[rows] = P[1]
+        if len(P) == 2:
+            Z.imag[rows] = P[1]
         Z *= QUARTER_TURNS[np.arange(N + 1) % 4, None]
         return Z
 
@@ -185,7 +235,7 @@ class BlockEngine:
         """Squared moduli on the rows rows(N), shape (rows, len(thetas))."""
         P = self.amplitudes(N, thetas, phased=False)
         P *= P
-        return P[0] + P[1]
+        return P[0] + P[1] if len(P) == 2 else P[0]
 
 
 def _signs(m):
@@ -240,7 +290,11 @@ def _exchange_chains(r, N: int, k: int, scale, rows):
     U(v) kappa(v) with U and kappa linear, so a pair's C = a+b and D = a-b
     are 2 (U_e kappa_e + U_o kappa_o) and 2 (U_e kappa_o + U_o kappa_e).
     An odd-length chain's zero mode lives on the even sites: it gets
-    mu = 0.0, odd entries 0.0, and enters once, as C = a, D = 0.
+    mu = 0.0, odd entries 0.0, and enters once, as C = a, D = 0. For odd
+    k a chain's even and odd sites have opposite parities of j, so U_e
+    and kappa_e carry one phase i^p, U_o and kappa_o the other: C comes
+    out exactly real and D exactly imaginary, and the block keeps the
+    real arrays C and iD, phase_product's real form.
     """
     e = exchange_couplings(N, k)
     mus, Cs, Ds = [], [], []
@@ -295,7 +349,10 @@ def _exchange_chains(r, N: int, k: int, scale, rows):
         mus.append(mu)
         Cs.append(C)
         Ds.append(D)
-    return np.hstack(Cs), np.hstack(Ds), np.concatenate(mus)
+    C, D, mu = np.hstack(Cs), np.hstack(Ds), np.concatenate(mus)
+    if k % 2:
+        return np.ascontiguousarray(C.real), -D.imag, mu
+    return C, D, mu
 
 
 def mzi_output(process: ProcessSpec, t: float, nbar: float,
@@ -321,9 +378,12 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
 
     Returns (dist_a, dist_b, input_probs): dist_a[n, i] is the mode-a
     probability of n photons at thetas[i] (dist_b likewise); thetas are the
-    dimensionless angles chi t or g t.
+    dimensionless angles chi t or g t. Raises DomainError on a non-finite
+    theta.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not np.isfinite(thetas).all():
+        raise DomainError("thetas must be finite")
     P = fock.thermal_distribution(nbar, tail_tol)
     M = P.size
     eng = engine if engine is not None else BlockEngine(process)
@@ -420,13 +480,17 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
     Rows are signal occupations 0..step*N_max for a thermal pump cut at
     N_max. The chain couplings carry g, so each pump level's chain is
     evolved once over the times t = g t / g and added, weighted by P[n],
-    into the leading step*n+1 rows.
+    into the leading step*n+1 rows. Raises DomainError on a non-finite
+    g t and on a coupling g that is zero or not finite.
     """
     P = fock.thermal_distribution(nbar, tail_tol)
     eng = GenericEngine(process)
     if not (np.isfinite(process.g) and process.g != 0.0):
         raise DomainError("the coupling g must be finite and non-zero")
-    ts = np.atleast_1d(np.asarray(gts, dtype=float)) / process.g
+    gts = np.atleast_1d(np.asarray(gts, dtype=float))
+    if not np.isfinite(gts).all():
+        raise DomainError("g t must be finite")
+    ts = gts / process.g
     sig = np.zeros((eng.step * (P.size - 1) + 1, ts.size))
     for n in range(P.size):
         d = eng.mode_distributions(n, ts)[1]

@@ -269,9 +269,11 @@ def test_optomech_roundtrip_smoke(tmp_path):
      "--theta", "0:6.283:400"),
     ("pdc", "--variant", "non-degenerate", "--nbar", 5, "--gt",
      "0:3.1416:50"),
+    ("coherence", "--process", "cross-kerr", "--nbar", 0.5, "--theta",
+     "0:6.283:8000"),
 ], ids=["wc-sweep-exchange", "pdc-degenerate", "optomech-exchange",
         "max-efficiency-exchange", "wc-sweep-exchange-k3",
-        "pdc-non-degenerate"])
+        "pdc-non-degenerate", "coherence-cross-kerr"])
 def test_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
     # each thread count needs its own process: BLAS reads it at load time
     digests = set()

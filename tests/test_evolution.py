@@ -1,5 +1,7 @@
 """Block evolution against a dense two-mode oracle, plus the PDC chains."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,11 @@ def test_mzi_output_is_a_one_point_sweep():
                                                1e-12, eng)
             assert np.array_equal(da, sa[:, 0])
             assert np.array_equal(db, sb[:, 0])
+        for bad in ([0.1, np.nan], [np.inf], [0.0, -np.inf, 1.0]):
+            with pytest.raises(DomainError):
+                ev.sweep_distributions(proc, 1.3, bad, 1e-12, eng)
+        with pytest.raises(DomainError):
+            ev.mzi_output(proc, np.nan, 1.3, engine=eng)
 
 
 def test_mzi_output_marginals_match_dense_mixture():
@@ -276,14 +283,55 @@ def test_phase_product_is_the_complex_exponential_product():
         got = ev.phase_product(A, A, lam, ts)
         assert got.shape == (2, 5, ts.size) and got.dtype == float
         assert np.abs(got[0] + 1j * got[1] - A @ ref_phases).max() < 1e-14
-        # the pair form: columns a, b of eigenvalues lam, -lam
-        a, b = draw(dtype), draw(dtype)
-        got = ev.phase_product(a + b, a - b, lam, ts)
-        ref = a @ ref_phases + b @ ref_phases.conj()
-        assert got.shape == (2, 5, ts.size) and got.dtype == float
-        assert np.abs(got[0] + 1j * got[1] - ref).max() < 1e-14
         assert np.array_equal(ev.interleaved(got).view(complex),
                               got[0] + 1j * got[1])
+    # the pair form: columns a, b of eigenvalues lam, -lam
+    a, b = draw(float), draw(float)
+    got = ev.phase_product(a + b, a - b, lam, ts)
+    ref = a @ ref_phases + b @ ref_phases.conj()
+    assert got.shape == (2, 5, ts.size) and got.dtype == float
+    assert np.abs(got[0] + 1j * got[1] - ref).max() < 1e-14
+    assert np.array_equal(ev.interleaved(got).view(complex),
+                          got[0] + 1j * got[1])
+    # the real form: b = conj(a), so C = a+b is real and D = a-b imaginary
+    a = draw(complex)
+    b = a.conj()
+    got = ev.phase_product((a + b).real, (1j * (a - b)).real, lam, ts,
+                           real=True)
+    ref = a @ ref_phases + b @ ref_phases.conj()
+    assert got.shape == (1, 5, ts.size) and got.dtype == float
+    assert np.abs(got[0] - ref).max() < 1e-14
+
+
+@pytest.mark.parametrize("ts, tabled", [
+    (np.linspace(0.0, 100.0, 2000), True),
+    (np.linspace(0.3, -5.7, 1001), True),
+    (np.linspace(-2.5, 3.1, 37), True),
+    (np.linspace(0.0, 3.1416, 50) / 0.9, True),
+    (np.geomspace(0.01, 40.0, 300), False),
+    (np.array([0.7]), False),
+    (np.array([0.0, 1.3]), False),
+], ids=["long", "descending", "ragged", "pdc", "non-uniform", "T1", "T2"])
+def test_phases_match_long_double_reference(ts, tabled):
+    # the tables of a uniform grid against cos/sin in extended precision of
+    # the same float mu and ts, bounded relative to the phase's size as in
+    # test_exchange_pairs_are_built_exactly; columns q B are the direct
+    # evaluation bit for bit, a zero phase is exactly 1, and any other
+    # grid is evaluated directly
+    mu = np.concatenate([[0.0, -0.0, 1.0, -3.7, 988.2, -1.23e4],
+                         np.random.default_rng(3).normal(scale=50.0, size=40)])
+    Z = ev._phases(mu, ts)
+    ph = np.outer(mu.astype(np.longdouble), ts.astype(np.longdouble))
+    err = np.maximum(np.abs(Z.real - np.cos(ph)),
+                     np.abs(Z.imag + np.sin(ph))).astype(float)
+    bound = 4e-15 * np.maximum(1.0, np.abs(mu)[:, None] * np.abs(ts).max())
+    assert Z.shape == (mu.size, ts.size) and np.all(err < bound)
+    assert np.all(Z[:2] == 1.0)
+    assert np.all(Z[:, ts == 0.0] == 1.0)
+    direct = ev._cis(mu, ts)
+    B = math.isqrt(ts.size)
+    assert np.array_equal(Z[:, ::B], direct[:, ::B])
+    assert np.array_equal(Z, direct) == (not tabled)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +398,10 @@ def test_pdc_signal_sweep_axis_is_g_t():
     for g in (0.0, np.nan, np.inf):
         with pytest.raises(DomainError):
             ev.pdc_signal_sweep(DegeneratePDC(g=g), 1.0, [0.6])
+    for variant in (DegeneratePDC, NonDegeneratePDC):
+        for bad in ([np.nan, 1.0], [0.0, np.inf], [-np.inf]):
+            with pytest.raises(DomainError):
+                ev.pdc_signal_sweep(variant(), 1.0, bad)
 
 
 def test_degenerate_pdc_signal_is_paired():
