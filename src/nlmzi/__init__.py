@@ -16,8 +16,7 @@ from .evolution import (BlockEngine, GenericEngine, mzi_output,
 from .fock import (thermal_cutoff, thermal_distribution, thermal_tail_energy,
                    thermal_tail_mass)
 from .operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
-                        NonDegeneratePDC, beam_splitter_unitary,
-                        cross_phase_generator, exchange_generator, stokes)
+                        NonDegeneratePDC)
 from .optomech import (CoherentInit, OscillatorConfig, OscillatorTrace,
                        ThermalInit, full_quantum_oracle, infer_wc,
                        phonon_trace_coherent, phonon_trace_thermal,
@@ -36,8 +35,6 @@ __all__ = [
     "thermal_cutoff", "thermal_distribution", "thermal_tail_mass",
     "thermal_tail_energy",
     "CrossPhase", "Exchange", "Hybrid", "DegeneratePDC", "NonDegeneratePDC",
-    "stokes", "cross_phase_generator", "exchange_generator",
-    "beam_splitter_unitary",
     "BlockEngine", "mzi_output", "sweep_distributions",
     "GenericEngine", "pdc_signal_sweep",
     "ErgotropyReport", "SweepResult", "ergotropy", "passive_distribution",

@@ -14,13 +14,16 @@ the generator eigenvectors carried through the second splitter, so every
 theta of a sweep costs real matrix products per block, whatever the
 number of thetas. The input and every generator are symmetric under the
 mirror j -> N-j, so mirror eigenvectors of one eigenvalue share a
-column: exchange is solved on its k chains j = c, c+k, .... A chain with
-zero diagonal is bipartite, so its eigenpairs come in exact pairs
-(mu, v), (-mu, S v), S = diag((-1)^i): the negative half is built, not
-solved, and a pair takes one phase exp(-i mu theta) per theta. An
-even-order block keeps N//2 + 1 columns at most, and only its rows j of
-the parity of N; the others are exact zeros. An odd-order block's
-unphased amplitudes are real, one real product per block.
+column. Every generator is a diagonal plus exchange bands: a diagonal
+block needs no eigensolve, and any other is solved on its banded chains
+j = c, c+g, ..., g the gcd of its exchange orders. A bipartite chain
+(zero diagonal, every coupling an odd number of steps long) has its
+eigenpairs in exact pairs (mu, v), (-mu, S v), S = diag((-1)^i): the
+negative half is built, not solved, and a pair takes one phase
+exp(-i mu theta) per theta. An even-g block keeps N//2 + 1 columns at
+most, and only its rows j of the parity of N; the others are exact
+zeros. An odd-order exchange block's unphased amplitudes are real, one
+real product per block.
 
 Parametric down-conversion is not block-diagonal in N, but with n pump
 photons it reaches one chain of n + 1 states; a chain engine solves each
@@ -42,9 +45,9 @@ from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from . import fock
 from .errors import ConfigurationError, DomainError
-from .operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC, Exchange,
-                        Hybrid, LadderScratch, NonDegeneratePDC, ProcessSpec,
-                        exchange_couplings, ladder_walk, process_generator)
+from .operators import (QUARTER_TURNS, DegeneratePDC, LadderScratch,
+                        NonDegeneratePDC, ProcessSpec, ladder_walk,
+                        process_generator)
 
 
 def _cis(mu, ts) -> np.ndarray:
@@ -134,36 +137,34 @@ class BlockEngine:
 
     The splitter is B_N = diag((-i)^j) d_N diag(i^m), and the ladder gives
     the rung r_N = c_N d_N with c_N^2 = 2^(N mod 2) (operators.ladder_walk).
-    Block N keeps (C, D, mu, rows), and its amplitudes are
+    Block N keeps (C, D, mu, rows, real), and its amplitudes are
     (-i)^j [C cos(theta mu) - i D sin(theta mu)]_j on the rows j of the
     slice rows (phase_product). Column l of C and D comes from the input's
     components on generator eigenvectors, carried through the second
     splitter, with the columns of mirror eigenvectors of one eigenvalue
-    merged. Where a chain has zero diagonal its eigenvectors come in exact
-    pairs (mu, v), (-mu, S v) with S = diag((-1)^i) (Coulson & Rushbrooke,
-    Proc. Camb. Phil. Soc. 36, 193 (1940)): a pair's columns a, b enter
-    as C = a+b, D = a-b, and a zero mode once, with mu = 0.0 exactly. An
-    unpaired column has C = D, and a block with no pairs keeps C is D, the
-    one-product path of phase_product. Diagonal generators merge columns m and
-    N-m; exchange blocks are solved chain by chain (_exchange_chains); a
-    Hybrid block by a dense eigh. Even-order exchange keeps the rows
-    j = N mod 2, N mod 2 + 2, ...: the mirror merge makes the others exact
-    zeros. C and D are real, except that odd-order exchange, whose
-    generator mixes the parities of j, has a real C and an imaginary D:
-    its blocks keep iD in place of D, and its unphased amplitudes
-    C cos(theta mu) - iD sin(theta mu) are real (phase_product's real
-    form), except below N = k, where C is D. Hybrid blocks may be complex.
-    A new block takes ladder steps from the highest rung built so far, or
-    from r_0 when it lies below that one.
+    merged. The generator comes as a band (operators.process_generator): a
+    block with no couplings is diagonal, and its columns m and N-m merge;
+    any other is solved chain by chain (_exchange_chains). Where a chain is
+    bipartite its eigenvectors come in exact pairs (mu, v), (-mu, S v)
+    with S = diag((-1)^i) (Coulson & Rushbrooke, Proc. Camb. Phil. Soc.
+    36, 193 (1940)): a pair's columns a, b enter as C = a+b, D = a-b, and
+    a zero mode once, with mu = 0.0 exactly. An unpaired column has C = D,
+    and a block with no pairs keeps C is D, the one-product path of
+    phase_product. Chains of an even stride keep the parity of j: their
+    block keeps the rows j = N mod 2, N mod 2 + 2, ..., as the mirror
+    merge makes the others exact zeros, and its C and D are real. Chains
+    of an odd stride mix the parities, and their columns are complex;
+    with pairs on every chain C is exactly real and D exactly imaginary,
+    so the block keeps iD in place of D and real=True: its unphased
+    amplitudes C cos(theta mu) - iD sin(theta mu) are real (phase_product's
+    real form). A diagonal block keeps a real C is D on every row. A new
+    block takes ladder steps from the highest rung built so far, or from
+    r_0 when it lies below that one. A process with no photon-number
+    blocks raises ConfigurationError on its first block.
     """
 
     def __init__(self, process: ProcessSpec):
-        if isinstance(process, (DegeneratePDC, NonDegeneratePDC)):
-            raise ConfigurationError(
-                "%s has no photon-number blocks; use pdc_signal_sweep"
-                % type(process).__name__)
         self.process = process
-        self._real = isinstance(process, Exchange) and process.k % 2 == 1
         self._blocks: Dict[int, tuple] = {}
         self._top = (0, np.ones((1, 1)))
         self._scratch = LadderScratch()
@@ -178,29 +179,18 @@ class BlockEngine:
     def _build(self, N: int):
         r = self._rung(N)
         inv_c2 = 0.5 ** (N % 2)  # exact
-        rows = slice(0, N + 1, 1)
-        if isinstance(self.process, Exchange) and N >= self.process.k:
-            if self.process.k % 2 == 0:
-                rows = slice(N % 2, N + 1, 2)
-            C, D, mu = _exchange_chains(r, N, self.process.k, inv_c2, rows)
-        elif isinstance(self.process, Hybrid):
-            gen = np.real(process_generator(self.process, N))
-            mu, V = np.linalg.eigh(gen)
-            U, kappa = _image(r, rows, np.arange(N + 1), V,
-                              real=not gen[0::2, 1::2].any())
-            C = D = U * (inv_c2 * kappa)
-        else:
-            # diagonal generator: it and the input column r_N[:, 0] are
-            # symmetric under j -> N-j, so columns m and N-m merge
-            h = N // 2 + 1
-            C = r[:, :h].copy()
-            C[:, : N + 1 - h] += r[:, : h - 1: -1]
-            C *= inv_c2 * r[:h, 0]
-            D = C
-            j = np.arange(h, dtype=float)
-            mu = (((N - j) * j) ** self.process.s
-                  if isinstance(self.process, CrossPhase) else np.zeros(h))
-        self._blocks[N] = (C, D, mu, rows)
+        band = process_generator(self.process, N)
+        offsets = [d for d in range(1, band.shape[0]) if band[d].any()]
+        if offsets:
+            self._blocks[N] = _exchange_chains(r, N, band, offsets, inv_c2)
+            return
+        # diagonal generator: it and the input column r_N[:, 0] are
+        # symmetric under j -> N-j, so columns m and N-m merge
+        h = N // 2 + 1
+        C = r[:, :h].copy()
+        C[:, : N + 1 - h] += r[:, : h - 1: -1]
+        C *= inv_c2 * r[:h, 0]
+        self._blocks[N] = (C, C, band[0, :h], slice(0, N + 1, 1), False)
 
     def _factor(self, N: int):
         if N not in self._blocks:
@@ -216,12 +206,12 @@ class BlockEngine:
 
         phased=False returns instead phase_product's parts, shape
         (2, rows, len(thetas)), or (1, rows, len(thetas)) where they are
-        real (odd-order exchange): the amplitudes on the rows rows(N)
+        real (odd-stride pairs): the amplitudes on the rows rows(N)
         without the row phase (-i)^j, which no modulus depends on.
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        C, D, mu, rows = self._factor(N)
-        P = phase_product(C, D, mu, thetas, real=self._real)
+        C, D, mu, rows, real = self._factor(N)
+        P = phase_product(C, D, mu, thetas, real=real)
         if not phased:
             return P
         Z = np.zeros((N + 1, thetas.size), dtype=complex)
@@ -268,65 +258,96 @@ def _image(r, rows, pos, V, real, mirror=False):
     return U, V.T @ (QUARTER_TURNS[pos % 4] * r[pos, 0])
 
 
-def _exchange_chains(r, N: int, k: int, scale, rows):
-    """(C, D, mu) of exchange block N >= k on the output rows rows, one
-    chain or mirror pair at a time.
+def _fold(band, sigma):
+    """Band of a chain that is its own mirror i -> L-1-i, restricted to
+    the mirror sector sigma: sites 0..(L-1)//2, the middle one included.
 
-    The generator couples only j and j - k, so it splits into k real
-    chains j = c, c+k, ... with zero diagonal, each solved by eig_banded
-    as a bandwidth-1 band. The mirror j -> N-j commutes with it and maps
-    chain c onto chain (N - c) mod k reversed, eigenvalue for eigenvalue:
-    a pair of distinct chains is solved once and each eigenvalue's two
-    columns merge into one. For even k a chain that is its own mirror is
-    folded onto the mirror sector sigma = s_c s_(N-c) of the input, which
-    is zero on the other one: half the chain, with sqrt(2) on the coupling
-    to the middle site N/2 (odd length) or sigma times the central
-    coupling on the last diagonal entry (even length). For odd k that
-    chain mixes the parities of j and stays whole, with complex columns.
+    A coupling of sites a < L/2 and L-1-a' crosses the fold and lands,
+    times sigma, on the folded pair (a, a'): on the diagonal where
+    a = a', which an even-length chain's central coupling does. The
+    couplings of an odd-length chain's middle site take sqrt(2); that
+    site's sector sigma is +1. The crossing couplings also stay past the
+    end of their band rows, outside the matrix eig_banded reads.
+    """
+    b, L = band.shape[0] - 1, band.shape[1]
+    h, F = L // 2, (L + 1) // 2
+    fb = band[:, :F].copy()
+    a = np.arange(h)
+    for d in range(1, b + 1):
+        a2 = L - 1 - d - a
+        on = (a2 >= 0) & (a2 <= a)
+        fb[a[on] - a2[on], a2[on]] += sigma * band[d, a[on]]
+    if L % 2:
+        d = np.arange(1, min(b, h) + 1)
+        fb[d, h - d] *= np.sqrt(2.0)
+    return fb
 
-    Every chain but the even-length fold keeps a zero diagonal, so its
-    spectrum is built from eig_banded's positive half: (mu, v) gives
-    (-mu, S v). Splitting v into its even and odd sites i, the columns are
-    U(v) kappa(v) with U and kappa linear, so a pair's C = a+b and D = a-b
-    are 2 (U_e kappa_e + U_o kappa_o) and 2 (U_e kappa_o + U_o kappa_e).
-    An odd-length chain's zero mode lives on the even sites: it gets
+
+def _exchange_chains(r, N: int, band, offsets, scale):
+    """(C, D, mu, rows, real) of block N on its chains, one chain or mirror
+    pair at a time; band is the generator (operators.process_generator),
+    with couplings at the offsets offsets.
+
+    The generator couples only sites j an offset apart, so it splits into
+    g real chains j = c, c+g, ..., g the gcd of the offsets, each a band
+    of width max(offsets)/g solved by eig_banded. The mirror j -> N-j
+    commutes with it and maps chain c onto chain (N - c) mod g reversed,
+    eigenvalue for eigenvalue: a pair of distinct chains is solved once
+    and each eigenvalue's two columns merge into one. For even g a chain
+    that is its own mirror is folded (_fold) onto the mirror sector
+    sigma = s_c s_(N-c) of the input, which is zero on the other one. For
+    odd g that chain mixes the parities of j and stays whole, with complex
+    columns.
+
+    A chain is bipartite when its diagonal is zero and every coupling
+    offset is an odd multiple of g: then S = diag((-1)^i) anticommutes
+    with it. A fold keeps that only at odd length; at even length its
+    central coupling lands on the diagonal. A bipartite chain's spectrum
+    is built from eig_banded's positive half: (mu, v) gives (-mu, S v).
+    Splitting v into its even and odd sites i, the columns are U(v)
+    kappa(v) with U and kappa linear, so a pair's C = a+b and D = a-b are
+    2 (U_e kappa_e + U_o kappa_o) and 2 (U_e kappa_o + U_o kappa_e). An
+    odd-length chain's zero mode lives on the even sites: it gets
     mu = 0.0, odd entries 0.0, and enters once, as C = a, D = 0. For odd
-    k a chain's even and odd sites have opposite parities of j, so U_e
+    g a chain's even and odd sites have opposite parities of j, so U_e
     and kappa_e carry one phase i^p, U_o and kappa_o the other: C comes
     out exactly real and D exactly imaginary, and the block keeps the
-    real arrays C and iD, phase_product's real form.
+    real arrays C and iD, phase_product's real form. That form needs
+    every chain paired, so on an odd stride the pairs are built only when
+    every chain is bipartite.
     """
-    e = exchange_couplings(N, k)
-    mus, Cs, Ds = [], [], []
-    for c in range(k):
-        m = (N - c) % k
+    g = math.gcd(*offsets)
+    b = max(offsets) // g
+    even = g % 2 == 0
+    rows = slice(N % 2, N + 1, 2) if even else slice(0, N + 1, 1)
+    chains = []
+    for c in range(g):
+        m = (N - c) % g
         if m < c:
             continue  # merged into chain m
-        pos, off, last = np.arange(c, N + 1, k), e[c::k], 0.0
-        if m == c and k % 2 == 0:
-            h = pos.size // 2
-            if pos.size % 2:
-                pos, off = pos[: h + 1], off[:h].copy()
-                off[-1:] *= np.sqrt(2.0)
-            else:
-                last = _signs(c) * _signs(N - c) * off[h - 1]
-                pos, off = pos[:h], off[: h - 1]
-        bands = np.zeros((2, pos.size))
-        bands[0, -1] = last
-        bands[1, : pos.size - 1] = off
-        lam, V = eig_banded(bands, lower=True)
-        if k % 2 == 0 and 2 * pos[-1] == N:
+        pos = np.arange(c, N + 1, g)
+        cb = band[: b * g + 1: g, c::g]
+        if m == c and even:
+            pos, cb = pos[: (pos.size + 1) // 2], _fold(
+                cb, _signs(c) * _signs(N - c))
+        chains.append((c, m, pos, cb,
+                        not cb[0].any() and not cb[2::2].any()))
+    real = not even and all(chain[-1] for chain in chains)
+    mus, Cs, Ds = [], [], []
+    for c, m, pos, cb, bipartite in chains:
+        lam, V = eig_banded(cb, lower=True)
+        if even and 2 * pos[-1] == N:
             V[-1] *= np.sqrt(0.5)  # the middle site is its own mirror
 
         def image(p, W):
-            if k % 2 == 0:
+            if even:
                 return [_image(r, rows, p, W, real=True, mirror=True)]
             terms = [_image(r, rows, p, W, real=False)]
             if m != c:
                 terms.append(_image(r, rows, N - p, W, real=False))
             return terms
 
-        if last != 0.0:  # the even-length fold has no pairs
+        if not (bipartite and (even or real)):
             A = sum(U * (scale * kappa) for U, kappa in image(pos, V))
             mus.append(lam)
             Cs.append(A)
@@ -349,10 +370,14 @@ def _exchange_chains(r, N: int, k: int, scale, rows):
         mus.append(mu)
         Cs.append(C)
         Ds.append(D)
-    C, D, mu = np.hstack(Cs), np.hstack(Ds), np.concatenate(mus)
-    if k % 2:
-        return np.ascontiguousarray(C.real), -D.imag, mu
-    return C, D, mu
+    mu = np.concatenate(mus)
+    if all(C is D for C, D in zip(Cs, Ds)):
+        C = np.hstack(Cs)
+        return C, C, mu, rows, False
+    C, D = np.hstack(Cs), np.hstack(Ds)
+    if real:
+        return np.ascontiguousarray(C.real), -D.imag, mu, rows, True
+    return C, D, mu, rows, False
 
 
 def mzi_output(process: ProcessSpec, t: float, nbar: float,

@@ -20,35 +20,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-# Tolerances used when validating distributions. Round-off can push an
-# entry slightly negative; anything below -CLAMP_TOL is a real bug.
-CLAMP_TOL = 1e-14
-NORM_SLACK = 1e-12
-
 # Largest number of thermal blocks N = 0..N_max. It also bounds every
 # evolution in `evolution`: a block has N + 1 states, and a down-conversion
 # chain n + 1 for pump level n <= N_max.
 DEFAULT_DIM_GUARD = 4096
-
-
-def as_distribution(p, tail_tol: float = 1e-12) -> np.ndarray:
-    """Validate (and defensively copy) a photon number distribution.
-
-    Entries in (-1e-14, 0) are clamped to zero; more negative entries raise.
-    The total mass must lie in [1 - tail_tol - 1e-12, 1 + 1e-12].
-    """
-    p = np.asarray(p, dtype=float).copy()
-    if p.ndim != 1 or p.size == 0:
-        raise DomainError("distribution must be a non-empty 1d array")
-    neg = p < 0
-    if np.any(p < -CLAMP_TOL):
-        raise DomainError("negative probability %g at n=%d"
-                          % (p[neg].min(), int(np.argmin(p))))
-    p[neg] = 0.0
-    s = p.sum()
-    if not (1.0 - tail_tol - NORM_SLACK <= s <= 1.0 + NORM_SLACK):
-        raise DomainError("distribution mass %r outside [1 - %g, 1]" % (s, tail_tol))
-    return p
 
 
 def thermal_cutoff(nbar: float, tail_tol: float = 1e-12) -> int:

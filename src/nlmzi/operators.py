@@ -1,20 +1,19 @@
 """Block operators for two-mode nonlinear interferometry.
 
 All operators act on the total-photon-number block N with basis
-|n_a = N - j, n_b = j>, j = 0..N (see fock.py), and are returned as dense
-(N+1) x (N+1) complex arrays. Stokes operators
-
-    J_x = (a+ b + a b+)/2,  J_y = -i (a+ b - a b+)/2,  J_z = (n_a - n_b)/2
-
-generate the linear optics; the nonlinear arm is either a cross-phase
-coupling (n_a n_b)^s or a k-photon exchange a+^k b^k + a^k b+^k. The 50:50
-splitter exp(-i (pi/2) J_x) is the phased view of the real Wigner matrix
-exp(-i (pi/2) J_y), which a division-free ladder builds block by block.
+|n_a = N - j, n_b = j>, j = 0..N (see fock.py). The nonlinear arm is a
+cross-phase coupling (n_a n_b)^s, a k-photon exchange
+a+^k b^k + a^k b+^k, or a weighted sum of them; its generator on a block
+is real symmetric, a diagonal plus exchange bands, and process_generator
+returns it in banded storage. The 50:50 splitter exp(-i (pi/2) J_x), with
+the Stokes operator J_x = (a+ b + a b+)/2, is the phased view of the real
+Wigner matrix exp(-i (pi/2) J_y), which a division-free ladder builds
+block by block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
@@ -78,6 +77,9 @@ class Hybrid:
         if not all(isinstance(spec, (CrossPhase, Exchange))
                    for _, spec in self.terms):
             raise DomainError("hybrid terms must be CrossPhase or Exchange specs")
+        weights = np.array([c for c, _ in self.terms])
+        if weights.dtype.kind not in "biuf" or not np.isfinite(weights).all():
+            raise DomainError("hybrid term weights must be finite reals")
 
 
 @dataclass(frozen=True)
@@ -99,39 +101,6 @@ ProcessSpec = Union[CrossPhase, Exchange, Hybrid, DegeneratePDC, NonDegeneratePD
 # block matrices
 # ---------------------------------------------------------------------------
 
-def stokes(N: int, axis: str) -> np.ndarray:
-    """Stokes (pseudospin) operator J_axis on block N.
-
-    J_z is diagonal with entries (N - 2j)/2; J_x and J_y couple j <-> j+1
-    with the usual spin-(N/2) ladder elements.
-    """
-    if N < 0:
-        raise DomainError("block label N must be >= 0")
-    j = np.arange(N, dtype=float)
-    # <j+1| a b+ |j> = sqrt((N - j)(j + 1))
-    e = 0.5 * np.sqrt((N - j) * (j + 1))
-    M = np.zeros((N + 1, N + 1), dtype=complex)
-    if axis == "x":
-        M[np.arange(N), np.arange(1, N + 1)] = e
-        M[np.arange(1, N + 1), np.arange(N)] = e
-    elif axis == "y":
-        M[np.arange(N), np.arange(1, N + 1)] = -1j * e
-        M[np.arange(1, N + 1), np.arange(N)] = 1j * e
-    elif axis == "z":
-        M[np.diag_indices(N + 1)] = (N - 2 * np.arange(N + 1)) / 2.0
-    else:
-        raise DomainError("axis must be one of 'x', 'y', 'z'")
-    return M
-
-
-def cross_phase_generator(N: int, s: int = 1) -> np.ndarray:
-    """Diagonal generator (n_a n_b)^s on block N: entries ((N - j) j)^s."""
-    if N < 0 or s < 1:
-        raise DomainError("need N >= 0 and s >= 1")
-    j = np.arange(N + 1, dtype=float)
-    return np.diag(((N - j) * j) ** s).astype(complex)
-
-
 def exchange_couplings(N: int, k: int) -> np.ndarray:
     """Elements <j-k| a+^k b^k |j> = sqrt((N-j+k)!/(N-j)! * j!/(j-k)!),
     j = k..N, of the exchange generator on block N; empty for N < k.
@@ -146,40 +115,37 @@ def exchange_couplings(N: int, k: int) -> np.ndarray:
                   + 0.5 * (gammaln(j + 1) - gammaln(j - k + 1)))
 
 
-def exchange_generator(N: int, k: int) -> np.ndarray:
-    """Generator a+^k b^k + a^k b+^k on block N.
-
-    Couples j <-> j - k with the exchange_couplings; blocks with N < k
-    cannot exchange and give the zero matrix. The order guard belongs to
-    the Exchange spec; this takes any k >= 1.
-    """
-    val = exchange_couplings(N, k)
-    M = np.zeros((N + 1, N + 1), dtype=complex)
-    j = np.arange(k, N + 1)
-    M[j - k, j] = val
-    M[j, j - k] = val
-    return M
-
-
-def hybrid_generator(N: int, terms) -> np.ndarray:
-    """Weighted sum of the terms' generators; Hermitian by construction."""
-    M = np.zeros((N + 1, N + 1), dtype=complex)
-    for coeff, spec in terms:
-        M += coeff * process_generator(spec, N)
-    return M
-
-
 def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
-    """Dense nonlinear-arm generator for a process on block N."""
-    if isinstance(process, CrossPhase):
-        return cross_phase_generator(N, process.s)
-    if isinstance(process, Exchange):
-        return exchange_generator(N, process.k)
+    """Nonlinear-arm generator of a process on block N, in the lower band
+    storage of scipy.linalg.eig_banded: shape (b+1, N+1).
+
+    Row 0 is the diagonal, the sum of c ((N-j) j)^s over the cross-phase
+    terms; row d holds the couplings G[j+d, j], j = 0..N-d, of offset d,
+    the sum of c times the exchange_couplings of the order-d terms; b is
+    the largest exchange order that fits in the block, or 0. A bare
+    process is the one term of weight 1. The benchmark tracer
+    (bench/tracer.py) wraps this as the per-block generator layer.
+    """
     if isinstance(process, Hybrid):
-        return hybrid_generator(N, process.terms)
-    raise ConfigurationError(
-        "%s has no block generator; use evolution.pdc_signal_sweep"
-        % type(process).__name__)
+        terms = process.terms
+    elif isinstance(process, (CrossPhase, Exchange)):
+        terms = ((1.0, process),)
+    else:
+        raise ConfigurationError(
+            "%s has no block generator; use evolution.pdc_signal_sweep"
+            % type(process).__name__)
+    if N < 0:
+        raise DomainError("block label N must be >= 0")
+    b = max([spec.k for _, spec in terms
+             if isinstance(spec, Exchange) and spec.k <= N], default=0)
+    band = np.zeros((b + 1, N + 1))
+    j = np.arange(N + 1, dtype=float)
+    for c, spec in terms:
+        if isinstance(spec, CrossPhase):
+            band[0] += c * ((N - j) * j) ** spec.s
+        elif spec.k <= N:
+            band[spec.k, : N + 1 - spec.k] += c * exchange_couplings(N, spec.k)
+    return band
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +226,3 @@ def ladder_walk(N: int, start=None, scratch: LadderScratch | None = None):
     for m in range(n + 1, N + 1):
         r = _jx_factorization(m, r, scratch)
     return r
-
-
-def wigner_d(N: int) -> np.ndarray:
-    """Real Wigner matrix d_N = exp(-i (pi/2) J_y) on block N."""
-    r = ladder_walk(N)
-    return r if N % 2 == 0 else r * np.sqrt(0.5)
-
-
-def beam_splitter_unitary(N: int) -> np.ndarray:
-    """50:50 beam splitter U_BS = exp(-i (pi/2) J_x) on block N.
-
-    Convention a -> (a - i b)/sqrt(2); on N = 1 this is
-    [[1, -i], [-i, 1]]/sqrt(2). This sign choice is what makes the
-    nonlinear-arm conjugation identities (tested in the suite) come out
-    with the signs used throughout. It is the phased view
-    diag((-i)^j) d_N diag(i^m) of the Wigner-d ladder the block engine
-    walks.
-    """
-    d = wigner_d(N)
-    q = QUARTER_TURNS[np.arange(N + 1) % 4]
-    return q[:, None] * d * q.conj()

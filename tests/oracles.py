@@ -1,6 +1,11 @@
 """Dense oracles and test-only helpers, built from scratch on purpose.
 
-Shared by the evolution tests and the acceptance gate. The two-mode and
+Shared by the operator and evolution tests and the acceptance gate. The
+dense block operators (Stokes operators, generators, the splitter as a
+matrix) live here because only tests use them: the engine reads each
+generator as a band (operators.process_generator). wigner_d and
+beam_splitter_unitary are views of the Wigner-d ladder, not oracles of
+it. The two-mode and
 down-conversion tensor-product oracles are written against bare kron
 products, and the block splitter oracles against bare ladder elements (a
 dense exponential and the J_x eigensystem), and the oscillator oracle
@@ -14,12 +19,104 @@ from scipy.linalg import eigh, eigh_tridiagonal, expm
 from scipy.special import gammaln
 
 from nlmzi import fock
-from nlmzi.errors import DomainError
+from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.optomech import CoherentInit
-from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
-                             beam_splitter_unitary, process_generator)
+from nlmzi.operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC,
+                             Exchange, Hybrid, exchange_couplings, ladder_walk)
 
 HERMITICITY_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dense block operators: (N+1) x (N+1) complex arrays on the basis
+# |n_a = N - j, n_b = j>, j = 0..N
+# ---------------------------------------------------------------------------
+
+def stokes(N: int, axis: str) -> np.ndarray:
+    """Stokes (pseudospin) operator J_axis on block N.
+
+    J_z is diagonal with entries (N - 2j)/2; J_x and J_y couple j <-> j+1
+    with the usual spin-(N/2) ladder elements.
+    """
+    if N < 0:
+        raise DomainError("block label N must be >= 0")
+    j = np.arange(N, dtype=float)
+    # <j+1| a b+ |j> = sqrt((N - j)(j + 1))
+    e = 0.5 * np.sqrt((N - j) * (j + 1))
+    M = np.zeros((N + 1, N + 1), dtype=complex)
+    if axis == "x":
+        M[np.arange(N), np.arange(1, N + 1)] = e
+        M[np.arange(1, N + 1), np.arange(N)] = e
+    elif axis == "y":
+        M[np.arange(N), np.arange(1, N + 1)] = -1j * e
+        M[np.arange(1, N + 1), np.arange(N)] = 1j * e
+    elif axis == "z":
+        M[np.diag_indices(N + 1)] = (N - 2 * np.arange(N + 1)) / 2.0
+    else:
+        raise DomainError("axis must be one of 'x', 'y', 'z'")
+    return M
+
+
+def cross_phase_generator(N: int, s: int = 1) -> np.ndarray:
+    """Diagonal generator (n_a n_b)^s on block N: entries ((N - j) j)^s."""
+    if N < 0 or s < 1:
+        raise DomainError("need N >= 0 and s >= 1")
+    j = np.arange(N + 1, dtype=float)
+    return np.diag(((N - j) * j) ** s).astype(complex)
+
+
+def exchange_generator(N: int, k: int) -> np.ndarray:
+    """Generator a+^k b^k + a^k b+^k on block N.
+
+    Couples j <-> j - k with the exchange_couplings; blocks with N < k
+    cannot exchange and give the zero matrix. The order guard belongs to
+    the Exchange spec; this takes any k >= 1.
+    """
+    val = exchange_couplings(N, k)
+    M = np.zeros((N + 1, N + 1), dtype=complex)
+    j = np.arange(k, N + 1)
+    M[j - k, j] = val
+    M[j, j - k] = val
+    return M
+
+
+def dense_generator(process, N: int) -> np.ndarray:
+    """Dense nonlinear-arm generator of a process on block N; a Hybrid's
+    is the weighted sum of its terms' generators. A process without a
+    block generator raises ConfigurationError."""
+    if isinstance(process, CrossPhase):
+        return cross_phase_generator(N, process.s)
+    if isinstance(process, Exchange):
+        return exchange_generator(N, process.k)
+    if isinstance(process, Hybrid):
+        M = np.zeros((N + 1, N + 1), dtype=complex)
+        for coeff, spec in process.terms:
+            M += coeff * dense_generator(spec, N)
+        return M
+    raise ConfigurationError(
+        "%s has no block generator" % type(process).__name__)
+
+
+def wigner_d(N: int) -> np.ndarray:
+    """Real Wigner matrix d_N = exp(-i (pi/2) J_y) on block N, read off
+    the ladder's rung."""
+    r = ladder_walk(N)
+    return r if N % 2 == 0 else r * np.sqrt(0.5)
+
+
+def beam_splitter_unitary(N: int) -> np.ndarray:
+    """50:50 beam splitter U_BS = exp(-i (pi/2) J_x) on block N.
+
+    Convention a -> (a - i b)/sqrt(2); on N = 1 this is
+    [[1, -i], [-i, 1]]/sqrt(2). This sign choice is what makes the
+    nonlinear-arm conjugation identities (tested in the suite) come out
+    with the signs used throughout. It is the phased view
+    diag((-i)^j) d_N diag(i^m) of the Wigner-d ladder the block engine
+    walks.
+    """
+    d = wigner_d(N)
+    q = QUARTER_TURNS[np.arange(N + 1) % 4]
+    return q[:, None] * d * q.conj()
 
 
 def ladder(dim):
@@ -134,7 +231,7 @@ def eig_block_amplitudes(process, N, thetas):
     one column per theta; a non-diagonal generator g is diagonalized densely.
     """
     B = eig_splitter(N)
-    gen = np.real(process_generator(process, N))
+    gen = np.real(dense_generator(process, N))
     if isinstance(process, CrossPhase):
         lam, V = np.diag(gen), np.eye(N + 1)
     else:
@@ -176,7 +273,7 @@ def mzi_unitary(process, t, N):
     """Full interferometer unitary U_BS exp(-i t strength g_N) U_BS on block
     N; a process without a block generator raises ConfigurationError."""
     B = beam_splitter_unitary(N)
-    gen = process_generator(process, N)
+    gen = dense_generator(process, N)
     theta = t * process.strength
     if isinstance(process, CrossPhase):
         U_nl = np.diag(np.exp(-1j * theta * np.real(np.diag(gen))))

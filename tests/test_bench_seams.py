@@ -10,7 +10,7 @@ import importlib.util
 import os
 
 from nlmzi import evolution as ev
-from nlmzi.operators import DegeneratePDC, Exchange
+from nlmzi.operators import CrossPhase, DegeneratePDC, Exchange, Hybrid
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                            "tracer.py")
@@ -39,12 +39,16 @@ def test_hooked_engine_attributes_exist():
     assert isinstance(ev.GenericEngine(DegeneratePDC())._components, dict)
 
 
-def test_exchange_sweep_reaches_the_generator_layer():
+def test_block_sweeps_reach_the_generator_layer():
+    # every block process builds its blocks from the one generator band
     tracer = _load_tracer()
-    with tracer.Tracer() as t:
-        ev.sweep_distributions(Exchange(k=2), 1.0, [0.5, 1.0], 1e-4)
-    calls = t.summary()
-    for layer in ("operators.generator", "evolution.build",
-                  "evolution.sweep", "evolution.reduce"):
-        assert calls.get(layer, {"calls": 0})["calls"] > 0, layer
-    assert t.counts["evolution.sweep_calls"] > 0
+    hybrid = Hybrid(terms=((0.7, CrossPhase()), (0.4, Exchange(k=2))))
+    for process in (Exchange(k=2), CrossPhase(), hybrid):
+        with tracer.Tracer() as t:
+            ev.sweep_distributions(process, 1.0, [0.5, 1.0], 1e-4)
+        calls = t.summary()
+        for layer in ("operators.generator", "evolution.build",
+                      "evolution.sweep", "evolution.reduce"):
+            assert calls.get(layer, {"calls": 0})["calls"] > 0, (process,
+                                                                 layer)
+        assert t.counts["evolution.sweep_calls"] > 0

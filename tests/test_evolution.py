@@ -11,15 +11,26 @@ from nlmzi import operators as ops
 from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                              NonDegeneratePDC)
-from oracles import (eig_block_amplitudes, hermitian_eig, mzi_unitary,
-                     pdc_tensor_marginals, tensor_mzi_state)
+from oracles import (dense_generator, eig_block_amplitudes, hermitian_eig,
+                     mzi_unitary, pdc_tensor_marginals, tensor_mzi_state)
 
 HYBRID = Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))
+# chain cases the single-order processes do not reach: a stride-2 band of
+# width 2 (not bipartite) and of a gcd-1 mix of orders, three terms, an
+# odd-stride bipartite chain in the real form, and a diagonal-only Hybrid
+HYBRID_CHAINS = [
+    Hybrid(terms=((1.0, Exchange(k=2)), (0.3, Exchange(k=4, allow_high_order=True)))),
+    Hybrid(terms=((1.0, Exchange(k=2)), (0.3, Exchange(k=3)))),
+    Hybrid(terms=((0.7, CrossPhase(s=1)), (1.0, Exchange(k=2)),
+                  (0.3, Exchange(k=4, allow_high_order=True)))),
+    Hybrid(terms=((0.5, Exchange(k=3)),)),
+    Hybrid(terms=((1.0, CrossPhase()),)),
+]
 
 @pytest.mark.parametrize("process", [
     CrossPhase(s=1), CrossPhase(s=2), Exchange(k=2), Exchange(k=3),
     Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2)))),
-])
+] + HYBRID_CHAINS)
 def test_block_engine_matches_dense_tensor(process):
     rng = np.random.default_rng(7)
     eng = ev.BlockEngine(process)
@@ -64,7 +75,7 @@ def test_engine_matches_eigensolver_splitter(N):
     Exchange(k=2), Exchange(k=3), Exchange(k=4, allow_high_order=True), HYBRID,
     Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=3)))),
     Exchange(k=1),
-])
+] + HYBRID_CHAINS)
 def test_engine_matches_eigensolver_splitter_exchange(process):
     # the two generator eigensolvers differ by round-off relative to the
     # largest eigenvalue, which the phase theta * lambda carries along;
@@ -75,20 +86,22 @@ def test_engine_matches_eigensolver_splitter_exchange(process):
         ref = eig_block_amplitudes(process, N, thetas)
         got = eng.amplitudes(N, thetas)
         scale = max(thetas) * np.abs(np.linalg.eigvalsh(np.real(
-            ops.process_generator(process, N)))).max()
+            dense_generator(process, N)))).max()
         assert np.abs(got - ref).max() < 2e-15 * scale
 
 
 @pytest.mark.parametrize("process", [Exchange(k=2),
-                                     Exchange(k=4, allow_high_order=True)])
+                                     Exchange(k=4, allow_high_order=True),
+                                     HYBRID])
 def test_even_order_exchange_keeps_half_the_columns(process):
     # mirror pairs merge and self-mirror chains fold onto the input's sector;
     # the rows of the other parity than N are exact zeros and are not kept
     eng = ev.BlockEngine(process)
     for N in range(300):
         eng.amplitudes(N, [0.0])
-        C, D, mu, rows = eng._blocks[N]
-        kept = N // 2 + 1 if N >= process.k else N + 1
+        C, D, mu, rows, _ = eng._blocks[N]
+        k = process.k if isinstance(process, Exchange) else 2  # HYBRID's
+        kept = N // 2 + 1 if N >= k else N + 1
         assert C.dtype == D.dtype == float
         assert C.shape == D.shape == (kept, mu.size)
         assert len(range(N + 1)[rows]) == kept
@@ -96,7 +109,7 @@ def test_even_order_exchange_keeps_half_the_columns(process):
 
 
 @pytest.mark.parametrize("process", [CrossPhase(s=1), Exchange(k=2),
-                                     Exchange(k=3), HYBRID])
+                                     Exchange(k=3), HYBRID] + HYBRID_CHAINS)
 def test_probs_are_squared_amplitudes(process):
     eng = ev.BlockEngine(process)
     thetas = np.linspace(0.0, 2.0 * np.pi, 7)
@@ -125,10 +138,10 @@ def test_exchange_pairs_are_built_exactly(process):
         got = eng.amplitudes(N, thetas)
         ref = eig_block_amplitudes(process, N, thetas)
         lmax = np.abs(np.linalg.eigvalsh(np.real(
-            ops.process_generator(process, N)))).max()
+            dense_generator(process, N)))).max()
         scale = np.maximum(thetas * max(lmax, 1.0), 1.0)
         assert np.all(np.abs(got - ref).max(axis=0) < 4e-15 * scale), N
-        C, D, mu, rows = eng._blocks[N]
+        C, D, mu, rows, _ = eng._blocks[N]
         assert np.all(mu[np.any(C != D, axis=0)] >= 0.0)
         near_zero = np.abs(mu) < 1e-8 * max(lmax, 1.0)
         assert np.all(mu[near_zero] == 0.0)

@@ -54,15 +54,6 @@ def test_tail_formulas_match_direct_sums():
     assert abs(fock.thermal_tail_energy(nbar, nmax) - e_tail) < 1e-12
 
 
-def test_as_distribution_clamps_and_rejects():
-    p = fock.as_distribution([0.5, -1e-15, 0.5])
-    assert (p >= 0).all()
-    with pytest.raises(DomainError):
-        fock.as_distribution([0.7, -1e-3, 0.3])
-    with pytest.raises(DomainError):
-        fock.as_distribution([0.1, 0.1])  # mass far from 1
-
-
 def test_moments_of_thermal():
     import math
     nbar = 1.5

@@ -8,7 +8,10 @@ import pytest
 
 from nlmzi import operators as ops
 from nlmzi.errors import ConfigurationError, DomainError
-from oracles import expm_splitter, splitter_input_column, two_mode_monomial
+from oracles import (beam_splitter_unitary, cross_phase_generator,
+                     dense_generator, exchange_generator, expm_splitter,
+                     splitter_input_column, stokes, two_mode_monomial,
+                     wigner_d)
 
 TOL = 1e-12
 
@@ -19,7 +22,7 @@ def comm(A, B):
 
 def test_stokes_algebra():
     for N in range(11):
-        Jx, Jy, Jz = (ops.stokes(N, ax) for ax in "xyz")
+        Jx, Jy, Jz = (stokes(N, ax) for ax in "xyz")
         assert np.abs(comm(Jx, Jy) - 1j * Jz).max() < TOL
         assert np.abs(comm(Jy, Jz) - 1j * Jx).max() < TOL
         assert np.abs(comm(Jz, Jx) - 1j * Jy).max() < TOL
@@ -31,25 +34,25 @@ def test_stokes_algebra():
 def test_stokes_hermitian():
     for N in range(8):
         for ax in "xyz":
-            J = ops.stokes(N, ax)
+            J = stokes(N, ax)
             assert np.abs(J - J.conj().T).max() < TOL
 
 
 def test_cross_phase_generator_values():
     for N in range(7):
-        g = ops.cross_phase_generator(N, 1)
+        g = cross_phase_generator(N, 1)
         j = np.arange(N + 1)
         assert np.allclose(np.diag(g), (N - j) * j)
         assert np.abs(g - np.diag(np.diag(g))).max() == 0
-        g3 = ops.cross_phase_generator(N, 3)
+        g3 = cross_phase_generator(N, 3)
         assert np.allclose(np.diag(g3), ((N - j) * j) ** 3)
 
 
 def test_number_product_vs_pseudospin():
     # n_a n_b = (N^2/4) I - Jz^2 on each block
     for N in range(1, 8):
-        g = ops.cross_phase_generator(N, 1)
-        Jz = ops.stokes(N, "z")
+        g = cross_phase_generator(N, 1)
+        Jz = stokes(N, "z")
         ref = (N ** 2 / 4.0) * np.eye(N + 1) - Jz @ Jz
         assert np.abs(g - ref).max() < TOL
 
@@ -58,7 +61,7 @@ def test_exchange_generator_elements():
     # <j-k| g |j> = sqrt((N-j+k)!/(N-j)!) sqrt(j!/(j-k)!)
     for N in range(1, 9):
         for k in (1, 2, 3, 4):
-            g = ops.exchange_generator(N, k)
+            g = exchange_generator(N, k)
             assert np.abs(g - g.conj().T).max() < TOL
             for j in range(N + 1):
                 if j - k >= 0 and N - j + k <= N:
@@ -75,22 +78,22 @@ def test_exchange_generator_elements():
 
 def test_exchange_self_energy_free_below_k():
     for k in (2, 3, 4):
-        g = ops.exchange_generator(k - 1, k)
+        g = exchange_generator(k - 1, k)
         assert np.abs(g).max() == 0
 
 
 def test_exchange_pseudospin_form():
     # k=2 exchange generator equals 2(Jx^2 - Jy^2)
     for N in range(2, 9):
-        g = ops.exchange_generator(N, 2)
-        Jx, Jy = ops.stokes(N, "x"), ops.stokes(N, "y")
+        g = exchange_generator(N, 2)
+        Jx, Jy = stokes(N, "x"), stokes(N, "y")
         assert np.abs(g - 2.0 * (Jx @ Jx - Jy @ Jy)).max() < TOL
 
 
 def test_high_order_guard():
     with pytest.raises(ConfigurationError):
         ops.Exchange(k=5)
-    g = ops.process_generator(ops.Exchange(k=5, allow_high_order=True), 8)
+    g = dense_generator(ops.Exchange(k=5, allow_high_order=True), 8)
     assert np.abs(g - g.conj().T).max() < TOL
 
 
@@ -105,18 +108,22 @@ def test_process_spec_validation():
     nested = ops.Hybrid(terms=((1.0, ops.CrossPhase()),))
     with pytest.raises(DomainError):
         ops.Hybrid(terms=((0.5, ops.Exchange(k=2)), (0.5, nested)))
+    # and its weights must be finite
+    for bad in ((np.nan, ops.CrossPhase()), (np.inf, ops.Exchange(k=2))):
+        with pytest.raises(DomainError):
+            ops.Hybrid(terms=((1.0, ops.CrossPhase()), bad))
     with pytest.raises(ConfigurationError):
         ops.process_generator(ops.DegeneratePDC(), 3)
 
 
 def test_beam_splitter_basics():
-    B1 = ops.beam_splitter_unitary(1)
+    B1 = beam_splitter_unitary(1)
     assert np.abs(B1 - np.array([[1, -1j], [-1j, 1]]) / np.sqrt(2)).max() < TOL
     for N in range(7):
-        B = ops.beam_splitter_unitary(N)
+        B = beam_splitter_unitary(N)
         assert np.abs(B @ B.conj().T - np.eye(N + 1)).max() < 1e-12
         # equals the exponential of the pseudospin rotation
-        Jx = ops.stokes(N, "x")
+        Jx = stokes(N, "x")
         w, V = np.linalg.eigh(Jx)
         ref = (V * np.exp(-0.5j * np.pi * w)) @ V.conj().T
         assert np.abs(B - ref).max() < 1e-12
@@ -125,14 +132,14 @@ def test_beam_splitter_basics():
 def test_wigner_ladder_matches_dense_exponential():
     # B_N = diag((-i)^j) d_N diag(i^m), with d_N walked up the ladder
     for N in range(41):
-        d = ops.wigner_d(N)
+        d = wigner_d(N)
         assert d.dtype == float
-        B = ops.beam_splitter_unitary(N)
+        B = beam_splitter_unitary(N)
         assert np.abs(B - expm_splitter(N)).max() < 1e-13
 
 
 def test_wigner_d_stays_orthogonal_at_large_blocks():
-    d = ops.wigner_d(694)
+    d = wigner_d(694)
     assert np.abs(d @ d.T - np.eye(695)).max() < 1e-12
 
 
@@ -142,7 +149,7 @@ def test_ladder_walk_resumes_from_any_rung():
         assert np.array_equal(ops.ladder_walk(N, (n, r)), ops.ladder_walk(N))
     # odd rungs carry sqrt(2)
     assert np.abs(ops.ladder_walk(1) - [[1, -1], [1, 1]]).max() == 0
-    d25 = ops.wigner_d(25)
+    d25 = wigner_d(25)
     assert np.abs(ops.ladder_walk(25) - np.sqrt(2) * d25).max() < 1e-15
     with pytest.raises(DomainError):
         ops.ladder_walk(-1)
@@ -150,7 +157,7 @@ def test_ladder_walk_resumes_from_any_rung():
 
 def test_splitter_input_column():
     for N in range(9):
-        B = ops.beam_splitter_unitary(N)
+        B = beam_splitter_unitary(N)
         col = splitter_input_column(N)
         assert np.abs(col - B[:, 0]).max() < 1e-12
         # binomial magnitudes
@@ -162,7 +169,7 @@ def test_splitter_input_column():
     for N in (200, 693):
         exact = [math.sqrt(Fraction(math.comb(N, j), 2 ** N))
                  for j in range(N + 1)]
-        assert np.abs(ops.wigner_d(N)[:, 0] - exact).max() < 1e-15
+        assert np.abs(wigner_d(N)[:, 0] - exact).max() < 1e-15
 
 
 def test_two_mode_monomial():
@@ -175,18 +182,18 @@ def test_two_mode_monomial():
         assert np.allclose(np.diag(nb), j)
         # a+^2 b^2 + a^2 b+^2 equals the k=2 exchange generator
         x = two_mode_monomial(N, 2, 0, 0, 2) + two_mode_monomial(N, 0, 2, 2, 0)
-        assert np.abs(x - ops.exchange_generator(N, 2)).max() < TOL
+        assert np.abs(x - exchange_generator(N, 2)).max() < TOL
 
 
 def conj_by_splitter(N, op):
-    B = ops.beam_splitter_unitary(N)
+    B = beam_splitter_unitary(N)
     return B @ op @ B.conj().T
 
 
 def test_splitter_conjugation_cross_coupling():
     # B (n_a n_b) B+ = (a+2 a2 + b+2 b2 + a+2 b2 + a2 b+2) / 4
     for N in range(1, 7):
-        lhs = conj_by_splitter(N, ops.cross_phase_generator(N, 1))
+        lhs = conj_by_splitter(N, cross_phase_generator(N, 1))
         rhs = 0.25 * (two_mode_monomial(N, 2, 2, 0, 0)
                       + two_mode_monomial(N, 0, 0, 2, 2)
                       + two_mode_monomial(N, 2, 0, 0, 2)
@@ -198,12 +205,12 @@ def test_splitter_conjugation_two_photon_exchange():
     # B (a+2 b2 + a2 b+2) B+ =
     #   (-a+2 a2 - b+2 b2 + a+2 b2 + a2 b+2 + 4 n_a n_b) / 2
     for N in range(2, 7):
-        lhs = conj_by_splitter(N, ops.exchange_generator(N, 2))
+        lhs = conj_by_splitter(N, exchange_generator(N, 2))
         rhs = 0.5 * (-two_mode_monomial(N, 2, 2, 0, 0)
                      - two_mode_monomial(N, 0, 0, 2, 2)
                      + two_mode_monomial(N, 2, 0, 0, 2)
                      + two_mode_monomial(N, 0, 2, 2, 0)
-                     + 4.0 * ops.cross_phase_generator(N, 1))
+                     + 4.0 * cross_phase_generator(N, 1))
         assert np.abs(lhs - rhs).max() < TOL
 
 
@@ -211,7 +218,7 @@ def test_splitter_conjugation_three_photon_exchange():
     # the k=3 generator is J+^3 + J-^3 up to ladder normalization; under the
     # splitter it rotates to (Jx + iJz)^3 + (Jx - iJz)^3
     for N in range(3, 7):
-        Jx, Jy, Jz = (ops.stokes(N, ax) for ax in "xyz")
+        Jx, Jy, Jz = (stokes(N, ax) for ax in "xyz")
         Jp, Jm = Jx + 1j * Jy, Jx - 1j * Jy
         lhs = conj_by_splitter(
             N, Jp @ Jp @ Jp + Jm @ Jm @ Jm)
@@ -223,7 +230,7 @@ def test_splitter_conjugation_three_photon_exchange():
 def test_exchange_equals_ladder_cubes():
     # a+^3 b^3 + a^3 b+^3 equals J+^3 + J-^3 written in two-mode ladders
     for N in range(3, 7):
-        g = ops.exchange_generator(N, 3)
+        g = exchange_generator(N, 3)
         ref = (two_mode_monomial(N, 3, 0, 0, 3)
                + two_mode_monomial(N, 0, 3, 3, 0))
         assert np.abs(g - ref).max() < TOL
