@@ -8,8 +8,9 @@ The interferometer unitary on block N is
 with g_N the nonlinear-arm generator on the block and theta = chi t (cross
 phase) or g t (exchange) the single dimensionless knob swept everywhere.
 The splitter on block N is B_N = diag((-i)^j) d_N diag(i^m), with d_N the
-real Wigner matrix exp(-i (pi/2) J_y), built by one division-free ladder
-step from d_{N-1}. Per block the engine keeps the input's components on
+real Wigner matrix exp(-i (pi/2) J_y). Its pi/2 mirrors fix it by a
+quarter, which one division-free ladder step builds from the quarter of
+d_{N-1}. Per block the engine keeps the input's components on
 the generator eigenvectors carried through the second splitter, so every
 theta of a sweep costs real matrix products per block, whatever the
 number of thetas. The input and every generator are symmetric under the
@@ -20,10 +21,10 @@ j = c, c+g, ..., g the gcd of its exchange orders. A bipartite chain
 (zero diagonal, every coupling an odd number of steps long) has its
 eigenpairs in exact pairs (mu, v), (-mu, S v), S = diag((-1)^i): the
 negative half is built, not solved, and a pair takes one phase
-exp(-i mu theta) per theta. An even-g block keeps N//2 + 1 columns at
-most, and only its rows j of the parity of N; the others are exact
-zeros. An odd-order exchange block's unphased amplitudes are real, one
-real product per block.
+exp(-i mu theta) per theta. A diagonal (cross-phase) or even-g block
+keeps N//2 + 1 columns at most, and only its rows j of the parity of N;
+the others are exact zeros. An odd-order exchange block's unphased
+amplitudes are real, one real product per block.
 
 Parametric down-conversion is not block-diagonal in N, but with n pump
 photons it reaches one chain of n + 1 states; a chain engine solves each
@@ -47,7 +48,7 @@ from . import fock
 from .errors import ConfigurationError, DomainError
 from .operators import (QUARTER_TURNS, DegeneratePDC, LadderScratch,
                         NonDegeneratePDC, ProcessSpec, ladder_walk,
-                        process_generator)
+                        process_generator, rung_entries)
 
 
 def _cis(mu, ts) -> np.ndarray:
@@ -136,15 +137,20 @@ class BlockEngine:
     squared moduli on the rows rows(N), outside which they are exact zeros.
 
     The splitter is B_N = diag((-i)^j) d_N diag(i^m), and the ladder gives
-    the rung r_N = c_N d_N with c_N^2 = 2^(N mod 2) (operators.ladder_walk).
+    the quarter q_N = r_N[:h, :h], h = N//2 + 1, of the rung r_N = c_N d_N
+    with c_N^2 = 2^(N mod 2) (operators.ladder_walk); every entry of r_N a
+    block reads is gathered from q_N (operators.rung_entries), and no full
+    rung is formed.
     Block N keeps (C, D, mu, rows, real), and its amplitudes are
     (-i)^j [C cos(theta mu) - i D sin(theta mu)]_j on the rows j of the
     slice rows (phase_product). Column l of C and D comes from the input's
     components on generator eigenvectors, carried through the second
     splitter, with the columns of mirror eigenvectors of one eigenvalue
     merged. The generator comes as a band (operators.process_generator): a
-    block with no couplings is diagonal, and its columns m and N-m merge;
-    any other is solved chain by chain (_exchange_chains). Where a chain is
+    block with no couplings is diagonal, and its columns m and N-m merge,
+    so that only the rows of N's parity are nonzero, where the merged
+    column is 2 r_N[:, m] exactly; any other is solved chain by chain
+    (_exchange_chains). Where a chain is
     bipartite its eigenvectors come in exact pairs (mu, v), (-mu, S v)
     with S = diag((-1)^i) (Coulson & Rushbrooke, Proc. Camb. Phil. Soc.
     36, 193 (1940)): a pair's columns a, b enter as C = a+b, D = a-b, and
@@ -157,10 +163,11 @@ class BlockEngine:
     with pairs on every chain C is exactly real and D exactly imaginary,
     so the block keeps iD in place of D and real=True: its unphased
     amplitudes C cos(theta mu) - iD sin(theta mu) are real (phase_product's
-    real form). A diagonal block keeps a real C is D on every row. A new
-    block takes ladder steps from the highest rung built so far, or from
-    r_0 when it lies below that one. A process with no photon-number
-    blocks raises ConfigurationError on its first block.
+    real form). A diagonal block keeps a real C is D of N//2 + 1 rows and
+    columns. The engine keeps the highest quarter built so far (_top): a
+    new block takes ladder steps from it, or from r_0 when it lies below
+    that one. A process with no photon-number blocks raises
+    ConfigurationError on its first block.
     """
 
     def __init__(self, process: ProcessSpec):
@@ -170,27 +177,29 @@ class BlockEngine:
         self._scratch = LadderScratch()
 
     def _rung(self, N: int) -> np.ndarray:
-        n, r = self._top
-        r = ladder_walk(N, (n, r) if n < N else None, self._scratch)
+        n, q = self._top
+        q = ladder_walk(N, (n, q) if n < N else None, self._scratch)
         if N > n:
-            self._top = (N, r)
-        return r
+            self._top = (N, q)
+        return q
 
     def _build(self, N: int):
-        r = self._rung(N)
+        q = self._rung(N)
         inv_c2 = 0.5 ** (N % 2)  # exact
         band = process_generator(self.process, N)
         offsets = [d for d in range(1, band.shape[0]) if band[d].any()]
         if offsets:
-            self._blocks[N] = _exchange_chains(r, N, band, offsets, inv_c2)
+            self._blocks[N] = _exchange_chains(q, N, band, offsets, inv_c2)
             return
         # diagonal generator: it and the input column r_N[:, 0] are
-        # symmetric under j -> N-j, so columns m and N-m merge
+        # symmetric under j -> N-j, so columns m and N-m merge; on the rows
+        # of N's parity r_N[:, N-m] = r_N[:, m], on the others they cancel
         h = N // 2 + 1
-        C = r[:, :h].copy()
-        C[:, : N + 1 - h] += r[:, : h - 1: -1]
-        C *= inv_c2 * r[:h, 0]
-        self._blocks[N] = (C, C, band[0, :h], slice(0, N + 1, 1), False)
+        rows = slice(N % 2, N + 1, 2)
+        w = inv_c2 * q[:, 0]
+        w[: N + 1 - h] *= 2.0  # an even N's middle column is its own mirror
+        C = np.multiply(rung_entries(q, N, rows, np.arange(h)), w, order="C")
+        self._blocks[N] = (C, C, band[0, :h], rows, False)
 
     def _factor(self, N: int):
         if N not in self._blocks:
@@ -233,29 +242,29 @@ def _signs(m):
     return 1.0 - 2.0 * (m // 2 % 2)
 
 
-def _image(r, rows, pos, V, real, mirror=False):
+def _image(q, N, rows, pos, V, real):
     """(U, kappa): the columns r_N diag(i^m) V diag(V^T diag((-i)^m) r_N[:, 0])
-    are U diag(kappa), taken on the output rows rows.
+    are U diag(kappa), taken on the output rows rows; q is the quarter of
+    the rung r_N (operators.rung_entries).
 
     V's rows are the basis states pos; U and kappa are each linear in V.
     With i^m = s_m i^(m mod 2), a V that keeps the parity of m leaves the
     real U = r_N W and kappa = W^T r_N[:, 0] with W = diag(s) V
-    (real=True). mirror=True adds the splitter columns N - pos to those of
-    pos: V then lives on the mirror sector of pos + (N - pos) that the
-    input lies in.
+    (real=True). real=True also adds the splitter columns N - pos to those
+    of pos, as V then lives on the mirror sector of pos + (N - pos) that
+    the input lies in; on the rows of N's parity, the only ones an
+    even-stride block keeps, r_N[:, N-m] = r_N[:, m], so the sum is
+    2 r_N[:, pos].
     """
     W = _signs(pos)[:, None] * V
+    r0 = q[np.minimum(pos, N - pos), 0]  # the row mirror's sign is (-1)^0
     if real:
-        R = r[rows, pos]
-        if mirror:
-            R += r[rows, r.shape[0] - 1 - pos]
-        return R @ W, W.T @ r[pos, 0]
-    odd = pos % 2 == 1
-    even = r[rows, pos[~odd]] @ W[~odd]
-    U = np.empty(even.shape, dtype=complex)
-    U.real = even
-    U.imag = r[rows, pos[odd]] @ W[odd]
-    return U, V.T @ (QUARTER_TURNS[pos % 4] * r[pos, 0])
+        return rung_entries(q, N, rows, pos) @ (2.0 * W), W.T @ r0
+    U = np.zeros((len(range(N + 1)[rows]), V.shape[1]), dtype=complex)
+    for part, on in ((U.real, pos % 2 == 0), (U.imag, pos % 2 == 1)):
+        if on.any():  # a pair's half-chain keeps one parity of m
+            part[...] = rung_entries(q, N, rows, pos[on]) @ W[on]
+    return U, V.T @ (QUARTER_TURNS[pos % 4] * r0)
 
 
 def _fold(band, sigma):
@@ -283,10 +292,10 @@ def _fold(band, sigma):
     return fb
 
 
-def _exchange_chains(r, N: int, band, offsets, scale):
+def _exchange_chains(q, N: int, band, offsets, scale):
     """(C, D, mu, rows, real) of block N on its chains, one chain or mirror
-    pair at a time; band is the generator (operators.process_generator),
-    with couplings at the offsets offsets.
+    pair at a time; q is the quarter of the rung r_N, band the generator
+    (operators.process_generator), with couplings at the offsets offsets.
 
     The generator couples only sites j an offset apart, so it splits into
     g real chains j = c, c+g, ..., g the gcd of the offsets, each a band
@@ -341,10 +350,10 @@ def _exchange_chains(r, N: int, band, offsets, scale):
 
         def image(p, W):
             if even:
-                return [_image(r, rows, p, W, real=True, mirror=True)]
-            terms = [_image(r, rows, p, W, real=False)]
+                return [_image(q, N, rows, p, W, real=True)]
+            terms = [_image(q, N, rows, p, W, real=False)]
             if m != c:
-                terms.append(_image(r, rows, N - p, W, real=False))
+                terms.append(_image(q, N, rows, N - p, W, real=False))
             return terms
 
         if not (bipartite and (even or real)):

@@ -3,9 +3,10 @@
 Shared by the operator and evolution tests and the acceptance gate. The
 dense block operators (Stokes operators, generators, the splitter as a
 matrix) live here because only tests use them: the engine reads each
-generator as a band (operators.process_generator). wigner_d and
-beam_splitter_unitary are views of the Wigner-d ladder, not oracles of
-it. The two-mode and
+generator as a band (operators.process_generator). The full-rung Risbo
+step (risbo_step) is the reference the engine's quarter-rung ladder is
+checked against bit for bit. wigner_d and beam_splitter_unitary are views
+of the engine's ladder, not oracles of it. The two-mode and
 down-conversion tensor-product oracles are written against bare kron
 products, and the block splitter oracles against bare ladder elements (a
 dense exponential and the J_x eigensystem), and the oscillator oracle
@@ -22,7 +23,8 @@ from nlmzi import fock
 from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.optomech import CoherentInit
 from nlmzi.operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC,
-                             Exchange, Hybrid, exchange_couplings, ladder_walk)
+                             Exchange, Hybrid, exchange_couplings,
+                             ladder_walk, rung_entries)
 
 HERMITICITY_TOL = 1e-12
 
@@ -82,8 +84,9 @@ def exchange_generator(N: int, k: int) -> np.ndarray:
 
 def dense_generator(process, N: int) -> np.ndarray:
     """Dense nonlinear-arm generator of a process on block N; a Hybrid's
-    is the weighted sum of its terms' generators. A process without a
-    block generator raises ConfigurationError."""
+    is the sum of its terms' generators, each weighted by its coefficient
+    times its strength (chi or g). A process without a block generator
+    raises ConfigurationError."""
     if isinstance(process, CrossPhase):
         return cross_phase_generator(N, process.s)
     if isinstance(process, Exchange):
@@ -91,16 +94,38 @@ def dense_generator(process, N: int) -> np.ndarray:
     if isinstance(process, Hybrid):
         M = np.zeros((N + 1, N + 1), dtype=complex)
         for coeff, spec in process.terms:
-            M += coeff * dense_generator(spec, N)
+            M += coeff * spec.strength * dense_generator(spec, N)
         return M
     raise ConfigurationError(
         "%s has no block generator" % type(process).__name__)
 
 
+def risbo_step(N: int, r_prev: np.ndarray) -> np.ndarray:
+    """Reference ladder step: the full rung r_N = 2^((N mod 2)/2) d_N from
+    r_{N-1}, all (N+1)^2 entries, by the Risbo contraction that
+    operators._jx_factorization restricts to the quarter r_N[:h, :h],
+    h = N//2 + 1. The operations and their order are the engine step's,
+    so the quarter it computes must equal this rung's bit for bit."""
+    i = np.arange(N + 1)
+    wa = np.sqrt((N - i) / N)
+    wb = np.sqrt(i / N)
+    P = np.zeros((N + 1, N))
+    Q = np.zeros((N + 1, N))
+    P[:N] = wa[:N, None] * r_prev
+    Q[1:] = wb[1:, None] * r_prev
+    T, D = P + Q, Q - P
+    half = 0.5 if N % 2 == 0 else 1.0
+    r = np.zeros((N + 1, N + 1))
+    r[:, :N] = T * (half * wa[:N])
+    r[:, 1:] += D * (half * wb[1:])
+    return r
+
+
 def wigner_d(N: int) -> np.ndarray:
     """Real Wigner matrix d_N = exp(-i (pi/2) J_y) on block N, read off
-    the ladder's rung."""
-    r = ladder_walk(N)
+    the engine ladder's quarter rung (operators.rung_entries)."""
+    i = np.arange(N + 1)
+    r = rung_entries(ladder_walk(N), N, i, i)
     return r if N % 2 == 0 else r * np.sqrt(0.5)
 
 
@@ -168,7 +193,7 @@ def tensor_generator(process, nmax):
     if isinstance(process, Hybrid):
         out = np.zeros_like(na)
         for c, spec in process.terms:
-            out = out + c * tensor_generator(spec, nmax)
+            out = out + c * spec.strength * tensor_generator(spec, nmax)
         return out
     raise ValueError(process)
 

@@ -271,9 +271,12 @@ def test_optomech_roundtrip_smoke(tmp_path):
      "0:3.1416:50"),
     ("coherence", "--process", "cross-kerr", "--nbar", 0.5, "--theta",
      "0:6.283:8000"),
+    ("max-efficiency", "--process", "cross-kerr", "--nbar", 40,
+     "--theta-max", "6.283185307179586", "--grid", 100, "--tail-tol", "1e-3"),
 ], ids=["wc-sweep-exchange", "pdc-degenerate", "optomech-exchange",
         "max-efficiency-exchange", "wc-sweep-exchange-k3",
-        "pdc-non-degenerate", "coherence-cross-kerr"])
+        "pdc-non-degenerate", "coherence-cross-kerr",
+        "max-efficiency-cross-kerr"])
 def test_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
     # each thread count needs its own process: BLAS reads it at load time
     digests = set()

@@ -95,17 +95,64 @@ def test_engine_matches_eigensolver_splitter_exchange(process):
                                      HYBRID])
 def test_even_order_exchange_keeps_half_the_columns(process):
     # mirror pairs merge and self-mirror chains fold onto the input's sector;
-    # the rows of the other parity than N are exact zeros and are not kept
+    # the rows of the other parity than N are exact zeros and are not kept,
+    # also on the diagonal blocks below the exchange order
     eng = ev.BlockEngine(process)
     for N in range(300):
         eng.amplitudes(N, [0.0])
         C, D, mu, rows, _ = eng._blocks[N]
-        k = process.k if isinstance(process, Exchange) else 2  # HYBRID's
-        kept = N // 2 + 1 if N >= k else N + 1
         assert C.dtype == D.dtype == float
-        assert C.shape == D.shape == (kept, mu.size)
-        assert len(range(N + 1)[rows]) == kept
+        assert C.shape == D.shape == (N // 2 + 1, mu.size)
+        assert rows == slice(N % 2, N + 1, 2)
         assert mu.size <= N // 2 + 1
+
+
+@pytest.mark.parametrize("process", [CrossPhase(s=1), CrossPhase(s=2)])
+def test_cross_phase_keeps_parity_rows_and_half_the_columns(process):
+    # columns m and N-m merge, and only the rows j of N's parity are kept:
+    # a real C is D of N//2 + 1 rows and columns; the others are exact zeros
+    eng = ev.BlockEngine(process)
+    for N in range(300):
+        amps = eng.amplitudes(N, [0.0, 0.9, 4.1])
+        C, D, mu, rows, real = eng._blocks[N]
+        assert C is D and C.dtype == float and not real
+        assert C.shape == (N // 2 + 1, N // 2 + 1) == mu.shape * 2
+        assert rows == slice(N % 2, N + 1, 2)
+        assert np.all(amps[1 - N % 2::2] == 0.0)
+
+
+def test_cross_phase_odd_photon_numbers_are_exact_zeros():
+    # the parity filter: from |N, 0> only rows j of N's parity are reached,
+    # so mode a's n_a = N - j is even on every retained block
+    thetas = np.linspace(0.0, 2.0 * np.pi, 13)
+    da, db, P = ev.sweep_distributions(CrossPhase(), 40.0, thetas, 1e-3)
+    assert P.size == 280
+    assert np.all(da[1::2] == 0.0)
+    assert np.all(da[0::2].sum(axis=0) > 0.99)
+
+
+def test_hybrid_terms_carry_their_strengths():
+    # a term weighs its generator by coefficient times chi or g: one
+    # exchange term of g = 5 sweeps as the bare order at 5 theta, up to the
+    # eigensolver's rounding of the scaled band, and weights that multiply
+    # exactly to the same products give the same bytes
+    thetas = np.array([0.1, 0.7, 2.0])
+    hyb = Hybrid(terms=((1.0, Exchange(k=2, g=5.0)),))
+    got = ev.sweep_distributions(hyb, 1.0, thetas, 1e-8)
+    ref = ev.sweep_distributions(Exchange(k=2), 1.0, 5.0 * thetas, 1e-8)
+    assert np.abs(got[0] - ref[0]).max() < 1e-12
+    assert np.abs(got[1] - ref[1]).max() < 1e-12
+    same = ev.sweep_distributions(Exchange(k=2), 1.0, thetas, 1e-8)
+    assert np.abs(got[0] - same[0]).max() > 1e-2
+    scaled = Hybrid(terms=((0.7, CrossPhase(chi=2.0)),
+                           (0.4, Exchange(k=2, g=0.5))))
+    unit = Hybrid(terms=((1.4, CrossPhase()), (0.2, Exchange(k=2))))
+    for a, b in zip(ev.sweep_distributions(scaled, 1.0, thetas, 1e-8),
+                    ev.sweep_distributions(unit, 1.0, thetas, 1e-8)):
+        assert np.array_equal(a, b)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            Hybrid(terms=((1.0, Exchange(k=2, g=bad)),))
 
 
 @pytest.mark.parametrize("process", [CrossPhase(s=1), Exchange(k=2),
@@ -149,8 +196,9 @@ def test_exchange_pairs_are_built_exactly(process):
         dropped = np.ones(N + 1, dtype=bool)
         dropped[rows] = False
         assert np.all(got[dropped] == 0.0)
+        # below the order a block is diagonal and keeps N's parity too
         assert dropped.sum() == (N + 1) // 2 * (process.k % 2 == 0
-                                                and N >= process.k)
+                                                or N < process.k)
     assert zero_modes > 0
 
 

@@ -10,8 +10,8 @@ from nlmzi import operators as ops
 from nlmzi.errors import ConfigurationError, DomainError
 from oracles import (beam_splitter_unitary, cross_phase_generator,
                      dense_generator, exchange_generator, expm_splitter,
-                     splitter_input_column, stokes, two_mode_monomial,
-                     wigner_d)
+                     risbo_step, splitter_input_column, stokes,
+                     two_mode_monomial, wigner_d)
 
 TOL = 1e-12
 
@@ -145,14 +145,43 @@ def test_wigner_d_stays_orthogonal_at_large_blocks():
 
 def test_ladder_walk_resumes_from_any_rung():
     for n, N in ((10, 25), (9, 24), (0, 7)):
-        r = ops.ladder_walk(n)
-        assert np.array_equal(ops.ladder_walk(N, (n, r)), ops.ladder_walk(N))
-    # odd rungs carry sqrt(2)
-    assert np.abs(ops.ladder_walk(1) - [[1, -1], [1, 1]]).max() == 0
+        q = ops.ladder_walk(n)
+        assert np.array_equal(ops.ladder_walk(N, (n, q)), ops.ladder_walk(N))
+    # the walk keeps the quarter r_N[:h, :h], h = N//2 + 1; odd rungs
+    # carry sqrt(2)
+    assert np.array_equal(ops.ladder_walk(1), [[1.0]])
     d25 = wigner_d(25)
-    assert np.abs(ops.ladder_walk(25) - np.sqrt(2) * d25).max() < 1e-15
+    q25 = ops.ladder_walk(25)
+    assert np.abs(q25 - np.sqrt(2) * d25[:13, :13]).max() < 1e-15
     with pytest.raises(DomainError):
         ops.ladder_walk(-1)
+
+
+def test_quarter_ladder_is_the_full_rungs_quarter():
+    # bit for bit, step by step, against the reference full-rung step; the
+    # full rung keeps both pi/2 mirrors bit for bit, so rung_entries
+    # rebuilds it exactly from the quarter
+    rng = np.random.default_rng(5)
+    q, r = np.ones((1, 1)), np.ones((1, 1))
+    scratch = ops.LadderScratch()
+    for N in range(1, 401):
+        q = ops._jx_factorization(N, q, scratch)
+        r = risbo_step(N, r)
+        h = N // 2 + 1
+        assert np.array_equal(q, r[:h, :h]), N
+        i = np.arange(N + 1)
+        alt = 1.0 - 2.0 * (i % 2)
+        # r[N-i, k] = (-1)^k r[i, k] and r[i, N-k] = (-1)^(N+i) r[i, k]
+        assert np.array_equal(r[::-1], alt * r), N
+        assert np.array_equal(r[:, ::-1], (-1) ** N * alt[:, None] * r), N
+        if N % 40 in (0, 1):
+            assert np.array_equal(ops.rung_entries(q, N, slice(None), i), r)
+            rows, cols = rng.integers(0, N + 1, size=(2, 2 * N))
+            assert np.array_equal(ops.rung_entries(q, N, rows, cols),
+                                  r[np.ix_(rows, cols)])
+            parity = slice(N % 2, N + 1, 2)
+            assert np.array_equal(ops.rung_entries(q, N, parity, cols[::-1]),
+                                  r[parity][:, cols[::-1]])
 
 
 def test_splitter_input_column():
