@@ -21,10 +21,12 @@ j = c, c+g, ..., g the gcd of its exchange orders. A bipartite chain
 (zero diagonal, every coupling an odd number of steps long) has its
 eigenpairs in exact pairs (mu, v), (-mu, S v), S = diag((-1)^i): the
 negative half is built, not solved, and a pair takes one phase
-exp(-i mu theta) per theta. A diagonal (cross-phase) or even-g block
-keeps N//2 + 1 columns at most, and only its rows j of the parity of N;
-the others are exact zeros. An odd-order exchange block's unphased
-amplitudes are real, one real product per block.
+exp(-i mu theta) per theta. Every block is real: a column of an odd-g
+block is real on the rows j of N's parity and imaginary on the others,
+and the block keeps those rows divided by i, which moves into the row
+phase. A diagonal (cross-phase) or even-g block keeps N//2 + 1 columns
+at most, and only its rows j of the parity of N; the others are exact
+zeros.
 
 Parametric down-conversion is not block-diagonal in N, but with n pump
 photons it reaches one chain of n + 1 states; a chain engine solves each
@@ -92,7 +94,7 @@ def _phases(mu, ts) -> np.ndarray:
     return Z
 
 
-def phase_product(C, D, mu, ts, real: bool = False) -> np.ndarray:
+def phase_product(C, D, mu, ts) -> np.ndarray:
     """Real and imaginary parts of C cos(mu t) - i D sin(mu t), column i
     at ts[i]: shape (2, rows, len(ts)).
 
@@ -100,19 +102,14 @@ def phase_product(C, D, mu, ts, real: bool = False) -> np.ndarray:
     the oscillator oracle; its phases exp(-i mu t) come from _phases. With
     C is D this is C exp(-i mu t): a real C takes one real product on the
     phases' float view (a complex C a complex product), and the parts are
-    views of the interleaved result. The pair form, C = a+b and D = a-b
-    for the columns a, b of eigenvalues mu and -mu, takes one phase per
-    pair and two real products, C @ cos and D @ sin. real=True takes a
-    pair form with a real C and an imaginary D, passed as the real array
-    iD: its amplitudes C cos(mu t) - iD sin(mu t) are real, one real
-    product of [C | iD], shape (1, rows, len(ts)).
+    views of the interleaved result. Otherwise C and D are real, the pair
+    form C = a+b and D = a-b for the columns a, b of eigenvalues mu and
+    -mu: one phase per pair and two real products, C @ cos and D @ sin.
     """
     Z = _phases(mu, np.asarray(ts, dtype=float))
     if C is D:
         Z = C @ Z if np.iscomplexobj(C) else (C @ Z.view(float)).view(complex)
         return Z.view(float).reshape(Z.shape + (2,)).transpose(2, 0, 1)
-    if real:
-        return (np.hstack([C, D]) @ np.concatenate([Z.real, Z.imag]))[None]
     P = np.empty((2, C.shape[0], Z.shape[1]))
     np.matmul(C, Z.real, out=P[0])
     np.matmul(D, Z.imag, out=P[1])  # Im Z = -sin(mu t)
@@ -141,16 +138,17 @@ class BlockEngine:
     with c_N^2 = 2^(N mod 2) (operators.ladder_walk); every entry of r_N a
     block reads is gathered from q_N (operators.rung_entries), and no full
     rung is formed.
-    Block N keeps (C, D, mu, rows, real), and its amplitudes are
-    (-i)^j [C cos(theta mu) - i D sin(theta mu)]_j on the rows j of the
-    slice rows (phase_product). Column l of C and D comes from the input's
-    components on generator eigenvectors, carried through the second
-    splitter, with the columns of mirror eigenvectors of one eigenvalue
-    merged. The generator comes as a band (operators.process_generator): a
-    block with no couplings is diagonal, and its columns m and N-m merge,
-    so that only the rows of N's parity are nonzero, where the merged
-    column is 2 r_N[:, m] exactly; any other is solved chain by chain
-    (_exchange_chains). Where a chain is
+    Block N keeps (C, D, mu, rows), C and D real, and its amplitudes are
+    phase_j [C cos(theta mu) - i D sin(theta mu)]_j on the rows j of the
+    slice rows (phase_product), with the row phase phase_j = (-i)^j on the
+    rows j of N's parity and (-i)^(j-1) on the others. Column l of C and D
+    comes from the input's components on generator eigenvectors, carried
+    through the second splitter, with the columns of mirror eigenvectors
+    of one eigenvalue merged. The generator comes as a band
+    (operators.process_generator): a block with no couplings is diagonal,
+    and its columns m and N-m merge, so that only the rows of N's parity
+    are nonzero, where the merged column is 2 r_N[:, m] exactly; any other
+    is solved chain by chain (_exchange_chains). Where a chain is
     bipartite its eigenvectors come in exact pairs (mu, v), (-mu, S v)
     with S = diag((-1)^i) (Coulson & Rushbrooke, Proc. Camb. Phil. Soc.
     36, 193 (1940)): a pair's columns a, b enter as C = a+b, D = a-b, and
@@ -158,15 +156,14 @@ class BlockEngine:
     and a block with no pairs keeps C is D, the one-product path of
     phase_product. Chains of an even stride keep the parity of j: their
     block keeps the rows j = N mod 2, N mod 2 + 2, ..., as the mirror
-    merge makes the others exact zeros, and its C and D are real. Chains
-    of an odd stride mix the parities, and their columns are complex;
-    with pairs on every chain C is exactly real and D exactly imaginary,
-    so the block keeps iD in place of D and real=True: its unphased
-    amplitudes C cos(theta mu) - iD sin(theta mu) are real (phase_product's
-    real form). A diagonal block keeps a real C is D of N//2 + 1 rows and
-    columns. The engine keeps the highest quarter built so far (_top): a
-    new block takes ladder steps from it, or from r_0 when it lies below
-    that one. A process with no photon-number blocks raises
+    merge makes the others exact zeros. Chains of an odd stride mix the
+    parities: their merged columns are real on the rows of N's parity and
+    imaginary on the others, so the block keeps all N+1 rows, the others
+    divided by i. A pair's C is then zero on the rows off N's parity and
+    its D on the rows of it. A diagonal block keeps a C is D of N//2 + 1
+    rows and columns. The engine keeps the highest quarter built so far
+    (_top): a new block takes ladder steps from it, or from r_0 when it
+    lies below that one. A process with no photon-number blocks raises
     ConfigurationError on its first block.
     """
 
@@ -199,7 +196,7 @@ class BlockEngine:
         w = inv_c2 * q[:, 0]
         w[: N + 1 - h] *= 2.0  # an even N's middle column is its own mirror
         C = np.multiply(rung_entries(q, N, rows, np.arange(h)), w, order="C")
-        self._blocks[N] = (C, C, band[0, :h], rows, False)
+        self._blocks[N] = (C, C, band[0, :h], rows)
 
     def _factor(self, N: int):
         if N not in self._blocks:
@@ -214,27 +211,26 @@ class BlockEngine:
         """Output amplitudes, shape (N+1, len(thetas)).
 
         phased=False returns instead phase_product's parts, shape
-        (2, rows, len(thetas)), or (1, rows, len(thetas)) where they are
-        real (odd-stride pairs): the amplitudes on the rows rows(N)
-        without the row phase (-i)^j, which no modulus depends on.
+        (2, rows, len(thetas)): the amplitudes on the rows rows(N) without
+        the row phase, which no modulus depends on.
         """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        C, D, mu, rows, real = self._factor(N)
-        P = phase_product(C, D, mu, thetas, real=real)
+        C, D, mu, rows = self._factor(N)
+        P = phase_product(C, D, mu, thetas)
         if not phased:
             return P
         Z = np.zeros((N + 1, thetas.size), dtype=complex)
         Z.real[rows] = P[0]
-        if len(P) == 2:
-            Z.imag[rows] = P[1]
-        Z *= QUARTER_TURNS[np.arange(N + 1) % 4, None]
+        Z.imag[rows] = P[1]
+        j = np.arange(N + 1)
+        Z *= QUARTER_TURNS[(j - (j + N) % 2) % 4, None]
         return Z
 
     def probs(self, N: int, thetas) -> np.ndarray:
         """Squared moduli on the rows rows(N), shape (rows, len(thetas))."""
         P = self.amplitudes(N, thetas, phased=False)
         P *= P
-        return P[0] + P[1] if len(P) == 2 else P[0]
+        return P[0] + P[1]
 
 
 def _signs(m):
@@ -242,29 +238,19 @@ def _signs(m):
     return 1.0 - 2.0 * (m // 2 % 2)
 
 
-def _image(q, N, rows, pos, V, real):
-    """(U, kappa): the columns r_N diag(i^m) V diag(V^T diag((-i)^m) r_N[:, 0])
-    are U diag(kappa), taken on the output rows rows; q is the quarter of
-    the rung r_N (operators.rung_entries).
+def _image(q, N, rows, pos, V, w):
+    """(U, w kappa) = (r_N[rows][:, pos] W, w W^T r_N[pos, 0]) with
+    W = diag(s_pos) V, i^m = s_m i^(m mod 2): one gather from the quarter
+    q of the rung r_N (operators.rung_entries), all of it real.
 
-    V's rows are the basis states pos; U and kappa are each linear in V.
-    With i^m = s_m i^(m mod 2), a V that keeps the parity of m leaves the
-    real U = r_N W and kappa = W^T r_N[:, 0] with W = diag(s) V
-    (real=True). real=True also adds the splitter columns N - pos to those
-    of pos, as V then lives on the mirror sector of pos + (N - pos) that
-    the input lies in; on the rows of N's parity, the only ones an
-    even-stride block keeps, r_N[:, N-m] = r_N[:, m], so the sum is
-    2 r_N[:, pos].
+    V's rows are the basis states pos. Where they share one parity of m
+    the columns r_N diag(i^m) V diag(V^T diag((-i)^m) r_N[:, 0]) are
+    U diag(kappa), as i^(m mod 2) (-i)^(m mod 2) = 1. The weight w is a
+    power of 2, exact wherever it is applied.
     """
     W = _signs(pos)[:, None] * V
     r0 = q[np.minimum(pos, N - pos), 0]  # the row mirror's sign is (-1)^0
-    if real:
-        return rung_entries(q, N, rows, pos) @ (2.0 * W), W.T @ r0
-    U = np.zeros((len(range(N + 1)[rows]), V.shape[1]), dtype=complex)
-    for part, on in ((U.real, pos % 2 == 0), (U.imag, pos % 2 == 1)):
-        if on.any():  # a pair's half-chain keeps one parity of m
-            part[...] = rung_entries(q, N, rows, pos[on]) @ W[on]
-    return U, V.T @ (QUARTER_TURNS[pos % 4] * r0)
+    return rung_entries(q, N, rows, pos) @ W, w * (W.T @ r0)
 
 
 def _fold(band, sigma):
@@ -293,8 +279,8 @@ def _fold(band, sigma):
 
 
 def _exchange_chains(q, N: int, band, offsets, scale):
-    """(C, D, mu, rows, real) of block N on its chains, one chain or mirror
-    pair at a time; q is the quarter of the rung r_N, band the generator
+    """(C, D, mu, rows) of block N on its chains, one chain or mirror pair
+    at a time; q is the quarter of the rung r_N, band the generator
     (operators.process_generator), with couplings at the offsets offsets.
 
     The generator couples only sites j an offset apart, so it splits into
@@ -304,32 +290,36 @@ def _exchange_chains(q, N: int, band, offsets, scale):
     eigenvalue for eigenvalue: a pair of distinct chains is solved once
     and each eigenvalue's two columns merge into one. For even g a chain
     that is its own mirror is folded (_fold) onto the mirror sector
-    sigma = s_c s_(N-c) of the input, which is zero on the other one. For
-    odd g that chain mixes the parities of j and stays whole, with complex
-    columns.
+    sigma = s_c s_(N-c) of the input, which is zero on the other one; for
+    odd g it mixes the parities of j and stays whole.
 
     A chain is bipartite when its diagonal is zero and every coupling
     offset is an odd multiple of g: then S = diag((-1)^i) anticommutes
     with it. A fold keeps that only at odd length; at even length its
     central coupling lands on the diagonal. A bipartite chain's spectrum
-    is built from eig_banded's positive half: (mu, v) gives (-mu, S v).
-    Splitting v into its even and odd sites i, the columns are U(v)
-    kappa(v) with U and kappa linear, so a pair's C = a+b and D = a-b are
-    2 (U_e kappa_e + U_o kappa_o) and 2 (U_e kappa_o + U_o kappa_e). An
-    odd-length chain's zero mode lives on the even sites: it gets
-    mu = 0.0, odd entries 0.0, and enters once, as C = a, D = 0. For odd
-    g a chain's even and odd sites have opposite parities of j, so U_e
-    and kappa_e carry one phase i^p, U_o and kappa_o the other: C comes
-    out exactly real and D exactly imaginary, and the block keeps the
-    real arrays C and iD, phase_product's real form. That form needs
-    every chain paired, so on an odd stride the pairs are built only when
-    every chain is bipartite.
+    is built from eig_banded's positive half: (mu, v) gives (-mu, S v),
+    which keeps the image (U0, k0) of v's even sites i and flips the sign
+    of (U1, k1), that of its odd ones (_image). An odd-length chain's zero
+    mode lives on the even sites: it gets mu = 0.0, odd entries 0.0, and
+    enters once, as C = a, D = 0.
+
+    For even g every site has the parity of c, and a pair's C = a+b and
+    D = a-b are 2 (U0 k0 + U1 k1) and 2 (U0 k1 + U1 k0). For odd g the
+    halves have opposite parities of m, and a column is
+    U0 k0 + U1 k1 + i (-1)^c (U1 k0 - U0 k1); its mirror chain's is
+    (-1)^(N+j) times its complex conjugate on row j, as
+    r_N[j, N-m] = (-1)^(N+j) r_N[j, m] and r_N[N-m, 0] = r_N[m, 0]. So a
+    merged column, or one of a chain that is its own mirror, is real on
+    the rows of N's parity and imaginary on the others, which the block
+    keeps divided by i: a pair's C is 2 (U0 k0 + U1 k1) on the former,
+    its D 2 (-1)^c (U1 k0 - U0 k1) on the latter, each 0.0 elsewhere, and
+    an unpaired column is C + D.
     """
     g = math.gcd(*offsets)
     b = max(offsets) // g
     even = g % 2 == 0
     rows = slice(N % 2, N + 1, 2) if even else slice(0, N + 1, 1)
-    chains = []
+    mus, Cs, Ds = [], [], []
     for c in range(g):
         m = (N - c) % g
         if m < c:
@@ -339,54 +329,42 @@ def _exchange_chains(q, N: int, band, offsets, scale):
         if m == c and even:
             pos, cb = pos[: (pos.size + 1) // 2], _fold(
                 cb, _signs(c) * _signs(N - c))
-        chains.append((c, m, pos, cb,
-                        not cb[0].any() and not cb[2::2].any()))
-    real = not even and all(chain[-1] for chain in chains)
-    mus, Cs, Ds = [], [], []
-    for c, m, pos, cb, bipartite in chains:
-        lam, V = eig_banded(cb, lower=True)
+        paired = not cb[0].any() and not cb[2::2].any()  # bipartite
+        mu, V = eig_banded(cb, lower=True)
         if even and 2 * pos[-1] == N:
             V[-1] *= np.sqrt(0.5)  # the middle site is its own mirror
-
-        def image(p, W):
+        # a mirror pair's columns merge, and a fold's: on the rows of N's
+        # parity the merged column is twice the chain's
+        w = scale if m == c and not even else 2.0 * scale
+        if paired:
+            h = pos.size // 2
+            mu, V, w = mu[h:], V[:, h:], 2.0 * w
+            if pos.size % 2:
+                mu[0] = 0.0
+                V[1::2, 0] = 0.0
+        if even and not paired:
+            U, kappa = _image(q, N, rows, pos, V, w)
+            C = D = U * kappa
+        else:
+            (U0, k0), (U1, k1) = (_image(q, N, rows, pos[s::2], V[s::2], w)
+                                  for s in (0, 1))
+            C = U0 * k0 + U1 * k1
             if even:
-                return [_image(q, N, rows, p, W, real=True)]
-            terms = [_image(q, N, rows, p, W, real=False)]
-            if m != c:
-                terms.append(_image(q, N, rows, N - p, W, real=False))
-            return terms
-
-        if not (bipartite and (even or real)):
-            A = sum(U * (scale * kappa) for U, kappa in image(pos, V))
-            mus.append(lam)
-            Cs.append(A)
-            Ds.append(A)
-            continue
-        h = pos.size // 2
-        mu, top = lam[h:], V[:, h:]
-        if pos.size % 2:
-            mu[0] = 0.0
-            top[1::2, 0] = 0.0
-        C = D = 0.0
-        for (Ue, ke), (Uo, ko) in zip(image(pos[0::2], top[0::2]),
-                                      image(pos[1::2], top[1::2])):
-            C = C + Ue * ke + Uo * ko
-            D = D + Ue * ko + Uo * ke
-        C *= 2.0 * scale
-        D *= 2.0 * scale
-        if pos.size % 2:
-            C[:, 0] *= 0.5  # the zero mode is its own partner
+                D = U0 * k1 + U1 * k0
+            else:
+                D = U0 * k1 - U1 * k0 if c % 2 else U1 * k0 - U0 * k1
+                C[1 - N % 2::2] = 0.0
+                D[N % 2::2] = 0.0
+                if not paired:
+                    C = D = C + D
+            if paired and pos.size % 2:
+                C[:, 0] *= 0.5  # the zero mode is its own partner
         mus.append(mu)
         Cs.append(C)
         Ds.append(D)
-    mu = np.concatenate(mus)
-    if all(C is D for C, D in zip(Cs, Ds)):
-        C = np.hstack(Cs)
-        return C, C, mu, rows, False
-    C, D = np.hstack(Cs), np.hstack(Ds)
-    if real:
-        return np.ascontiguousarray(C.real), -D.imag, mu, rows, True
-    return C, D, mu, rows, False
+    C = np.hstack(Cs)
+    D = C if all(a is b for a, b in zip(Cs, Ds)) else np.hstack(Ds)
+    return C, D, np.concatenate(mus), rows
 
 
 def mzi_output(process: ProcessSpec, t: float, nbar: float,

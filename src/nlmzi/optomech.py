@@ -196,7 +196,9 @@ def suggested_osc_cutoff(cfg: OscillatorConfig, n_top: int) -> int:
     largest displacement 2 |G| n_top / Omega. A thermal init's amplitude
     is sqrt(m_top), m_top its highest Fock level before the tail
     THERMAL_INIT_TAIL, so that the oracle keeps every init level it weighs
-    and none of them starts at the top.
+    and none of them starts at the top. Raises ConfigurationError when
+    the cutoff would take more than fock.DEFAULT_DIM_GUARD levels, the
+    budget full_quantum_oracle keeps.
     """
     if isinstance(cfg.init, CoherentInit):
         amp0 = abs(cfg.init.alpha)
@@ -204,7 +206,12 @@ def suggested_osc_cutoff(cfg: OscillatorConfig, n_top: int) -> int:
         amp0 = np.sqrt(fock.thermal_cutoff(cfg.init.nbar_osc,
                                            THERMAL_INIT_TAIL))
     amp = amp0 + 2.0 * abs(cfg.G) * n_top / cfg.Omega
-    return int(np.ceil(amp * amp + 10.0 * amp + 20.0))
+    cutoff = np.ceil(amp * amp + 10.0 * amp + 20.0)
+    if not cutoff + 1 <= fock.DEFAULT_DIM_GUARD:
+        raise ConfigurationError(
+            "the oscillator needs a cutoff of %g levels, above the level "
+            "budget %d" % (cutoff + 1, fock.DEFAULT_DIM_GUARD))
+    return int(cutoff)
 
 
 def _pairs(v: np.ndarray) -> np.ndarray:
@@ -233,8 +240,9 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     evolved in chunks of at most ORACLE_CHUNK_ENTRIES matrix entries.
     Raises DomainError on a non-finite tau, a non-finite or negative
     (below -1e-12) dist entry or osc_cutoff < 1, and ConfigurationError
-    when the top oscillator level accumulates more than 1e-8 population
-    anywhere on the grid, with a suggested larger cutoff.
+    on osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD levels and when the top
+    oscillator level accumulates more than 1e-8 population anywhere on
+    the grid, with a suggested larger cutoff.
     """
     p = checked_probabilities(dist)
     taus = np.asarray(taus, dtype=float)
@@ -242,6 +250,10 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
         raise DomainError("taus must be finite")
     if osc_cutoff < 1:
         raise DomainError("osc_cutoff must be >= 1")
+    if osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD:
+        raise ConfigurationError(
+            "osc_cutoff %d needs %d levels, above the level budget %d"
+            % (osc_cutoff, osc_cutoff + 1, fock.DEFAULT_DIM_GUARD))
     mm = np.arange(osc_cutoff + 1, dtype=float)
     sq = np.sqrt(mm[1:])
     if isinstance(cfg.init, CoherentInit):

@@ -205,7 +205,9 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
     within _PEAK_ULPS ulp of the grid's maximum. A sweep evaluating a dozen
     angles through the cached block factors costs barely more than
     evaluating one (the cache streaming dominates), so each refinement
-    round re-grids the bracket instead of bisecting point by point.
+    round re-grids the bracket instead of bisecting point by point. The
+    rounds stop at a bracket narrower than _THETA_XTOL, or at one that a
+    round no longer narrows, where the ulp of theta exceeds it.
     """
     if not (np.isfinite(theta_max) and theta_max > 0):
         raise DomainError("theta_max must be finite and > 0")
@@ -228,5 +230,8 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
         j = _first_peak(w)
         if w[j] > w_star:
             theta_star, w_star = float(sub[j]), float(w[j])
+        width = hi - lo
         lo, hi = sub[max(j - 1, 0)], sub[min(j + 1, sub.size - 1)]
+        if hi - lo >= width:
+            break  # a few ulp of a large theta: the bracket shrinks no more
     return w_star / nbar, theta_star

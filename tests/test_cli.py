@@ -143,7 +143,7 @@ def test_usage_errors_exit_two(tmp_path):
         run("no-such-command")
 
 
-def test_domain_errors_exit_three(tmp_path):
+def test_domain_errors_exit_three(tmp_path, capsys):
     rc = run("wc-sweep", "--process", "exchange", "--k", 5, "--nbar", 0.2,
              "--theta", "0:1:3", "--out", tmp_path / "x.csv")
     assert rc == 3
@@ -166,6 +166,16 @@ def test_domain_errors_exit_three(tmp_path):
     rc = run("optomech", "--process", "cross-kerr", "--nbar", 0.5,
              "--t", np.pi, "--alpha", "nan", "--out", tmp_path / "o.csv")
     assert rc == 3
+    # an oscillator cutoff that overflows or needs more levels than
+    # fock.DEFAULT_DIM_GUARD is refused before anything is allocated
+    for extra in (("--G", 1e300), ("--alpha", "1e308+1e308j"),
+                  ("--Omega", 1e-300), ("--osc-cutoff", 100000)):
+        capsys.readouterr()
+        rc = run("optomech", "--process", "cross-kerr", "--nbar", 1,
+                 "--t", 1, *extra, "--out", tmp_path / "o.csv")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_high_order_exchange_behind_flag(tmp_path):
@@ -267,6 +277,8 @@ def test_optomech_roundtrip_smoke(tmp_path):
      "--theta-max", 100, "--grid", 2000, "--tail-tol", "1e-3"),
     ("wc-sweep", "--process", "exchange", "--k", 3, "--nbar", 5,
      "--theta", "0:6.283:400"),
+    ("wc-sweep", "--process", "exchange", "--k", 1, "--nbar", 5,
+     "--theta", "0:6.283:400"),
     ("pdc", "--variant", "non-degenerate", "--nbar", 5, "--gt",
      "0:3.1416:50"),
     ("coherence", "--process", "cross-kerr", "--nbar", 0.5, "--theta",
@@ -275,7 +287,7 @@ def test_optomech_roundtrip_smoke(tmp_path):
      "--theta-max", "6.283185307179586", "--grid", 100, "--tail-tol", "1e-3"),
 ], ids=["wc-sweep-exchange", "pdc-degenerate", "optomech-exchange",
         "max-efficiency-exchange", "wc-sweep-exchange-k3",
-        "pdc-non-degenerate", "coherence-cross-kerr",
+        "wc-sweep-exchange-k1", "pdc-non-degenerate", "coherence-cross-kerr",
         "max-efficiency-cross-kerr"])
 def test_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
     # each thread count needs its own process: BLAS reads it at load time

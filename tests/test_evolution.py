@@ -17,7 +17,7 @@ from oracles import (dense_generator, eig_block_amplitudes, hermitian_eig,
 HYBRID = Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))
 # chain cases the single-order processes do not reach: a stride-2 band of
 # width 2 (not bipartite) and of a gcd-1 mix of orders, three terms, an
-# odd-stride bipartite chain in the real form, and a diagonal-only Hybrid
+# odd-stride bipartite chain, and a diagonal-only Hybrid
 HYBRID_CHAINS = [
     Hybrid(terms=((1.0, Exchange(k=2)), (0.3, Exchange(k=4, allow_high_order=True)))),
     Hybrid(terms=((1.0, Exchange(k=2)), (0.3, Exchange(k=3)))),
@@ -100,7 +100,7 @@ def test_even_order_exchange_keeps_half_the_columns(process):
     eng = ev.BlockEngine(process)
     for N in range(300):
         eng.amplitudes(N, [0.0])
-        C, D, mu, rows, _ = eng._blocks[N]
+        C, D, mu, rows = eng._blocks[N]
         assert C.dtype == D.dtype == float
         assert C.shape == D.shape == (N // 2 + 1, mu.size)
         assert rows == slice(N % 2, N + 1, 2)
@@ -114,8 +114,8 @@ def test_cross_phase_keeps_parity_rows_and_half_the_columns(process):
     eng = ev.BlockEngine(process)
     for N in range(300):
         amps = eng.amplitudes(N, [0.0, 0.9, 4.1])
-        C, D, mu, rows, real = eng._blocks[N]
-        assert C is D and C.dtype == float and not real
+        C, D, mu, rows = eng._blocks[N]
+        assert C is D and C.dtype == float
         assert C.shape == (N // 2 + 1, N // 2 + 1) == mu.shape * 2
         assert rows == slice(N % 2, N + 1, 2)
         assert np.all(amps[1 - N % 2::2] == 0.0)
@@ -188,7 +188,7 @@ def test_exchange_pairs_are_built_exactly(process):
             dense_generator(process, N)))).max()
         scale = np.maximum(thetas * max(lmax, 1.0), 1.0)
         assert np.all(np.abs(got - ref).max(axis=0) < 4e-15 * scale), N
-        C, D, mu, rows, _ = eng._blocks[N]
+        C, D, mu, rows = eng._blocks[N]
         assert np.all(mu[np.any(C != D, axis=0)] >= 0.0)
         near_zero = np.abs(mu) < 1e-8 * max(lmax, 1.0)
         assert np.all(mu[near_zero] == 0.0)
@@ -200,6 +200,27 @@ def test_exchange_pairs_are_built_exactly(process):
         assert dropped.sum() == (N + 1) // 2 * (process.k % 2 == 0
                                                 or N < process.k)
     assert zero_modes > 0
+
+
+@pytest.mark.parametrize("process", [
+    Exchange(k=1), Exchange(k=3),
+    Hybrid(terms=((1.0, Exchange(k=2)), (0.3, Exchange(k=3)))),
+    Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=3)))),
+])
+def test_odd_stride_blocks_are_real(process):
+    # an odd-stride column is real on the rows of N's parity and imaginary
+    # on the others, which the block keeps divided by i: C and D are real,
+    # and a pair's C is exactly zero off N's parity and its D on it
+    eng = ev.BlockEngine(process)
+    for N in range(60):
+        rows = eng.rows(N)
+        C, D, mu, _ = eng._blocks[N]
+        assert C.dtype == D.dtype == np.float64
+        if C is D or rows.step == 2:
+            continue
+        paired = np.any(C != D, axis=0)
+        assert np.all(C[1 - N % 2::2, paired] == 0.0)
+        assert np.all(D[N % 2::2, paired] == 0.0)
 
 
 @pytest.fixture
@@ -354,14 +375,6 @@ def test_phase_product_is_the_complex_exponential_product():
     assert np.abs(got[0] + 1j * got[1] - ref).max() < 1e-14
     assert np.array_equal(ev.interleaved(got).view(complex),
                           got[0] + 1j * got[1])
-    # the real form: b = conj(a), so C = a+b is real and D = a-b imaginary
-    a = draw(complex)
-    b = a.conj()
-    got = ev.phase_product((a + b).real, (1j * (a - b)).real, lam, ts,
-                           real=True)
-    ref = a @ ref_phases + b @ ref_phases.conj()
-    assert got.shape == (1, 5, ts.size) and got.dtype == float
-    assert np.abs(got[0] - ref).max() < 1e-14
 
 
 @pytest.mark.parametrize("ts, tabled", [

@@ -189,6 +189,24 @@ def test_max_efficiency_breaks_round_off_ties_to_the_smaller_angle(
     assert abs(theta_star - (np.pi - 1.0)) < 1e-4
 
 
+@pytest.mark.parametrize("theta_max", [1e11, 1e12])
+def test_max_efficiency_stops_where_theta_has_no_finer_ulp(monkeypatch,
+                                                           theta_max):
+    # past 2^36 the ulp of theta exceeds the bracket tolerance, so the
+    # rounds end when the bracket stops shrinking; a regression fails on
+    # the round count instead of hanging
+    sweep, rounds = thermo.wc_sweep, []
+
+    def counted(*args):
+        rounds.append(None)
+        assert len(rounds) < 100, "max_efficiency kept refining"
+        return sweep(*args)
+
+    monkeypatch.setattr(thermo, "wc_sweep", counted)
+    eta, theta_star = thermo.max_efficiency(CrossPhase(), 1.0, theta_max)
+    assert 0.0 <= theta_star <= theta_max and np.isfinite(eta)
+
+
 def test_first_peak_rule():
     top = 9.918929908551235
     ulp = np.spacing(top)
