@@ -23,8 +23,7 @@ from .optomech import (CoherentInit, OscillatorConfig, OscillatorTrace,
                        position_variance)
 from .thermo import (ErgotropyReport, SweepResult, ergotropy,
                      max_efficiency, passive_distribution,
-                     wc_cross_kerr_closed_form, wc_exchange3_windows,
-                     wc_from_dist, wc_sweep, wc_table_oracle)
+                     wc_cross_kerr_closed_form, wc_from_dist, wc_sweep)
 from .coherence import (CoherenceReport, ScalingPrediction, coherence_report,
                         g2_from_wc, g_m, small_nbar_scalings)
 
@@ -39,7 +38,7 @@ __all__ = [
     "GenericEngine", "pdc_signal_sweep",
     "ErgotropyReport", "SweepResult", "ergotropy", "passive_distribution",
     "wc_from_dist", "wc_sweep", "max_efficiency",
-    "wc_cross_kerr_closed_form", "wc_table_oracle", "wc_exchange3_windows",
+    "wc_cross_kerr_closed_form",
     "CoherenceReport", "ScalingPrediction", "g_m", "coherence_report",
     "g2_from_wc", "small_nbar_scalings",
     "OscillatorConfig", "CoherentInit", "ThermalInit", "OscillatorTrace",

@@ -20,7 +20,8 @@ from . import fock
 from .errors import DomainError
 from .evolution import BlockEngine, sweep_distributions
 from .operators import CrossPhase, Exchange, ProcessSpec
-from .thermo import ErgotropyReport, ergotropy, exchange3_envelope
+from .thermo import (ErgotropyReport, checked_probabilities, ergotropy,
+                     exchange3_envelope)
 
 MEAN_FLOOR = 1e-10
 REGIME_NBAR = 0.1
@@ -31,10 +32,12 @@ def g_m(p, m: int):
     of a stack (n, T).
 
     Returns nan (an explicit not-a-value, never a silent zero) where the
-    mean photon number sits below MEAN_FLOOR.
+    mean photon number sits below MEAN_FLOOR. A non-finite entry, or one
+    below -1e-12, raises DomainError (thermo.checked_probabilities).
     """
     if not 2 <= m <= 4:
         raise DomainError("coherence order m must be 2, 3 or 4")
+    p = checked_probabilities(p)
     mean = fock.mean_photon(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = fock.factorial_moment(p, m) / mean ** m

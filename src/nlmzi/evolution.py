@@ -7,30 +7,21 @@ The interferometer unitary on block N is
 
 with g_N the nonlinear-arm generator on the block and theta = chi t (cross
 phase) or g t (exchange) the single dimensionless knob swept everywhere.
-The splitter on block N is B_N = diag((-i)^j) d_N diag(i^m), with d_N the
-real Wigner matrix exp(-i (pi/2) J_y). Its pi/2 mirrors fix it by a
-quarter, which one division-free ladder step builds from the quarter of
-d_{N-1}. Per block the engine keeps the input's components on
-the generator eigenvectors carried through the second splitter, so every
-theta of a sweep costs real matrix products per block, whatever the
-number of thetas. The input and every generator are symmetric under the
-mirror j -> N-j, so mirror eigenvectors of one eigenvalue share a
-column. Every generator is a diagonal plus exchange bands: a diagonal
+Per block the engine (BlockEngine) keeps the input's components on the
+generator eigenvectors carried through the second splitter, a real
+record, so every theta of a sweep costs real matrix products per block,
+whatever the number of thetas. The splitter is the phased real Wigner
+matrix exp(-i (pi/2) J_y), which a division-free ladder builds a quarter
+at a time. Every generator is a diagonal plus exchange bands: a diagonal
 block needs no eigensolve, and any other is solved on its banded chains
-j = c, c+g, ..., g the gcd of its exchange orders. A bipartite chain
-(zero diagonal, every coupling an odd number of steps long) has its
-eigenpairs in exact pairs (mu, v), (-mu, S v), S = diag((-1)^i): the
-negative half is built, not solved, and a pair takes one phase
-exp(-i mu theta) per theta. Every block is real: a column of an odd-g
-block is real on the rows j of N's parity and imaginary on the others,
-and the block keeps those rows divided by i, which moves into the row
-phase. A diagonal (cross-phase) or even-g block keeps N//2 + 1 columns
-at most, and only its rows j of the parity of N; the others are exact
-zeros.
+j = c, c+g, ..., g the gcd of its exchange orders. chain_eig solves every
+real chain of the package and gives a bipartite one as its exact
+(mu, -mu) pairs, which take one phase exp(-i mu theta) per pair and
+theta.
 
 Parametric down-conversion is not block-diagonal in N, but with n pump
-photons it reaches one chain of n + 1 states; a chain engine solves each
-pump level once and evolves it over a whole time grid at once.
+photons it reaches one bipartite chain of n + 1 states, which the pump
+engine keeps in the blocks' pair form, one level at a time.
 
 Every evolution goes through one phase kernel, phase_product. On a
 uniform grid of T points (every linspace) it takes the phases by angle
@@ -111,8 +102,9 @@ def phase_product(C, D, mu, ts) -> np.ndarray:
         Z = C @ Z if np.iscomplexobj(C) else (C @ Z.view(float)).view(complex)
         return Z.view(float).reshape(Z.shape + (2,)).transpose(2, 0, 1)
     P = np.empty((2, C.shape[0], Z.shape[1]))
-    np.matmul(C, Z.real, out=P[0])
-    np.matmul(D, Z.imag, out=P[1])  # Im Z = -sin(mu t)
+    # unit-stride parts: numpy's matmul skips BLAS on some strided operands
+    np.matmul(C, np.ascontiguousarray(Z.real), out=P[0])
+    np.matmul(D, np.ascontiguousarray(Z.imag), out=P[1])  # Im Z = -sin
     return P
 
 
@@ -120,6 +112,32 @@ def interleaved(P) -> np.ndarray:
     """phase_product's parts as the float view of a complex array, shape
     (rows, 2 T); no copy when they came from one interleaved buffer."""
     return P.transpose(1, 2, 0).reshape(P.shape[1], -1)
+
+
+def chain_eig(band):
+    """(mu, V, paired) of a real symmetric chain in the lower band storage
+    of operators.process_generator, shape (b+1, L): the one eigensolve of
+    the package. Bandwidth 1 goes to eigh_tridiagonal, which gives
+    eig_banded's bits without its product with the reduction matrix, and
+    a wider band to eig_banded. A bipartite chain (zero diagonal,
+    couplings at odd offsets only) has exact pairs (mu, v), (-mu, S v),
+    S = diag((-1)^i) (Coulson & Rushbrooke, Proc. Camb. Phil. Soc. 36, 193
+    (1940)): it comes back as its mu >= 0 half with paired=True, an odd
+    length's zero mode first, with mu = 0.0 and odd entries 0.0. Any
+    other chain comes back whole, mu ascending.
+    """
+    if band.shape[0] == 2:
+        mu, V = eigh_tridiagonal(band[0], band[1, :-1])
+    else:
+        mu, V = eig_banded(band, lower=True)
+    paired = not band[0].any() and not band[2::2].any()
+    if paired:
+        h = band.shape[1] // 2
+        mu, V = mu[h:], V[:, h:]
+        if band.shape[1] % 2:
+            mu[0] = 0.0
+            V[1::2, 0] = 0.0
+    return mu, V, paired
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +166,15 @@ class BlockEngine:
     (operators.process_generator): a block with no couplings is diagonal,
     and its columns m and N-m merge, so that only the rows of N's parity
     are nonzero, where the merged column is 2 r_N[:, m] exactly; any other
-    is solved chain by chain (_exchange_chains). Where a chain is
-    bipartite its eigenvectors come in exact pairs (mu, v), (-mu, S v)
-    with S = diag((-1)^i) (Coulson & Rushbrooke, Proc. Camb. Phil. Soc.
-    36, 193 (1940)): a pair's columns a, b enter as C = a+b, D = a-b, and
+    is solved chain by chain (_exchange_chains). The columns a, b of a
+    pair of a bipartite chain (chain_eig) enter as C = a+b, D = a-b, and
     a zero mode once, with mu = 0.0 exactly. An unpaired column has C = D,
     and a block with no pairs keeps C is D, the one-product path of
-    phase_product. Chains of an even stride keep the parity of j: their
-    block keeps the rows j = N mod 2, N mod 2 + 2, ..., as the mirror
-    merge makes the others exact zeros. Chains of an odd stride mix the
-    parities: their merged columns are real on the rows of N's parity and
-    imaginary on the others, so the block keeps all N+1 rows, the others
-    divided by i. A pair's C is then zero on the rows off N's parity and
-    its D on the rows of it. A diagonal block keeps a C is D of N//2 + 1
-    rows and columns. The engine keeps the highest quarter built so far
+    phase_product. A diagonal or even-stride block keeps only the rows j
+    of N's parity, N//2 + 1 at most, as the mirror merge makes the others
+    exact zeros; an odd-stride block keeps all N+1 rows, those off N's
+    parity divided by i (_exchange_chains). A diagonal block keeps N//2 + 1
+    columns. The engine keeps the highest quarter built so far
     (_top): a new block takes ladder steps from it, or from r_0 when it
     lies below that one. A process with no photon-number blocks raises
     ConfigurationError on its first block.
@@ -285,23 +298,18 @@ def _exchange_chains(q, N: int, band, offsets, scale):
 
     The generator couples only sites j an offset apart, so it splits into
     g real chains j = c, c+g, ..., g the gcd of the offsets, each a band
-    of width max(offsets)/g solved by eig_banded. The mirror j -> N-j
+    of width max(offsets)/g solved by chain_eig. The mirror j -> N-j
     commutes with it and maps chain c onto chain (N - c) mod g reversed,
     eigenvalue for eigenvalue: a pair of distinct chains is solved once
     and each eigenvalue's two columns merge into one. For even g a chain
     that is its own mirror is folded (_fold) onto the mirror sector
     sigma = s_c s_(N-c) of the input, which is zero on the other one; for
-    odd g it mixes the parities of j and stays whole.
-
-    A chain is bipartite when its diagonal is zero and every coupling
-    offset is an odd multiple of g: then S = diag((-1)^i) anticommutes
-    with it. A fold keeps that only at odd length; at even length its
-    central coupling lands on the diagonal. A bipartite chain's spectrum
-    is built from eig_banded's positive half: (mu, v) gives (-mu, S v),
-    which keeps the image (U0, k0) of v's even sites i and flips the sign
-    of (U1, k1), that of its odd ones (_image). An odd-length chain's zero
-    mode lives on the even sites: it gets mu = 0.0, odd entries 0.0, and
-    enters once, as C = a, D = 0.
+    odd g it mixes the parities of j and stays whole. A fold stays
+    bipartite only at odd length, as at even length its central coupling
+    lands on the diagonal. A bipartite chain comes back as its positive
+    half: the partner (-mu, S v) of (mu, v) keeps the image (U0, k0) of
+    v's even sites i and flips the sign of (U1, k1), that of its odd ones
+    (_image), and a zero mode enters once, as C = a, D = 0.
 
     For even g every site has the parity of c, and a pair's C = a+b and
     D = a-b are 2 (U0 k0 + U1 k1) and 2 (U0 k1 + U1 k0). For odd g the
@@ -329,19 +337,12 @@ def _exchange_chains(q, N: int, band, offsets, scale):
         if m == c and even:
             pos, cb = pos[: (pos.size + 1) // 2], _fold(
                 cb, _signs(c) * _signs(N - c))
-        paired = not cb[0].any() and not cb[2::2].any()  # bipartite
-        mu, V = eig_banded(cb, lower=True)
+        mu, V, paired = chain_eig(cb)
         if even and 2 * pos[-1] == N:
             V[-1] *= np.sqrt(0.5)  # the middle site is its own mirror
-        # a mirror pair's columns merge, and a fold's: on the rows of N's
-        # parity the merged column is twice the chain's
-        w = scale if m == c and not even else 2.0 * scale
-        if paired:
-            h = pos.size // 2
-            mu, V, w = mu[h:], V[:, h:], 2.0 * w
-            if pos.size % 2:
-                mu[0] = 0.0
-                V[1::2, 0] = 0.0
+        # exact: merged mirror columns are twice the chain's on the rows of
+        # N's parity, and a pair's C = a+b, D = a-b twice its half-images
+        w = scale * 2.0 ** ((m != c or even) + paired)
         if even and not paired:
             U, kappa = _image(q, N, rows, pos, V, w)
             C = D = U * kappa
@@ -426,12 +427,18 @@ class GenericEngine:
         g sqrt(n-m) sqrt(2m+1) sqrt(2m+2)   (degenerate)
         g sqrt(n-m) sqrt(m+1) sqrt(m+1)     (non-degenerate),
 
-    solved once per pump level by the tridiagonal eigensolver and evolved
-    over a whole time grid in one product. Every mode's occupation is fixed
-    by m, so each reduced state is diagonal.
+    a bipartite chain that chain_eig gives as its mu >= 0 half. From site
+    0 a pair (mu, v), (-mu, S v) evolves as 2 v_0 v cos(mu t) on the even
+    sites and -2i v_0 v sin(mu t) on the odd ones: the blocks' pair form
+    (C, D, mu) of phase_product, C = 2 v_0 v on the even sites, D on the
+    odd ones, 0.0 elsewhere, and a zero mode once, as C = v_0 v. The
+    engine keeps only the level it solved last, as a sweep evolves each
+    level once. Every mode's occupation is fixed by m, so each reduced
+    state is diagonal.
 
     The name is older than the chains: the benchmark tracer
-    (bench/tracer.py) wraps _component, evolve and mode_distributions.
+    (bench/tracer.py) wraps _component, evolve and mode_distributions and
+    reads _components.
     """
 
     def __init__(self, process):
@@ -446,31 +453,30 @@ class GenericEngine:
         self._components: Dict[int, tuple] = {}
 
     def _component(self, n: int):
-        """(eigenvalues, eigenvectors) of pump level n's chain."""
+        """Pump level n's record (C, D, mu), C and D of n+1 rows."""
         if n not in self._components:
             m = np.arange(n, dtype=float)
             s = self.step * m
+            band = np.zeros((2, n + 1))
             # rounded left to right in the order the ladder operators act
             # (a_p, then the two creations); another order changes the
             # last bits of the couplings and with them the output bytes
-            off = self.process.g * np.sqrt(n - m) * np.sqrt(s + 1)
-            off *= np.sqrt(s + self.step)
-            self._components[n] = eigh_tridiagonal(np.zeros(n + 1), off)
+            band[1, :n] = self.process.g * np.sqrt(n - m) * np.sqrt(s + 1)
+            band[1, :n] *= np.sqrt(s + self.step)
+            mu, V, _ = chain_eig(band)
+            C = V * (2.0 * V[0])
+            C[:, 0] *= 0.5 if n % 2 == 0 else 1.0  # a zero mode enters once
+            D = C.copy()
+            C[1::2], D[::2] = 0.0, 0.0
+            self._components = {n: (C, D, mu)}
         return self._components[n]
 
-    def evolve(self, n: int, t):
-        """Chain amplitudes at time(s) t from pump level n.
-
-        Shape (n+1,) for a scalar t and (n+1, T) for a grid of T times,
-        one column per time: phase_product of the real V diag(V[0]) with
-        the eigenvalues, one real product for the whole grid.
-        """
-        w, V = self._component(n)
-        ts = np.asarray(t, dtype=float)
-        A = V * V[0]
-        psi = interleaved(phase_product(A, A, w, np.atleast_1d(ts)))
-        psi = psi.view(complex)
-        return psi[:, 0] if ts.ndim == 0 else psi
+    def evolve(self, n: int, ts) -> np.ndarray:
+        """Chain amplitudes from pump level n on a grid of T times, shape
+        (n+1, T): phase_product of the level's pair record, two real
+        products for the whole grid."""
+        P = phase_product(*self._component(n), ts)
+        return P[0] + 1j * P[1]
 
     def mode_distributions(self, n: int, t) -> List[np.ndarray]:
         """Photon distributions of pump, signal (and idler) from level n.

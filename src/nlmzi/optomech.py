@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from . import fock
 from .errors import ConfigurationError, DomainError, FitError
-from .evolution import interleaved, phase_product
+from .evolution import chain_eig, interleaved, phase_product
 from .thermo import checked_probabilities, ergotropy
 
 PARITY_TOL = 1e-10
@@ -219,18 +218,27 @@ def _pairs(v: np.ndarray) -> np.ndarray:
     return v[0::2] + v[1::2]
 
 
+def _small_cutoff(cfg, n_top: int, osc_cutoff: int, why: str):
+    suggest = max(suggested_osc_cutoff(cfg, n_top),
+                  min(2 * osc_cutoff, fock.DEFAULT_DIM_GUARD - 1))
+    return ConfigurationError(
+        "oscillator cutoff %d too small (%s); try osc_cutoff >= %d"
+        % (osc_cutoff, why, suggest))
+
+
 def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
                         taus) -> OscillatorTrace:
     """Exact truncated-oscillator oracle (tridiagonal eigensolve, banded
     moments); no closed form is used.
 
     The field level n is conserved, so each level evolves under the
-    displaced oscillator H_n = Omega m + G n (O + O+), solved once as a
-    tridiagonal eigensystem (lam, V) whose phases every initial state
-    shares: the states at all taus are evolution.phase_product of
-    V diag(V^T psi0), one real product when psi0 is real (a real alpha or
-    a thermal basis state). With h_m = sqrt(m+1)/sqrt2 the moments of the
-    truncated position X are read off the bands
+    displaced oscillator H_n = Omega m + G n (O + O+), a tridiagonal
+    chain solved once (evolution.chain_eig) as (lam, V), whose phases
+    every initial state shares: the states at all taus are
+    evolution.phase_product of V diag(V^T psi0), one real product when
+    psi0 is real (a real alpha or a thermal basis state). With
+    h_m = sqrt(m+1)/sqrt2 the moments of the truncated position X are
+    read off the bands
 
         <X>   = 2 sum h_m Re(conj(Z_m) Z_(m+1))
         <X^2> = sum d_m |Z_m|^2 + 2 sum h_m h_(m+1) Re(conj(Z_m) Z_(m+2)),
@@ -240,9 +248,10 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     evolved in chunks of at most ORACLE_CHUNK_ENTRIES matrix entries.
     Raises DomainError on a non-finite tau, a non-finite or negative
     (below -1e-12) dist entry or osc_cutoff < 1, and ConfigurationError
-    on osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD levels and when the top
-    oscillator level accumulates more than 1e-8 population anywhere on
-    the grid, with a suggested larger cutoff.
+    on osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD levels, when the cut drops
+    more than ORACLE_TOP_TOL of a coherent init's norm, and when the top
+    oscillator level accumulates more than ORACLE_TOP_TOL population
+    anywhere on the grid, the last two with a suggested larger cutoff.
     """
     p = checked_probabilities(dist)
     taus = np.asarray(taus, dtype=float)
@@ -259,11 +268,16 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     if isinstance(cfg.init, CoherentInit):
         wts = np.ones(1)
         psi0 = _coherent_vector(cfg.init.alpha, osc_cutoff)[None]
+        kept = float(np.vdot(psi0, psi0).real)
+        if not 1.0 - kept <= ORACLE_TOP_TOL:
+            raise _small_cutoff(cfg, p.size - 1, osc_cutoff,
+                                "it keeps %.2e of the init's norm" % kept)
     else:
         wts = fock.thermal_distribution(cfg.init.nbar_osc, THERMAL_INIT_TAIL)
         wts = wts[: osc_cutoff + 1]
         psi0 = np.eye(wts.size, osc_cutoff + 1)[wts != 0]
         wts = wts[wts != 0]
+    band = np.vstack([cfg.Omega * mm, np.zeros_like(mm)])
     h = np.sqrt(0.5) * sq
     hh = h[:-1] * h[1:]
     d = mm + 0.5
@@ -278,7 +292,8 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     for n, pn in enumerate(p):
         if pn == 0:
             continue
-        lam, V = eigh_tridiagonal(cfg.Omega * mm, cfg.G * n * sq)
+        band[1, :-1] = cfg.G * n * sq
+        lam, V, _ = chain_eig(band)
         Y = psi0 @ V
         for lo in range(0, wts.size, chunk):
             Yc = Y[lo: lo + chunk]
@@ -294,10 +309,8 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
                 np.multiply(Zk[:-2], Zk[2:], out=buf[:-2])
                 ex2 += w * (x2 + 2.0 * _pairs(hh @ buf[:-2]))
     if top > ORACLE_TOP_TOL:
-        suggest = suggested_osc_cutoff(cfg, p.size - 1)
-        raise ConfigurationError(
-            "oscillator cutoff %d too small (top-level population %.2e); "
-            "try osc_cutoff >= %d" % (osc_cutoff, top, max(suggest, 2 * osc_cutoff)))
+        raise _small_cutoff(cfg, p.size - 1, osc_cutoff,
+                            "top-level population %.2e" % top)
     return OscillatorTrace(taus=taus, phonon=phon, xvar=ex2 - ex ** 2,
                            config=cfg)
 

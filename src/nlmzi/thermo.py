@@ -20,7 +20,7 @@ import numpy as np
 from . import fock
 from .errors import DomainError
 from .evolution import BlockEngine, sweep_distributions
-from .operators import CrossPhase, Exchange, ProcessSpec
+from .operators import ProcessSpec
 
 # negative work capacities can only be round-off: sorting minimizes the mean
 _ROUNDOFF = 1e-14
@@ -105,28 +105,6 @@ def wc_cross_kerr_closed_form(nbar: float, theta: float) -> float:
     return (nbar / 4.0) * (1.0 - 1.0 / (1.0 + nbar - nbar * np.cos(theta)) ** 2)
 
 
-def wc_table_oracle(process: ProcessSpec, nbar: float, theta: float):
-    """Leading small-nbar work capacity, where a closed row exists.
-
-    Cross-phase s=1:  nbar^2/(1+nbar)^3 sin^2(theta/2)
-    Exchange k=2:     nbar^2/(1+nbar)^3 (sin^2 theta
-                        + nbar/(4(1+nbar)) sin^2(2 sqrt(3) theta))
-    Returns None for any other process; k=3 in particular has no clean
-    single-expression row (its windowed forms live with the coherence
-    scalings).
-    """
-    if nbar < 0:
-        raise DomainError("nbar must be >= 0")
-    lead = nbar ** 2 / (1.0 + nbar) ** 3
-    if isinstance(process, CrossPhase) and process.s == 1:
-        return lead * np.sin(theta / 2.0) ** 2
-    if isinstance(process, Exchange) and process.k == 2:
-        return lead * (np.sin(theta) ** 2
-                       + nbar / (4.0 * (1.0 + nbar))
-                       * np.sin(2.0 * np.sqrt(3.0) * theta) ** 2)
-    return None
-
-
 def exchange3_envelope(theta):
     """Envelope of the leading small-nbar 3-photon-exchange work capacity.
 
@@ -149,14 +127,6 @@ def exchange3_envelope(theta):
     if 0.0 < (18.0 * x - 5.0) % 6.0 < 2.0:  # window (6j+5, 6j+7) wraps mod 6
         return (1.0 / 16.0) * s6 ** 2 - 0.75 * s3 ** 4
     return None
-
-
-def wc_exchange3_windows(nbar: float, theta: float):
-    """Leading small-nbar 3-photon-exchange work capacity
-    nbar^3 / (1+nbar)^4 * exchange3_envelope(theta); None outside its windows.
-    """
-    env = exchange3_envelope(theta)
-    return None if env is None else nbar ** 3 / (1.0 + nbar) ** 4 * env
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,15 @@ products, and the block splitter oracles against bare ladder elements (a
 dense exponential and the J_x eigensystem), and the oscillator oracle
 against a dense position matrix, so none can inherit a mistake from the
 Wigner-d ladder, the block machinery, the pump-level chains or the banded
-oscillator moments they check.
+oscillator moments they check. The closed-form small-nbar work capacities
+(wc_table_oracle, wc_exchange3_windows) have no caller outside the tests.
 """
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, expm
 from scipy.special import gammaln
 
-from nlmzi import fock
+from nlmzi import fock, thermo
 from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.optomech import CoherentInit
 from nlmzi.operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC,
@@ -387,3 +388,38 @@ def dense_oscillator_oracle(dist, cfg, osc_cutoff, taus):
             ex += pn * w * np.real(np.sum(np.conj(Z) * XZ, axis=0))
             ex2 += pn * w * np.real(np.sum(np.conj(XZ) * XZ, axis=0))
     return phon, ex2 - ex ** 2, ex2
+
+
+# ---------------------------------------------------------------------------
+# closed-form small-nbar work capacities
+# ---------------------------------------------------------------------------
+
+def wc_table_oracle(process, nbar: float, theta: float):
+    """Leading small-nbar work capacity, where a closed row exists.
+
+    Cross-phase s=1:  nbar^2/(1+nbar)^3 sin^2(theta/2)
+    Exchange k=2:     nbar^2/(1+nbar)^3 (sin^2 theta
+                        + nbar/(4(1+nbar)) sin^2(2 sqrt(3) theta))
+    Returns None for any other process; k=3 in particular has no clean
+    single-expression row (its windowed forms live with the coherence
+    scalings).
+    """
+    if nbar < 0:
+        raise DomainError("nbar must be >= 0")
+    lead = nbar ** 2 / (1.0 + nbar) ** 3
+    if isinstance(process, CrossPhase) and process.s == 1:
+        return lead * np.sin(theta / 2.0) ** 2
+    if isinstance(process, Exchange) and process.k == 2:
+        return lead * (np.sin(theta) ** 2
+                       + nbar / (4.0 * (1.0 + nbar))
+                       * np.sin(2.0 * np.sqrt(3.0) * theta) ** 2)
+    return None
+
+
+def wc_exchange3_windows(nbar: float, theta: float):
+    """Leading small-nbar 3-photon-exchange work capacity
+    nbar^3 / (1+nbar)^4 * thermo.exchange3_envelope(theta); None outside
+    its windows.
+    """
+    env = thermo.exchange3_envelope(theta)
+    return None if env is None else nbar ** 3 / (1.0 + nbar) ** 4 * env

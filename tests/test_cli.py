@@ -178,6 +178,16 @@ def test_domain_errors_exit_three(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_oracle_cutoff_below_a_coherent_init_exits_three(tmp_path, capsys):
+    # the cut keeps about 4e-71 of |alpha = 55>: refused, not evolved
+    rc = run("optomech", "--process", "cross-kerr", "--nbar", 0.1, "--t", 1,
+             "--alpha", 55, "--osc-cutoff", 2100, "--tail-tol", 1e-3,
+             "--tau", "0:12.6:24", "--out", tmp_path / "o.csv")
+    assert rc == 3
+    assert "osc_cutoff >=" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_high_order_exchange_behind_flag(tmp_path):
     out = tmp_path / "k5.csv"
     rc = run("wc-sweep", "--process", "exchange", "--k", 5,

@@ -32,6 +32,25 @@ def test_reference_points_and_guards():
     assert abs(rep.g4_norm - rep.g4 / 24.0) < 1e-15
 
 
+@pytest.mark.parametrize("p", [
+    [0.5, np.nan, 0.5],
+    [0.5, np.inf, 0.5],
+    [0.6, 0.5, -0.1],
+    [[0.5, 0.5], [0.5, -np.inf]],
+], ids=["nan", "inf", "negative", "stack"])
+def test_coherence_rejects_a_non_distribution(p):
+    # as ergotropy does: a non-finite entry, or one below -1e-12, is not a
+    # probability
+    with pytest.raises(DomainError):
+        coh.g_m(p, 2)
+    with pytest.raises(DomainError):
+        coh.coherence_report(p)
+
+
+def test_coherence_takes_a_round_off_negative():
+    assert np.isfinite(coh.g_m([0.5, -1e-13, 0.5], 3))
+
+
 def test_g2_routes_agree_on_even_distribution():
     p = [0.5, 0.0, 0.5]
     direct = coh.g_m(p, 2)

@@ -1,9 +1,12 @@
 """Block evolution against a dense two-mode oracle, plus the PDC chains."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from scipy.linalg import eig_banded
 
 from nlmzi import evolution as ev
 from nlmzi import fock
@@ -409,6 +412,72 @@ def test_phases_match_long_double_reference(ts, tabled):
 
 
 # ---------------------------------------------------------------------------
+# the one chain solver
+# ---------------------------------------------------------------------------
+
+def _tridiagonal_chains(rng, L):
+    """Bands (2, L) of a bipartite chain, of two with a diagonal, and of
+    folds of a self-mirror chain of length 2L, whose central coupling
+    lands on the diagonal; the last coupling entry lies outside each."""
+    off = rng.uniform(0.5, 3.0, L)
+    yield np.vstack([np.zeros(L), off])
+    yield np.vstack([rng.integers(-4, 5, L).astype(float), off])
+    yield np.vstack([rng.normal(size=L), off])
+    half = rng.uniform(0.5, 3.0, L)
+    mirror = np.vstack([np.zeros(2 * L),
+                        np.concatenate([half, half[-2::-1], [0.0]])])
+    for sigma in (1.0, -1.0):
+        yield ev._fold(mirror, sigma)
+
+
+def test_chain_eig_is_eig_banded_on_tridiagonal_chains():
+    # eigh_tridiagonal and eig_banded give the same bits on a tridiagonal
+    # chain; a bipartite chain keeps the mu >= 0 half, zero mode first
+    rng = np.random.default_rng(11)
+    for L in range(1, 201):
+        for band in _tridiagonal_chains(rng, L):
+            mu, V, paired = ev.chain_eig(band)
+            ref_mu, ref_V = eig_banded(band, lower=True)
+            assert paired == (not band[0].any())
+            if paired:
+                h = L // 2
+                ref_mu, ref_V = ref_mu[h:], ref_V[:, h:]
+                if L % 2:
+                    assert mu[0] == 0.0 and not V[1::2, 0].any()
+                    assert np.array_equal(V[::2, 0], ref_V[::2, 0])
+                    mu, V = mu[1:], V[:, 1:]
+                    ref_mu, ref_V = ref_mu[1:], ref_V[:, 1:]
+            assert np.array_equal(mu, ref_mu), L
+            assert np.array_equal(V, ref_V), L
+
+
+SOLVERS = {"eig_banded", "eigh_tridiagonal", "eigh"}
+
+
+def test_chain_eig_is_the_only_eigensolver_call_in_src():
+    src = pathlib.Path(ev.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else \
+                        getattr(f, "id", None)
+                    if name in SOLVERS:
+                        callers.add((path.stem, fn.name, name))
+        imports = [n for n in ast.walk(tree)
+                   if isinstance(n, ast.ImportFrom) and n.module
+                   and n.module.startswith("scipy.linalg")]
+        assert path.stem == "evolution" or not imports, path.stem
+    assert callers == {("evolution", "chain_eig", "eigh_tridiagonal"),
+                       ("evolution", "chain_eig", "eig_banded")}
+
+
+# ---------------------------------------------------------------------------
 # down-conversion pump-level chains
 # ---------------------------------------------------------------------------
 
@@ -490,3 +559,33 @@ def test_nondegenerate_pdc_quarter_period():
     for n in range(4):
         dists = eng.mode_distributions(n, 0.9)
         assert np.abs(dists[1] - dists[2]).max() < 1e-12
+
+
+@pytest.mark.parametrize("process", PDC_VARIANTS)
+def test_pump_levels_are_built_as_exact_pairs(process):
+    # a pump level is the pair record (C, D, mu): C on the even sites, D on
+    # the odd ones, an even n's zero mode first with mu exactly 0.0
+    eng = ev.GenericEngine(process)
+    for n in range(40):
+        C, D, mu = eng._component(n)
+        assert C.shape == D.shape == (n + 1, n // 2 + 1)
+        assert np.all(mu >= 0.0)
+        assert (mu[0] == 0.0) == (n % 2 == 0)
+        assert not C[1::2].any() and not D[::2].any()
+        if n % 2 == 0:
+            assert not D[:, 0].any()
+
+
+def test_pdc_sweep_keeps_one_pump_level(monkeypatch):
+    # each level is evolved once, so the engine keeps only the last one
+    held = []
+    reduce = ev.GenericEngine.mode_distributions
+
+    def counted(self, n, t):
+        out = reduce(self, n, t)
+        held.append(len(self._components))
+        return out
+
+    monkeypatch.setattr(ev.GenericEngine, "mode_distributions", counted)
+    ev.pdc_signal_sweep(DegeneratePDC(), 2.0, [0.3, 1.1], tail_tol=1e-8)
+    assert len(held) > 10 and max(held) == 1

@@ -190,6 +190,17 @@ def test_oracle_cutoff_guard_suggests_larger():
     om.full_quantum_oracle(EVEN3, cfg, suggest, taus)  # the suggestion holds
 
 
+def test_oracle_refuses_a_cutoff_that_drops_the_coherent_init():
+    # |alpha|^2 = 400 sits far above level 100: the cut keeps about 4e-72
+    # of the init's norm, too little to reach the top-level population
+    # check, and the oracle would evolve a state that is not the init
+    cfg = cfg_coherent(20.0, G=0.05)
+    suggest = om.suggested_osc_cutoff(cfg, len(EVEN3) - 1)
+    with pytest.raises(ConfigurationError,
+                       match="keeps .* of the init's norm.*>= %d$" % suggest):
+        om.full_quantum_oracle(EVEN3, cfg, 100, TAUS9)
+
+
 def test_thermal_init_oracle_runs_at_its_suggested_cutoff():
     # the suggestion clears every init level the oracle weighs, so no init
     # starts at the top level; the trace then meets the closed form

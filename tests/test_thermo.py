@@ -10,6 +10,7 @@ from nlmzi import evolution as ev
 from nlmzi import fock, thermo
 from nlmzi.errors import DomainError
 from nlmzi.operators import CrossPhase, Exchange
+from oracles import wc_exchange3_windows, wc_table_oracle
 
 
 def test_passive_distribution_is_descending():
@@ -102,13 +103,13 @@ def test_small_nbar_table():
     # leading-order rows: cross phase and two-photon exchange only
     nbar = 0.01
     for theta in (0.6, 1.9):
-        ck = thermo.wc_table_oracle(CrossPhase(s=1), nbar, theta)
+        ck = wc_table_oracle(CrossPhase(s=1), nbar, theta)
         da, _ = ev.mzi_output(CrossPhase(s=1), theta, nbar)
         assert abs(thermo.wc_from_dist(da) - ck) < 5 * nbar ** 3
-        x2 = thermo.wc_table_oracle(Exchange(k=2), nbar, theta)
+        x2 = wc_table_oracle(Exchange(k=2), nbar, theta)
         da2, _ = ev.mzi_output(Exchange(k=2), theta, nbar)
         assert abs(thermo.wc_from_dist(da2) - x2) < 5 * nbar ** 3
-    assert thermo.wc_table_oracle(Exchange(k=3), nbar, 1.0) is None
+    assert wc_table_oracle(Exchange(k=3), nbar, 1.0) is None
 
 
 def test_exchange3_window_formula():
@@ -117,7 +118,7 @@ def test_exchange3_window_formula():
     eng = ev.BlockEngine(proc)
     hits = 0
     for theta in np.linspace(0.05, 2 * np.pi, 61):
-        ref = thermo.wc_exchange3_windows(nbar, theta)
+        ref = wc_exchange3_windows(nbar, theta)
         if ref is None:
             continue
         hits += 1
@@ -128,9 +129,9 @@ def test_exchange3_window_formula():
 
 def test_exchange3_second_window_wraps():
     # family (6j+5)pi/18 < theta < (6j+7)pi/18 crosses multiples of pi
-    assert thermo.wc_exchange3_windows(0.01, 6.0 * np.pi / 18.0) is not None
-    assert thermo.wc_exchange3_windows(0.01, 5.5 * np.pi / 18.0) is not None
-    assert thermo.wc_exchange3_windows(0.01, 6.4 * np.pi / 18.0) is not None
+    assert wc_exchange3_windows(0.01, 6.0 * np.pi / 18.0) is not None
+    assert wc_exchange3_windows(0.01, 5.5 * np.pi / 18.0) is not None
+    assert wc_exchange3_windows(0.01, 6.4 * np.pi / 18.0) is not None
 
 
 def test_wc_sweep_matches_pointwise():
