@@ -42,8 +42,7 @@ def main():
     print()
     gts = np.linspace(0, 2 * np.pi, 41)
     proc = Exchange(k=3)
-    da, _, _ = evolution.sweep_distributions(proc, NBAR, gts, 1e-12,
-                                             evolution.BlockEngine(proc))
+    da, _, _ = evolution.sweep_distributions(proc, NBAR, gts, 1e-12)
     om = [fock.odd_mass(da[:, j]) for j in range(gts.size)]
     j = int(np.argmax(om))
     print("k=3 odd mass over a full phase sweep: peak %.4e at gt = %.3f"

@@ -33,11 +33,9 @@ def main():
     nbar = 0.01
     print("dim input nbar = %g: scaling predictions vs measurement" % nbar)
     print("%8s %23s %23s" % ("theta", "g2~ pred / meas", "g3~ pred / meas"))
-    eng = evolution.BlockEngine(CrossPhase(s=1))
     for theta in (0.8, 1.6, 2.4, np.pi):
-        pred = coherence.small_nbar_scalings(CrossPhase(s=1), nbar, theta,
-                                             engine=eng)
-        d, _ = evolution.mzi_output(CrossPhase(s=1), theta, nbar, engine=eng)
+        pred = coherence.small_nbar_scalings(CrossPhase(s=1), nbar, theta)
+        d, _ = evolution.mzi_output(CrossPhase(s=1), theta, nbar)
         meas = coherence.coherence_report(d)
         print("%8.4f %11.4f / %9.4f %11.2f / %9.2f"
               % (theta, pred.g2, meas.g2_norm, pred.g3, meas.g3_norm))

@@ -139,13 +139,11 @@ def cmd_wc_sweep(process, args):
 
 
 def cmd_max_efficiency(process, args):
-    # the blocks do not depend on nbar: one engine serves every --nbar
-    engine = evolution.BlockEngine(process)
     rows = []
     for nbar in args.nbar:
         eta, theta_star = thermo.max_efficiency(
             process, nbar, args.theta_max, grid=args.grid,
-            tail_tol=args.tail_tol, engine=engine)
+            tail_tol=args.tail_tol)
         rows.append((nbar, eta, theta_star, eta * nbar))
     return (["nbar", "eta_max", "theta_star", "eta_max_times_nbar"], rows,
             {}, {})

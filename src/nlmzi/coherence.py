@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fock
 from .errors import DomainError
-from .evolution import BlockEngine, sweep_distributions
+from .evolution import sweep_distributions
 from .operators import CrossPhase, Exchange, ProcessSpec
 from .thermo import (ErgotropyReport, checked_probabilities, ergotropy,
                      exchange3_envelope)
@@ -148,8 +148,7 @@ class ScalingPrediction:
 
 def small_nbar_scalings(process: ProcessSpec, nbar: float, theta: float,
                         theta_ref: Optional[float] = None,
-                        tail_tol: float = 1e-12,
-                        engine: Optional[BlockEngine] = None) -> ScalingPrediction:
+                        tail_tol: float = 1e-12) -> ScalingPrediction:
     """Calibrated small-nbar predictions for the normalized g~^(2,3,4).
 
     The scaling laws fix only shapes (g~2 ~ 1/(2W), g~3 ~ 3f/(2W),
@@ -164,13 +163,11 @@ def small_nbar_scalings(process: ProcessSpec, nbar: float, theta: float,
         theta_ref = np.pi if isinstance(process, CrossPhase) else np.pi / 2.0
     warn = nbar > REGIME_NBAR
 
-    eng = engine if engine is not None else BlockEngine(process)
-
     def measure(th: float) -> np.ndarray:
         # one-point sweeps: a column of a wider product is rounded
         # differently by BLAS, and the reference must be bit-identical to
         # what mzi_output gives at theta_ref
-        return sweep_distributions(process, nbar, [th], tail_tol, eng)[0][:, 0]
+        return sweep_distributions(process, nbar, [th], tail_tol)[0][:, 0]
 
     da_ref = measure(theta_ref)
     w = ergotropy(measure(theta)).wc

@@ -31,6 +31,7 @@ run O(sqrt(T)) times per eigenvalue rather than T times.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List
 
@@ -368,8 +369,16 @@ def _exchange_chains(q, N: int, band, offsets, scale):
     return C, D, np.concatenate(mus), rows
 
 
+@functools.lru_cache(maxsize=1)
+def block_engine(process: ProcessSpec) -> BlockEngine:
+    """The BlockEngine of process, kept until another process is swept:
+    repeated sweeps of one process reuse its blocks, which do not depend
+    on the order they are built in, so they keep a fresh engine's bits."""
+    return BlockEngine(process)
+
+
 def mzi_output(process: ProcessSpec, t: float, nbar: float,
-               tail_tol: float = 1e-12, engine: BlockEngine | None = None):
+               tail_tol: float = 1e-12):
     """Thermal-input interferometer output marginals (dist_a, dist_b).
 
     The one-point sweep_distributions at theta = t * strength: |N, 0> is
@@ -380,26 +389,25 @@ def mzi_output(process: ProcessSpec, t: float, nbar: float,
     if not np.isfinite(t):
         raise DomainError("t must be finite")
     da, db, _ = sweep_distributions(process, nbar, [t * process.strength],
-                                    tail_tol, engine)
+                                    tail_tol)
     return da[:, 0], db[:, 0]
 
 
 def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
-                        tail_tol: float = 1e-12,
-                        engine: BlockEngine | None = None):
+                        tail_tol: float = 1e-12):
     """Output distributions across a theta grid in one pass.
 
     Returns (dist_a, dist_b, input_probs): dist_a[n, i] is the mode-a
     probability of n photons at thetas[i] (dist_b likewise); thetas are the
-    dimensionless angles chi t or g t. Raises DomainError on a non-finite
-    theta.
+    dimensionless angles chi t or g t. The blocks come from block_engine.
+    Raises DomainError on a non-finite theta.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.isfinite(thetas).all():
         raise DomainError("thetas must be finite")
     P = fock.thermal_distribution(nbar, tail_tol)
     M = P.size
-    eng = engine if engine is not None else BlockEngine(process)
+    eng = block_engine(process)
     da = np.zeros((M, thetas.size))
     db = np.zeros((M, thetas.size))
     for N in range(M):

@@ -88,6 +88,9 @@ class Hybrid:
             raise DomainError("hybrid term weights must be finite reals")
         if not np.isfinite([spec.strength for _, spec in self.terms]).all():
             raise DomainError("hybrid term strengths must be finite")
+        # hashable, as evolution.block_engine keys its engine on the process
+        object.__setattr__(self, "terms",
+                           tuple((float(c), spec) for c, spec in self.terms))
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,6 @@ PARITY_TOL = 1e-10
 ORACLE_TOP_TOL = 1e-8
 # tail mass of a thermal init's Fock weights left out of the oracle
 THERMAL_INIT_TAIL = 1e-12
-# entries of the largest (components * levels, levels) matrix the oracle
-# forms at once; thermal inits are evolved in chunks of components
-ORACLE_CHUNK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,7 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
 
     d the diagonal of the truncated X^2. A thermal init is the mixture of
     its Fock levels up to the tail THERMAL_INIT_TAIL (and osc_cutoff),
-    evolved in chunks of at most ORACLE_CHUNK_ENTRIES matrix entries.
+    each evolved on its own.
     Raises DomainError on a non-finite tau, a non-finite or negative
     (below -1e-12) dist entry or osc_cutoff < 1, and ConfigurationError
     on osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD levels, when the cut drops
@@ -287,27 +284,23 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     ex = np.zeros(taus.size)
     ex2 = np.zeros(taus.size)
     buf = np.empty((osc_cutoff + 1, 2 * taus.size))
-    chunk = max(1, ORACLE_CHUNK_ENTRIES // (osc_cutoff + 1) ** 2)
     top = 0.0
     for n, pn in enumerate(p):
         if pn == 0:
             continue
         band[1, :-1] = cfg.G * n * sq
         lam, V, _ = chain_eig(band)
-        Y = psi0 @ V
-        for lo in range(0, wts.size, chunk):
-            Yc = Y[lo: lo + chunk]
-            A = (V * Yc[:, None, :]).reshape(-1, V.shape[1])
+        for w, y in zip(pn * wts, psi0 @ V):
+            A = V * y
             Z = interleaved(phase_product(A, A, lam, taus))
-            for w, Zk in zip(pn * wts[lo: lo + chunk], np.split(Z, len(Yc))):
-                np.multiply(Zk, Zk, out=buf)
-                top = max(top, float(_pairs(buf[-1]).max()))
-                phon += w * _pairs(mm @ buf)
-                x2 = _pairs(d @ buf)
-                np.multiply(Zk[:-1], Zk[1:], out=buf[:-1])
-                ex += w * 2.0 * _pairs(h @ buf[:-1])
-                np.multiply(Zk[:-2], Zk[2:], out=buf[:-2])
-                ex2 += w * (x2 + 2.0 * _pairs(hh @ buf[:-2]))
+            np.multiply(Z, Z, out=buf)
+            top = max(top, float(_pairs(buf[-1]).max()))
+            phon += w * _pairs(mm @ buf)
+            x2 = _pairs(d @ buf)
+            np.multiply(Z[:-1], Z[1:], out=buf[:-1])
+            ex += w * 2.0 * _pairs(h @ buf[:-1])
+            np.multiply(Z[:-2], Z[2:], out=buf[:-2])
+            ex2 += w * (x2 + 2.0 * _pairs(hh @ buf[:-2]))
     if top > ORACLE_TOP_TOL:
         raise _small_cutoff(cfg, p.size - 1, osc_cutoff,
                             "top-level population %.2e" % top)
@@ -343,9 +336,9 @@ def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
 
         D = 4 (G/Omega) W Re(alpha) + 8 (G/Omega)^2 (W^2 + |dW^2|/3)
 
-    is a quadratic in W whose stable root is returned. For a purely
-    imaginary alpha the sine coefficient B = -4 (G/Omega) W Im(alpha) gives
-    W linearly instead, and the quadratic is not consulted.
+    is a quadratic in W whose stable root is returned. Where |Im(alpha)|
+    > |Re(alpha)| the sine coefficient B = -4 (G/Omega) W Im(alpha) gives
+    W linearly instead, and D is not consulted.
     """
     cfg = trace.config
     if alpha is None:
@@ -374,6 +367,8 @@ def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
     residual = float(np.linalg.norm(design @ coef - rhs))
 
     ar, ai = float(np.real(alpha)), float(np.imag(alpha))
+    # B needs no bundle: it carries W wherever it is the larger beat
+    w_sine = -B / (4.0 * u * ai) if abs(ai) > abs(ar) else None
     if trace.xvar is not None:
         s4 = np.sin(c / 2.0) ** 4
         a2 = np.stack([np.ones_like(s4), s4], axis=1)
@@ -382,9 +377,8 @@ def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
         if r2 < 2:
             raise FitError("grid never leaves sin^4 = 0; variance channel empty")
         disp = float(cf2[1]) / ((32.0 / 3.0) * u ** 2)
-        if abs(ar) < 1e-9 and abs(ai) > 0:
-            w = -B / (4.0 * u * ai)
-        else:
+        w = w_sine
+        if w is None:
             # D = 4u W ar + 8u^2 (W^2 + disp/3), quadratic in W
             rad = ar ** 2 + 2.0 * (D - (8.0 / 3.0) * u ** 2 * disp)
             if rad < 0:
@@ -396,11 +390,11 @@ def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
                                quad=w ** 2 + disp / 3.0,
                                residual=residual, from_xvar=True)
 
-    # no variance channel: close the system with |dW^2| ~ 3W - 3W^2, under
+    # no variance channel: the dispersion is |dW^2| ~ 3W - 3W^2, under
     # which D = 4u W ar + 8u^2 W exactly
-    if abs(ar) < 1e-12:
-        raise FitError("phonon-only inference needs Re(alpha) != 0")
-    w = D / (4.0 * u * ar + 8.0 * u ** 2)
+    if abs(alpha) < 1e-12:
+        raise FitError("phonon-only inference needs alpha != 0")
+    w = w_sine if w_sine is not None else D / (4.0 * u * ar + 8.0 * u ** 2)
     disp = 3.0 * w - 3.0 * w ** 2
     return InferenceResult(wc=w, wc_dispersion=disp, quad=w ** 2 + disp / 3.0,
                            residual=residual, from_xvar=False)

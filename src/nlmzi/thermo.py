@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fock
 from .errors import DomainError
-from .evolution import BlockEngine, sweep_distributions
+from .evolution import sweep_distributions
 from .operators import ProcessSpec
 
 # negative work capacities can only be round-off: sorting minimizes the mean
@@ -146,11 +146,10 @@ class SweepResult:
 
 
 def wc_sweep(process: ProcessSpec, nbar: float, thetas,
-             tail_tol: float = 1e-12,
-             engine: Optional[BlockEngine] = None) -> SweepResult:
+             tail_tol: float = 1e-12) -> SweepResult:
     """Work capacity and companions across a theta grid (vectorized)."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    da, db, P = sweep_distributions(process, nbar, thetas, tail_tol, engine)
+    da, db, P = sweep_distributions(process, nbar, thetas, tail_tol)
     rep = ergotropy(da, nbar)
     return SweepResult(thetas=thetas, wc=rep.wc, eta=rep.efficiency,
                        wc_dispersion=rep.wc_dispersion,
@@ -166,8 +165,8 @@ def _first_peak(w) -> int:
 
 
 def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
-                   grid: int = 200, tail_tol: float = 1e-12,
-                   engine: Optional[BlockEngine] = None) -> Tuple[float, float]:
+                   grid: int = 200,
+                   tail_tol: float = 1e-12) -> Tuple[float, float]:
     """(eta_max, theta_star) over theta in [0, theta_max].
 
     Coarse grid scan followed by bracket refinement around the best grid
@@ -185,9 +184,8 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
         raise DomainError("grid must be >= 100 for a trustworthy coarse scan")
     if nbar == 0:
         return 0.0, 0.0
-    eng = engine if engine is not None else BlockEngine(process)
     thetas = np.linspace(0.0, theta_max, grid)
-    res = wc_sweep(process, nbar, thetas, tail_tol, eng)
+    res = wc_sweep(process, nbar, thetas, tail_tol)
     i = _first_peak(res.wc)
     step = thetas[1] - thetas[0]
     theta_star, w_star = float(thetas[i]), float(res.wc[i])
@@ -196,7 +194,7 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
     hi = min(theta_max, theta_star + step)
     while hi - lo > _THETA_XTOL:
         sub = np.linspace(lo, hi, 13)
-        w = wc_sweep(process, nbar, sub, tail_tol, eng).wc
+        w = wc_sweep(process, nbar, sub, tail_tol).wc
         j = _first_peak(w)
         if w[j] > w_star:
             theta_star, w_star = float(sub[j]), float(w[j])

@@ -63,8 +63,7 @@ def test_c02_parity_filtering():
     gts = np.linspace(0.0, 2.0 * np.pi, 41)
     for k in (3, 5):
         proc = Exchange(k=k, allow_high_order=True)
-        da, _, _ = ev.sweep_distributions(proc, NBAR_REF, gts, 1e-12,
-                                          ev.BlockEngine(proc))
+        da, _, _ = ev.sweep_distributions(proc, NBAR_REF, gts, 1e-12)
         odd["k=%d" % k] = max(fock.odd_mass(da[:, j]) for j in range(gts.size))
     ok = all(v < 1e-12 for v in even.values()) \
         and all(v > 1e-3 for v in odd.values())
@@ -111,10 +110,9 @@ def test_c05_g2_from_work_capacity():
     ok = True
     for lbl, proc in (("cross-phase", CrossPhase(s=1)),
                       ("exchange k=2", Exchange(k=2))):
-        eng = ev.BlockEngine(proc)
         for nbar in (0.1, 1.0, 5.0):
             thetas = np.linspace(0.0, 2.0 * np.pi, 100)
-            da, _, _ = ev.sweep_distributions(proc, nbar, thetas, 1e-12, eng)
+            da, _, _ = ev.sweep_distributions(proc, nbar, thetas, 1e-12)
             errs = []
             for j in range(thetas.size):
                 rep = thermo.ergotropy(da[:, j])
@@ -131,15 +129,13 @@ def test_c05_g2_from_work_capacity():
 
 def test_c06_small_nbar_scaling_accuracy():
     nbar = 0.01
-    eng = ev.BlockEngine(CrossPhase(s=1))
     rows = []
     worst = 0.0
     for theta in (np.pi / 2.0, np.pi, 1.5 * np.pi):
-        da, _ = ev.mzi_output(CrossPhase(s=1), theta, nbar, engine=eng)
+        da, _ = ev.mzi_output(CrossPhase(s=1), theta, nbar)
         if thermo.wc_from_dist(da) < 1e-12:
             continue
-        pred = coh.small_nbar_scalings(CrossPhase(s=1), nbar, theta,
-                                       engine=eng)
+        pred = coh.small_nbar_scalings(CrossPhase(s=1), nbar, theta)
         meas = coh.coherence_report(da)
         errs = (abs(pred.g2 / meas.g2_norm - 1.0),
                 abs(pred.g3 / meas.g3_norm - 1.0),
@@ -157,15 +153,13 @@ def test_c07_leading_probability_oracles():
     gts = np.linspace(0.0, 2.0 * np.pi, 61)
     r3 = np.sqrt(3.0)
 
-    da2, _, _ = ev.sweep_distributions(Exchange(k=2), nbar, gts, 1e-15,
-                                       ev.BlockEngine(Exchange(k=2)))
+    da2, _, _ = ev.sweep_distributions(Exchange(k=2), nbar, gts, 1e-15)
     pair = (P[2] * np.sin(gts) ** 2
             + P[3] * 0.25 * np.sin(2.0 * r3 * gts) ** 2
             + P[4] * 0.125 * np.sin(4.0 * r3 * gts) ** 2)
     err2 = np.abs(da2[2, :] - pair).max()
 
-    da3, _, _ = ev.sweep_distributions(Exchange(k=3), nbar, gts, 1e-15,
-                                       ev.BlockEngine(Exchange(k=3)))
+    da3, _, _ = ev.sweep_distributions(Exchange(k=3), nbar, gts, 1e-15)
     s3, s6, s12 = np.sin(3 * gts), np.sin(6 * gts), np.sin(12 * gts)
     triplet = {
         1: (3 / 16) * P[3] * s6 ** 2 + (9 / 16) * P[4] * s12 ** 2,

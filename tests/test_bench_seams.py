@@ -44,6 +44,7 @@ def test_block_sweeps_reach_the_generator_layer():
     tracer = _load_tracer()
     hybrid = Hybrid(terms=((0.7, CrossPhase()), (0.4, Exchange(k=2))))
     for process in (Exchange(k=2), CrossPhase(), hybrid):
+        ev.block_engine.cache_clear()  # a kept engine would build nothing
         with tracer.Tracer() as t:
             ev.sweep_distributions(process, 1.0, [0.5, 1.0], 1e-4)
         calls = t.summary()

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlmzi import evolution
 from nlmzi.cli import main, parse_grid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -223,9 +224,9 @@ def test_max_efficiency_rows(tmp_path):
 
 
 def test_max_efficiency_rows_do_not_depend_on_the_other_nbars(tmp_path):
-    # every --nbar shares one block engine; a row must still be the bytes
-    # of its single-nbar run, whether the shared blocks were built for a
-    # smaller or a larger nbar first
+    # every --nbar shares the kept block engine; a row must still be the
+    # bytes of its single-nbar run from a cold engine, whether the shared
+    # blocks were built for a smaller or a larger nbar first
     common = ("max-efficiency", "--process", "exchange", "--k", 2,
               "--theta-max", 6, "--grid", 100)
     multi = tmp_path / "multi.csv"
@@ -233,6 +234,7 @@ def test_max_efficiency_rows_do_not_depend_on_the_other_nbars(tmp_path):
     rows = multi.read_text().splitlines()[1:]
     for nbar, row in zip((1.0, 0.3, 2.0), rows):
         single = tmp_path / ("single_%s.csv" % nbar)
+        evolution.block_engine.cache_clear()
         assert run(*common, "--nbar", nbar, "--out", single) == 0
         assert single.read_text().splitlines()[1:] == [row]
 

@@ -84,8 +84,7 @@ def test_g2_routes_agree_exchange2_pi():
 def test_g2_minimum_sits_at_peak_work_cross_phase():
     thetas = np.linspace(0.5, np.pi, 60)
     res = thermo.wc_sweep(CrossPhase(s=1), 1.0, thetas)
-    da, _, _ = ev.sweep_distributions(CrossPhase(s=1), 1.0, thetas, 1e-12,
-                                      ev.BlockEngine(CrossPhase(s=1)))
+    da, _, _ = ev.sweep_distributions(CrossPhase(s=1), 1.0, thetas, 1e-12)
     g2 = np.array([coh.g_m(da[:, i], 2) for i in range(thetas.size)])
     assert int(np.argmin(g2)) == int(np.argmax(res.wc))
 
@@ -110,9 +109,8 @@ def test_cross_phase_g3_scaling_small_nbar():
 
 def test_exchange2_g3_scaling_small_nbar():
     nbar = 0.002
-    eng = ev.BlockEngine(Exchange(k=2))
     for theta in (0.9, 1.7, 2.6):
-        da, _ = ev.mzi_output(Exchange(k=2), theta, nbar, engine=eng)
+        da, _ = ev.mzi_output(Exchange(k=2), theta, nbar)
         w = thermo.wc_from_dist(da)
         pred = 1.5 * float(coh.f_exchange2(theta)) / w
         meas = coh.g_m(da, 3)

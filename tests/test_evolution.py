@@ -259,9 +259,42 @@ def test_cold_out_of_order_builds_match_in_order(process, ladder_steps):
 def test_in_order_builds_take_one_ladder_step_each(ladder_steps):
     n = fock.thermal_distribution(2.0, 1e-6).size
     for proc in (CrossPhase(s=1), Exchange(k=2), HYBRID):
+        ev.block_engine.cache_clear()  # a kept engine takes no steps
         ladder_steps.clear()
         ev.sweep_distributions(proc, 2.0, [0.5, 1.0], 1e-6)
         assert ladder_steps == list(range(1, n))
+
+
+@pytest.mark.parametrize("process", [
+    CrossPhase(), Exchange(k=1), Exchange(k=2), Exchange(k=3),
+    Hybrid(terms=((0.7, CrossPhase()), (0.4, Exchange(k=3)))),
+])
+def test_kept_engine_sweeps_give_a_fresh_engines_bits(process):
+    # a block depends only on N: the kept engine, built up to block 50 and
+    # then below it out of order, sweeps to a cold engine's bytes
+    thetas = np.linspace(0.0, 2.0 * np.pi, 25)
+    ev.block_engine.cache_clear()
+    fresh = ev.sweep_distributions(process, 2.0, thetas)
+    ev.block_engine.cache_clear()
+    eng = ev.block_engine(process)
+    for N in (50, 7, 31):
+        eng.amplitudes(N, [0.3])
+    warm = ev.sweep_distributions(process, 2.0, thetas)
+    assert ev.block_engine(process) is eng
+    for a, b in zip(fresh, warm):
+        assert np.array_equal(a, b)
+
+
+def test_hybrid_from_lists_is_the_tuple_hybrid():
+    listed = Hybrid(terms=[[0.7, CrossPhase()], [0.4, Exchange(k=3)]])
+    tupled = Hybrid(terms=((0.7, CrossPhase()), (0.4, Exchange(k=3))))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 9)
+    ev.block_engine.cache_clear()
+    ref = ev.sweep_distributions(tupled, 1.0, thetas)
+    ev.block_engine.cache_clear()
+    for a, b in zip(ev.sweep_distributions(listed, 1.0, thetas), ref):
+        assert np.array_equal(a, b)
 
 
 def test_hermitian_eig_guards():
@@ -290,18 +323,17 @@ def test_mzi_output_is_a_one_point_sweep():
     for proc in (CrossPhase(s=1), CrossPhase(s=2), Exchange(k=2, g=0.75),
                  Exchange(k=3),
                  Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))):
-        eng = ev.BlockEngine(proc)
         for t in (0.0, 0.7, np.pi, 4.1):
-            da, db = ev.mzi_output(proc, t, 1.3, engine=eng)
+            da, db = ev.mzi_output(proc, t, 1.3)
             sa, sb, _ = ev.sweep_distributions(proc, 1.3, [t * proc.strength],
-                                               1e-12, eng)
+                                               1e-12)
             assert np.array_equal(da, sa[:, 0])
             assert np.array_equal(db, sb[:, 0])
         for bad in ([0.1, np.nan], [np.inf], [0.0, -np.inf, 1.0]):
             with pytest.raises(DomainError):
-                ev.sweep_distributions(proc, 1.3, bad, 1e-12, eng)
+                ev.sweep_distributions(proc, 1.3, bad, 1e-12)
         with pytest.raises(DomainError):
-            ev.mzi_output(proc, np.nan, 1.3, engine=eng)
+            ev.mzi_output(proc, np.nan, 1.3)
 
 
 def test_mzi_output_marginals_match_dense_mixture():
@@ -452,29 +484,54 @@ def test_chain_eig_is_eig_banded_on_tridiagonal_chains():
 
 
 SOLVERS = {"eig_banded", "eigh_tridiagonal", "eigh"}
+SRC_TREES = {path.stem: ast.parse(path.read_text()) for path in
+             sorted(pathlib.Path(ev.__file__).parent.glob("*.py"))}
+
+
+def _callers(names):
+    """(module, enclosing function or None, callee) of every call in src/
+    to one of names."""
+    found = set()
+
+    def visit(node, module, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else \
+                getattr(f, "id", None)
+            if name in names:
+                found.add((module, fn, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, fn)
+
+    for module, tree in SRC_TREES.items():
+        visit(tree, module, None)
+    return found
 
 
 def test_chain_eig_is_the_only_eigensolver_call_in_src():
-    src = pathlib.Path(ev.__file__).parent
-    callers = set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    name = f.attr if isinstance(f, ast.Attribute) else \
-                        getattr(f, "id", None)
-                    if name in SOLVERS:
-                        callers.add((path.stem, fn.name, name))
+    for module, tree in SRC_TREES.items():
         imports = [n for n in ast.walk(tree)
                    if isinstance(n, ast.ImportFrom) and n.module
                    and n.module.startswith("scipy.linalg")]
-        assert path.stem == "evolution" or not imports, path.stem
-    assert callers == {("evolution", "chain_eig", "eigh_tridiagonal"),
-                       ("evolution", "chain_eig", "eig_banded")}
+        assert module == "evolution" or not imports, module
+    assert _callers(SOLVERS) == {
+        ("evolution", "chain_eig", "eigh_tridiagonal"),
+        ("evolution", "chain_eig", "eig_banded")}
+
+
+def test_block_engine_is_the_only_engine_maker_in_src():
+    # the engine comes from the process alone, so no caller passes one
+    assert _callers({"BlockEngine"}) == {
+        ("evolution", "block_engine", "BlockEngine")}
+    for module, tree in SRC_TREES.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not fn.name.startswith("_"):
+                a = fn.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                assert "engine" not in names, (module, fn.name)
 
 
 # ---------------------------------------------------------------------------

@@ -250,21 +250,36 @@ def test_infer_pure_imaginary_alpha_uses_sine_channel():
     assert abs(res.wc - 0.5) < 1e-9
 
 
-def test_infer_pure_imaginary_alpha_survives_phonon_noise():
-    # c09's setup with alpha = 10i: the sine channel alone carries W, so
-    # noise that makes the (unused) quadratic's discriminant negative must
-    # not reject the trace
+def _noisy_c09_errors(alpha):
+    """Relative W errors of c09's trace (nbar 1 cross-phase at pi, G 0.01)
+    read with alpha, under 100 seeded draws of 1e-3 phonon noise."""
     da, _ = evolution.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-13)
-    cfg = cfg_coherent(10.0j, G=0.01)
+    cfg = cfg_coherent(alpha, G=0.01)
     taus = np.linspace(0.0, 6.0 * np.pi, 128)
     trace = om.phonon_trace_coherent(da, cfg, taus)
     target = 2.0 / 9.0
     rng = np.random.default_rng(42)
+    errs = []
     for _ in range(100):
         noisy = om.OscillatorTrace(
             taus=taus, phonon=trace.phonon + rng.normal(0.0, 1e-3, taus.size),
             xvar=trace.xvar, config=cfg)
-        assert abs(om.infer_wc(noisy).wc - target) / target < 0.01
+        errs.append(abs(om.infer_wc(noisy).wc - target) / target)
+    return errs
+
+
+def test_infer_pure_imaginary_alpha_survives_phonon_noise():
+    # alpha = 10i: the sine channel alone carries W, so noise that makes
+    # the (unused) quadratic's discriminant negative must not reject it
+    assert max(_noisy_c09_errors(10.0j)) < 0.01
+
+
+@pytest.mark.parametrize("alpha", [1e-3 + 10.0j, 0.1 + 10.0j, 1.0 + 10.0j])
+def test_infer_reads_the_sine_where_it_is_the_larger_beat(alpha):
+    # |Im(alpha)| > |Re(alpha)|: the cosine coefficient D carries W with
+    # weight 4u Re(alpha) only, so the quadratic in D would amplify the
+    # noise; W must come from the sine coefficient
+    assert max(_noisy_c09_errors(alpha)) < 0.01
 
 
 def test_infer_thermal_trace_with_declared_alpha():
@@ -295,6 +310,20 @@ def test_infer_without_variance_channel():
     assert abs(om.infer_wc(exact3).wc - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [2.0j, 0.5 + 2.0j])
+def test_infer_without_variance_channel_reads_the_sine(alpha):
+    # B = -4 u W Im(alpha) needs no dispersion stand-in, so W is exact;
+    # only the reported dispersion comes from 3W - 3W^2
+    cfg = cfg_coherent(alpha, G=0.01)
+    taus = np.linspace(0, 6 * np.pi, 40)
+    tr = om.phonon_trace_coherent(EVEN5, cfg, taus)
+    res = om.infer_wc(om.OscillatorTrace(taus=taus, phonon=tr.phonon,
+                                         xvar=None, config=cfg))
+    assert not res.from_xvar
+    assert abs(res.wc - 0.7) < 1e-12
+    assert res.wc_dispersion == 3.0 * res.wc - 3.0 * res.wc ** 2
+
+
 def test_infer_error_cases():
     cfg = cfg_coherent(1.0, G=0.01)
     good = np.linspace(0, 6 * np.pi, 40)
@@ -308,6 +337,10 @@ def test_infer_error_cases():
     th = om.phonon_trace_thermal(EVEN3, cfg_thermal(0.1, G=0.01), good)
     with pytest.raises(FitError):
         om.infer_wc(th)  # alpha unknown
+    blind = om.OscillatorTrace(taus=good, phonon=tr.phonon, xvar=None,
+                               config=cfg)
+    with pytest.raises(FitError):
+        om.infer_wc(blind, alpha=0.0)  # no beat, no closure
 
 
 def test_config_validation():

@@ -115,14 +115,13 @@ def test_small_nbar_table():
 def test_exchange3_window_formula():
     nbar = 0.05
     proc = Exchange(k=3)
-    eng = ev.BlockEngine(proc)
     hits = 0
     for theta in np.linspace(0.05, 2 * np.pi, 61):
         ref = wc_exchange3_windows(nbar, theta)
         if ref is None:
             continue
         hits += 1
-        da, _ = ev.mzi_output(proc, theta, nbar, engine=eng)
+        da, _ = ev.mzi_output(proc, theta, nbar)
         assert abs(thermo.wc_from_dist(da) - ref) < 5 * nbar ** 4
     assert hits > 10  # both window families must actually fire
 
@@ -166,20 +165,30 @@ def test_max_efficiency_reports_the_first_mirror_peak():
     # cross-phase W(theta) = W(2 pi - theta): the peaks at theta* and
     # 2 pi - theta* tie within round-off, and the smaller angle is reported
     proc = CrossPhase(s=1)
-    eng = ev.BlockEngine(proc)
     eta, theta_star = thermo.max_efficiency(proc, 40.0, 2 * np.pi, grid=100,
-                                            tail_tol=1e-3, engine=eng)
+                                            tail_tol=1e-3)
     assert 2.9 < theta_star < np.pi
     w = thermo.wc_sweep(proc, 40.0, [theta_star, 2 * np.pi - theta_star],
-                        1e-3, eng).wc
+                        1e-3).wc
     assert abs(w[1] - w[0]) < 1e-12 * w[0]
     assert abs(eta - w[0] / 40.0) < 1e-15
+
+
+def test_max_efficiency_ignores_the_processes_swept_before():
+    # the kept engine is always the swept process's own, so a sweep of
+    # another process in between changes no bit of the answer
+    ev.block_engine.cache_clear()
+    cold = thermo.max_efficiency(Exchange(k=2), 1.0, 6.283)
+    assert abs(cold[0] - 0.18386) < 1e-5 and abs(cold[1] - 4.69527) < 1e-5
+    for other in (CrossPhase(), Exchange(k=3), Exchange(k=2)):
+        thermo.wc_sweep(other, 1.0, [0.5, 2.0])
+        assert thermo.max_efficiency(Exchange(k=2), 1.0, 6.283) == cold
 
 
 def test_max_efficiency_breaks_round_off_ties_to_the_smaller_angle(
         monkeypatch):
     # mirror peaks at pi -/+ 1, the later one 4 ulp higher
-    def mirrored(process, nbar, thetas, tail_tol, engine):
+    def mirrored(process, nbar, thetas, tail_tol):
         th = np.asarray(thetas)
         w = 1.0 - (np.abs(th - np.pi) - 1.0) ** 2
         return SimpleNamespace(wc=w + 4 * np.spacing(1.0) * (th > np.pi))
