@@ -27,16 +27,22 @@ Every evolution goes through one phase kernel, phase_product. On a
 uniform grid of T points (every linspace) it takes the phases by angle
 addition from two tables of about sqrt(T) columns each, so cos and sin
 run O(sqrt(T)) times per eigenvalue rather than T times.
+
+The eigensolves call two LAPACK routines through scipy's compiled wrapper
+module, loaded from its file: importing the scipy.linalg package would
+cost more start-up time than most commands spend computing.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from typing import Dict, List
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from . import fock
 from .errors import ConfigurationError, DomainError
@@ -115,22 +121,54 @@ def interleaved(P) -> np.ndarray:
     return P.transpose(1, 2, 0).reshape(P.shape[1], -1)
 
 
+def _load_flapack():
+    """scipy.linalg._flapack, scipy's f2py LAPACK wrappers, executed from
+    its file without running scipy/linalg/__init__.py and the array-API
+    machinery it imports. Like an import, this enters the module in
+    sys.modules, where a later import of scipy.linalg finds it."""
+    scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(p, "linalg") for p in scipy_dirs])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+
+
+def eig_banded(band):
+    """(mu, V, info) of LAPACK dsbevd on a real symmetric band in lower
+    storage, called as scipy.linalg.eig_banded(band, lower=True) calls it.
+    The benchmark tracer (bench/tracer.py) wraps this name."""
+    return _flapack.dsbevd(band, compute_v=1, lower=1, overwrite_ab=0)
+
+
 def chain_eig(band):
     """(mu, V, paired) of a real symmetric chain in the lower band storage
     of operators.process_generator, shape (b+1, L): the one eigensolve of
-    the package. Bandwidth 1 goes to eigh_tridiagonal, which gives
-    eig_banded's bits without its product with the reduction matrix, and
-    a wider band to eig_banded. A bipartite chain (zero diagonal,
-    couplings at odd offsets only) has exact pairs (mu, v), (-mu, S v),
-    S = diag((-1)^i) (Coulson & Rushbrooke, Proc. Camb. Phil. Soc. 36, 193
-    (1940)): it comes back as its mu >= 0 half with paired=True, an odd
-    length's zero mode first, with mu = 0.0 and odd entries 0.0. Any
-    other chain comes back whole, mu ascending.
+    the package. Bandwidth 1 goes to LAPACK dstevd, the routine of
+    scipy.linalg.eigh_tridiagonal, which gives eig_banded's bits without
+    its product with the reduction matrix, and a wider band to dsbevd
+    (eig_banded); a single site is its own eigenvector. A non-finite band
+    raises DomainError, a nonzero LAPACK info ConfigurationError. A
+    bipartite chain (zero diagonal, couplings at odd offsets only) has
+    exact pairs (mu, v), (-mu, S v), S = diag((-1)^i) (Coulson &
+    Rushbrooke, Proc. Camb. Phil. Soc. 36, 193 (1940)): it comes back as
+    its mu >= 0 half with paired=True, an odd length's zero mode first,
+    with mu = 0.0 and odd entries 0.0. Any other chain comes back whole,
+    mu ascending.
     """
-    if band.shape[0] == 2:
-        mu, V = eigh_tridiagonal(band[0], band[1, :-1])
+    if not np.isfinite(band).all():
+        raise DomainError("chain_eig needs a finite band")
+    if band.shape[1] == 1:
+        mu, V, info = band[0].copy(), np.ones((1, 1)), 0
+    elif band.shape[0] == 2:
+        mu, V, info = _flapack.dstevd(band[0], band[1, :-1], compute_v=1)
     else:
-        mu, V = eig_banded(band, lower=True)
+        mu, V, info = eig_banded(band)
+    if info:
+        raise ConfigurationError("LAPACK failed on a chain (info %d)" % info)
     paired = not band[0].any() and not band[2::2].any()
     if paired:
         h = band.shape[1] // 2

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError, DomainError
 
@@ -117,18 +116,22 @@ def exchange_couplings(N: int, k: int) -> np.ndarray:
     j = k..N, of the exchange generator on block N; empty for N < k.
 
     Entry j - k couples j - k with j, so chain c (j = c, c+k, ...) has the
-    couplings [c::k].
+    couplings [c::k]. Evaluated as the product over i = 1..k of
+    sqrt((N-j+i)(j-k+i)), each root of an exact integer, so an entry is
+    within a few ulp of the exact value and overflows only where it does.
     """
     if N < 0 or k < 1:
         raise DomainError("need N >= 0 and k >= 1")
     j = np.arange(k, N + 1, dtype=float)
-    return np.exp(0.5 * (gammaln(N - j + k + 1) - gammaln(N - j + 1))
-                  + 0.5 * (gammaln(j + 1) - gammaln(j - k + 1)))
+    out = np.ones_like(j)
+    for i in range(1, k + 1):
+        out *= np.sqrt((N - j + i) * (j - k + i))
+    return out
 
 
 def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
     """Nonlinear-arm generator of a process on block N, in the lower band
-    storage of scipy.linalg.eig_banded: shape (b+1, N+1).
+    storage of LAPACK's dsbevd (evolution.eig_banded): shape (b+1, N+1).
 
     Row 0 is the diagonal, the sum of c ((N-j) j)^s over the cross-phase
     terms; row d holds the couplings G[j+d, j], j = 0..N-d, of offset d,

@@ -18,11 +18,11 @@ infer_wc inverts a measured trace back to W.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fock
 from .errors import ConfigurationError, DomainError, FitError
@@ -173,16 +173,16 @@ def position_variance(dist, cfg: OscillatorConfig, taus) -> np.ndarray:
 
 def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
     """Fock amplitudes of |alpha>; real for a real alpha, whose sign enters
-    as the exact (-1)^m."""
+    as the exact (-1)^m. log m! is math.lgamma(m + 1)."""
     m = np.arange(cutoff + 1)
     alpha = complex(alpha)
     if alpha == 0:
         return (m == 0).astype(float)
+    half_lf = 0.5 * np.array([math.lgamma(x + 1.0) for x in range(cutoff + 1)])
     if alpha.imag != 0:
-        return np.exp(-abs(alpha) ** 2 / 2.0
-                      + m * np.log(alpha) - 0.5 * gammaln(m + 1))
+        return np.exp(-abs(alpha) ** 2 / 2.0 + m * np.log(alpha) - half_lf)
     return np.sign(alpha.real) ** m * np.exp(
-        -abs(alpha) ** 2 / 2.0 + m * np.log(abs(alpha)) - 0.5 * gammaln(m + 1))
+        -abs(alpha) ** 2 / 2.0 + m * np.log(abs(alpha)) - half_lf)
 
 
 def suggested_osc_cutoff(cfg: OscillatorConfig, n_top: int) -> int:
@@ -337,8 +337,10 @@ def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
         D = 4 (G/Omega) W Re(alpha) + 8 (G/Omega)^2 (W^2 + |dW^2|/3)
 
     is a quadratic in W whose stable root is returned. Where |Im(alpha)|
-    > |Re(alpha)| the sine coefficient B = -4 (G/Omega) W Im(alpha) gives
-    W linearly instead, and D is not consulted.
+    > |Re(alpha)| + 2 |G/Omega| the sine coefficient B = -4 (G/Omega) W
+    Im(alpha) gives W linearly instead, and D is not consulted: B weighs W
+    by 4 |G/Omega| |Im(alpha)|, against D's 4 |G/Omega| |Re(alpha)| plus
+    the 8 (G/Omega)^2 that does not shrink with alpha.
     """
     cfg = trace.config
     if alpha is None:
@@ -367,8 +369,8 @@ def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
     residual = float(np.linalg.norm(design @ coef - rhs))
 
     ar, ai = float(np.real(alpha)), float(np.imag(alpha))
-    # B needs no bundle: it carries W wherever it is the larger beat
-    w_sine = -B / (4.0 * u * ai) if abs(ai) > abs(ar) else None
+    # B needs no bundle: it carries W wherever it weighs W more than D
+    w_sine = -B / (4.0 * u * ai) if abs(ai) > abs(ar) + 2.0 * abs(u) else None
     if trace.xvar is not None:
         s4 = np.sin(c / 2.0) ** 4
         a2 = np.stack([np.ones_like(s4), s4], axis=1)

@@ -16,6 +16,8 @@ oscillator moments they check. The closed-form small-nbar work capacities
 (wc_table_oracle, wc_exchange3_windows) have no caller outside the tests.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, expm
 from scipy.special import gammaln
@@ -361,8 +363,10 @@ def dense_oscillator_oracle(dist, cfg, osc_cutoff, taus):
             psi = np.zeros(osc_cutoff + 1, dtype=complex)
             psi[0] = 1.0
         else:
+            # log m! as optomech._coherent_vector takes it
+            lf = np.array([math.lgamma(x + 1.0) for x in mm])
             psi = np.exp(-abs(alpha) ** 2 / 2.0 + mm * np.log(complex(alpha))
-                         - 0.5 * gammaln(mm + 1))
+                         - 0.5 * lf)
         inits = [(1.0, psi)]
     else:
         wts = fock.thermal_distribution(cfg.init.nbar_osc, 1e-12)

@@ -189,6 +189,35 @@ def test_oracle_cutoff_below_a_coherent_init_exits_three(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_failed_eigensolve_exits_three(tmp_path, capsys, monkeypatch):
+    # a LAPACK routine's nonzero info is a ConfigurationError, not a traceback
+    monkeypatch.setattr(evolution._flapack, "dstevd",
+                        lambda *args, **kwargs: (None, None, 1))
+    rc = run("pdc", "--variant", "degenerate", "--nbar", 0.5,
+             "--gt", "0:1:3", "--out", tmp_path / "z.csv")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "LAPACK" in err
+    assert "Traceback" not in err
+
+
+def test_commands_start_without_scipy_linalg_or_special():
+    # the eigensolves load scipy's LAPACK wrapper module alone; the
+    # scipy.linalg and scipy.special packages, and the array-API layer
+    # they import, would more than double the start-up of every command
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nlmzi.cli; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "nlmzi.cli" in loaded
+    assert not loaded & {"scipy.linalg", "scipy.special",
+                         "scipy._lib._array_api"}
+
+
 def test_high_order_exchange_behind_flag(tmp_path):
     out = tmp_path / "k5.csv"
     rc = run("wc-sweep", "--process", "exchange", "--k", 5,

@@ -462,15 +462,29 @@ def _tridiagonal_chains(rng, L):
         yield ev._fold(mirror, sigma)
 
 
+def _wide_chains(rng, L):
+    """Bands (3, L) and (4, L) of random chains, one of them bipartite
+    (zero diagonal and second band), and the generator band of
+    Hybrid(Exchange(2) + Exchange(3)) on block L - 1."""
+    yield rng.normal(size=(3, L))
+    yield rng.normal(size=(4, L))
+    yield rng.normal(size=(4, L)) * np.array([[0.0], [1.0], [0.0], [1.0]])
+    yield ops.process_generator(HYBRID_CHAINS[1], L - 1)
+
+
 def test_chain_eig_is_eig_banded_on_tridiagonal_chains():
-    # eigh_tridiagonal and eig_banded give the same bits on a tridiagonal
-    # chain; a bipartite chain keeps the mu >= 0 half, zero mode first
+    # dstevd gives eig_banded's bits on a tridiagonal chain, and dsbevd
+    # gives them on a wider one (eig_banded calls it); a bipartite chain
+    # keeps the mu >= 0 half, zero mode first
     rng = np.random.default_rng(11)
     for L in range(1, 201):
-        for band in _tridiagonal_chains(rng, L):
+        chains = list(_tridiagonal_chains(rng, L))
+        if L % 7 == 1 or L in (2, 3, 4):
+            chains += list(_wide_chains(rng, L))
+        for band in chains:
             mu, V, paired = ev.chain_eig(band)
             ref_mu, ref_V = eig_banded(band, lower=True)
-            assert paired == (not band[0].any())
+            assert paired == (not band[0].any() and not band[2::2].any())
             if paired:
                 h = L // 2
                 ref_mu, ref_V = ref_mu[h:], ref_V[:, h:]
@@ -479,11 +493,30 @@ def test_chain_eig_is_eig_banded_on_tridiagonal_chains():
                     assert np.array_equal(V[::2, 0], ref_V[::2, 0])
                     mu, V = mu[1:], V[:, 1:]
                     ref_mu, ref_V = ref_mu[1:], ref_V[:, 1:]
-            assert np.array_equal(mu, ref_mu), L
-            assert np.array_equal(V, ref_V), L
+            assert np.array_equal(mu, ref_mu), (L, band.shape)
+            assert np.array_equal(V, ref_V), (L, band.shape)
 
 
-SOLVERS = {"eig_banded", "eigh_tridiagonal", "eigh"}
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rows", [2, 4])
+def test_chain_eig_rejects_a_non_finite_band(bad, rows):
+    band = np.ones((rows, 6))
+    band[1, 2] = bad
+    with pytest.raises(DomainError):
+        ev.chain_eig(band)
+
+
+@pytest.mark.parametrize("routine,rows", [("dstevd", 2), ("dsbevd", 4)])
+def test_chain_eig_raises_on_a_failed_solve(monkeypatch, routine, rows):
+    def failed(*args, **kwargs):
+        return np.zeros(6), np.eye(6), 3
+
+    monkeypatch.setattr(ev._flapack, routine, failed)
+    with pytest.raises(ConfigurationError, match="LAPACK"):
+        ev.chain_eig(np.ones((rows, 6)))
+
+
+SOLVERS = {"dstevd", "dsbevd", "eig_banded", "eigh_tridiagonal", "eigh"}
 SRC_TREES = {path.stem: ast.parse(path.read_text()) for path in
              sorted(pathlib.Path(ev.__file__).parent.glob("*.py"))}
 
@@ -511,14 +544,19 @@ def _callers(names):
 
 
 def test_chain_eig_is_the_only_eigensolver_call_in_src():
+    # the routines come from the LAPACK wrapper module evolution loads; no
+    # module imports the scipy.linalg or scipy.special packages
     for module, tree in SRC_TREES.items():
-        imports = [n for n in ast.walk(tree)
-                   if isinstance(n, ast.ImportFrom) and n.module
-                   and n.module.startswith("scipy.linalg")]
-        assert module == "evolution" or not imports, module
+        imports = [a.name for n in ast.walk(tree)
+                   if isinstance(n, ast.Import) for a in n.names]
+        imports += [n.module for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom) and n.module]
+        assert not [m for m in imports if m.startswith(
+            ("scipy.linalg", "scipy.special"))], module
     assert _callers(SOLVERS) == {
-        ("evolution", "chain_eig", "eigh_tridiagonal"),
-        ("evolution", "chain_eig", "eig_banded")}
+        ("evolution", "chain_eig", "dstevd"),
+        ("evolution", "chain_eig", "eig_banded"),
+        ("evolution", "eig_banded", "dsbevd")}
 
 
 def test_block_engine_is_the_only_engine_maker_in_src():

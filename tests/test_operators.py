@@ -1,6 +1,7 @@
 """Block operators: pseudospin algebra, generators, splitter identities."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,27 @@ def test_quarter_ladder_is_the_full_rungs_quarter():
             parity = slice(N % 2, N + 1, 2)
             assert np.array_equal(ops.rung_entries(q, N, parity, cols[::-1]),
                                   r[parity][:, cols[::-1]])
+
+
+def _exact_couplings(N, k):
+    """exchange_couplings(N, k) rounded once from the exact square roots."""
+    out = []
+    for j in range(k, N + 1):
+        square = math.prod((N - j + i) * (j - k + i) for i in range(1, k + 1))
+        out.append(float(Decimal(square).sqrt()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_exchange_couplings_are_within_four_ulp(k):
+    # products of roots of exact integers: no log-gamma cancellation, which
+    # left hundreds of ulp at N = 141 (k = 2) and thousands at N = 700 (k = 4)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for N in [*range(k, 160), *range(160, 700, 9), 700]:
+            got = ops.exchange_couplings(N, k)
+            ref = _exact_couplings(N, k)
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref)), N
 
 
 def test_splitter_input_column():

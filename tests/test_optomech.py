@@ -292,6 +292,17 @@ def test_infer_thermal_trace_with_declared_alpha():
     assert abs(res.wc - 0.5) < 1e-9
 
 
+@pytest.mark.parametrize("alpha", [1e-3j, 1e-15j, 0.03j])
+def test_infer_small_imaginary_alpha_keeps_the_beating_channel(alpha):
+    # B weighs W by 4 u |Im(alpha)|, D by 4 u |Re(alpha)| + 8 u^2: below
+    # |Im(alpha)| = |Re(alpha)| + 2u the sine coefficient carries too
+    # little of W, and the quadratic in D reads it instead
+    cfg = cfg_thermal(0.2, G=0.02)
+    taus = np.linspace(0, 6 * np.pi, 40)
+    tr = om.phonon_trace_thermal(EVEN3, cfg, taus)
+    assert abs(om.infer_wc(tr, alpha=alpha).wc - 0.5) < 1e-9
+
+
 def test_infer_without_variance_channel():
     cfg = cfg_coherent(2.0, G=0.01)
     taus = np.linspace(0, 6 * np.pi, 40)
