@@ -58,10 +58,19 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, header, rows):
+    """Cells as "%.17g", a nan or None cell empty: one % per row, and
+    cell by cell through _fmt where that fails or writes an n (nan, inf)."""
+    line = ",".join(["%.17g"] * len(header))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in map(tuple, rows):
+            try:
+                text = line % row
+            except TypeError:  # a None cell, or a row of another length
+                text = "n"
+            if "n" in text:
+                text = ",".join(_fmt(v) for v in row)
+            fh.write(text + "\n")
 
 
 def sha256_of(path: str) -> str:

@@ -26,7 +26,9 @@ engine keeps in the blocks' pair form, one level at a time.
 Every evolution goes through one phase kernel, phase_product. On a
 uniform grid of T points (every linspace) it takes the phases by angle
 addition from two tables of about sqrt(T) columns each, so cos and sin
-run O(sqrt(T)) times per eigenvalue rather than T times.
+run O(sqrt(T)) times per eigenvalue rather than T times. A loop over
+blocks or pump levels analyses its grid once, as a PhaseGrid, whose
+buffers every product of the loop reuses.
 
 The eigensolves call two LAPACK routines through scipy's compiled wrapper
 module, loaded from its file: importing the scipy.linalg package would
@@ -46,49 +48,82 @@ import numpy as np
 
 from . import fock
 from .errors import ConfigurationError, DomainError
-from .operators import (QUARTER_TURNS, DegeneratePDC, LadderScratch,
+from .operators import (QUARTER_TURNS, BufferPool, DegeneratePDC,
                         NonDegeneratePDC, ProcessSpec, ladder_walk,
                         process_generator, rung_entries)
 
 
-def _cis(mu, ts) -> np.ndarray:
-    """exp(-i outer(mu, ts)) by one cos and one sin per cell."""
-    ph = np.outer(mu, -ts)
-    Z = np.empty(ph.shape, dtype=complex)
-    np.cos(ph, out=Z.real)
-    np.sin(ph, out=Z.imag)
-    return Z
+class PhaseGrid:
+    """A grid of T angles or times, analysed once for every phase_product
+    over it, with the buffers that those products reuse.
+
+    The analysis: the negated points, as _cis takes them; the mask of the
+    columns t = 0; and, when the grid is uniform with T >= 16 (every
+    point within 4 ulp of max|ts| of ts[0] + i h, a linspace), the
+    negated abscissae of _phases' two tables, ts[::B] and h r for
+    r < B = isqrt(T). The pool (operators.BufferPool) holds a product's
+    phases, their contiguous real and imaginary parts and the pair form's
+    products. A loop's arrays grow block by block, each above glibc's
+    dynamic mmap threshold, so fresh ones would each be mapped and
+    zero-filled anew; reused, they are faulted in once. A product on a
+    grid is therefore a view that the grid's next product overwrites.
+    """
+
+    def __init__(self, ts):
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        T = ts.size
+        self.ts, self.size, self.pool = ts, T, BufferPool()
+        self.negated, self.zeros, self.tables = -ts, ts == 0.0, None
+        B = math.isqrt(T)
+        if B >= 4:
+            h = (ts[-1] - ts[0]) / (T - 1)
+            dev = np.abs(ts - (ts[0] + h * np.arange(T))).max()
+            if dev <= 4.0 * np.finfo(float).eps * np.abs(ts).max():
+                self.tables = (self.negated[::B], -(h * np.arange(B)))
+
+
+def grid_of(ts) -> PhaseGrid:
+    """ts itself when it is a PhaseGrid, else a fresh grid of its points."""
+    return ts if isinstance(ts, PhaseGrid) else PhaseGrid(ts)
+
+
+def _cis(mu, neg_ts, out=None) -> np.ndarray:
+    """exp(i outer(mu, neg_ts)) by one cos and one sin per cell, into out
+    or a fresh array: the angles go into its imaginary half, where cos
+    and sin read them."""
+    if out is None:
+        out = np.empty((mu.size, neg_ts.size), dtype=complex)
+    np.multiply(mu[:, None], neg_ts, out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    return out
 
 
 def _phases(mu, ts) -> np.ndarray:
-    """exp(-i outer(mu, ts)), shape (mu.size, ts.size).
+    """exp(-i outer(mu, ts)), shape (mu.size, ts.size), in the grid's
+    buffer "Z"; ts is a PhaseGrid or the points of one.
 
-    A uniform grid, every point within 4 ulp of max|ts| of ts[0] + i h (a
-    linspace), is cut into runs of B = isqrt(T) points: with i = q B + r,
-    column i is exp(-i mu ts[q B]) exp(-i mu r h), one complex product of
-    a column of each of two tables of about sqrt(T) columns, so cos and
-    sin run on O(M sqrt(T)) phases instead of M T. _cis builds both
-    tables, so columns q B are its own bit for bit, and a column t = 0 is
-    exactly 1 wherever it lies; it also takes any other grid, and one of
-    fewer than 16 points, whose tables would save less than the uniformity
-    test costs.
+    A grid that PhaseGrid finds uniform is cut into runs of B = isqrt(T)
+    points: column i = q B + r is exp(-i mu ts[q B]) exp(-i mu r h), one
+    complex product of a column of each of two tables of about sqrt(T)
+    columns, so cos and sin run on O(M sqrt(T)) phases instead of M T.
+    _cis builds both tables, so columns q B are its own bit for bit, and
+    a column t = 0 is exactly 1 wherever it lies; it also takes any other
+    grid, and one of fewer than 16 points, whose tables would save less
+    than the uniformity test costs.
     """
-    T = ts.size
-    B = math.isqrt(T)
-    if B < 4:
-        return _cis(mu, ts)
-    h = (ts[-1] - ts[0]) / (T - 1)
-    dev = np.abs(ts - (ts[0] + h * np.arange(T))).max()
-    if not dev <= 4.0 * np.finfo(float).eps * np.abs(ts).max():
-        return _cis(mu, ts)
-    hi = _cis(mu, ts[::B])
-    lo = _cis(mu, h * np.arange(B))
-    Z = np.empty((mu.size, T), dtype=complex)
+    grid = grid_of(ts)
+    T = grid.size
+    Z = grid.pool.take("Z", (mu.size, T), complex)
+    if grid.tables is None:
+        return _cis(mu, grid.negated, Z)
+    hi, lo = (_cis(mu, a) for a in grid.tables)
+    B = lo.shape[1]
     Q, F = T // B, T - T % B
     np.multiply(hi[:, :Q, None], lo[:, None, :],
                 out=Z[:, :F].reshape(mu.size, Q, B))
     np.multiply(hi[:, Q:], lo[:, : T - F], out=Z[:, F:])
-    Z[:, ts == 0.0] = 1.0  # as _cis gives it, also off the columns q B
+    Z[:, grid.zeros] = 1.0  # as _cis gives it, also off the columns q B
     return Z
 
 
@@ -97,21 +132,28 @@ def phase_product(C, D, mu, ts) -> np.ndarray:
     at ts[i]: shape (2, rows, len(ts)).
 
     The one phase kernel of the block engine, the pump-level chains and
-    the oscillator oracle; its phases exp(-i mu t) come from _phases. With
-    C is D this is C exp(-i mu t): a real C takes one real product on the
-    phases' float view (a complex C a complex product), and the parts are
-    views of the interleaved result. Otherwise C and D are real, the pair
-    form C = a+b and D = a-b for the columns a, b of eigenvalues mu and
-    -mu: one phase per pair and two real products, C @ cos and D @ sin.
+    the oscillator oracle; its phases exp(-i mu t) come from _phases, and
+    ts is a PhaseGrid or the points of one. With C is D this is
+    C exp(-i mu t): a real C takes one real product on the phases' float
+    view (a complex C a complex product) into a fresh array, and the parts
+    are views of the interleaved result. Otherwise C and D are real, the
+    pair form C = a+b and D = a-b for the columns a, b of eigenvalues mu
+    and -mu: one phase per pair and two real products, C @ cos and
+    D @ sin, into the grid's buffer "P", which the next pair-form product
+    on the grid overwrites.
     """
-    Z = _phases(mu, np.asarray(ts, dtype=float))
+    grid = grid_of(ts)
+    Z = _phases(mu, grid)
     if C is D:
         Z = C @ Z if np.iscomplexobj(C) else (C @ Z.view(float)).view(complex)
         return Z.view(float).reshape(Z.shape + (2,)).transpose(2, 0, 1)
-    P = np.empty((2, C.shape[0], Z.shape[1]))
     # unit-stride parts: numpy's matmul skips BLAS on some strided operands
-    np.matmul(C, np.ascontiguousarray(Z.real), out=P[0])
-    np.matmul(D, np.ascontiguousarray(Z.imag), out=P[1])  # Im Z = -sin
+    re, im = grid.pool.take("parts", (2,) + Z.shape)
+    np.copyto(re, Z.real)
+    np.copyto(im, Z.imag)  # Im Z = -sin
+    P = grid.pool.take("P", (2, C.shape[0], grid.size))
+    np.matmul(C, re, out=P[0])
+    np.matmul(D, im, out=P[1])
     return P
 
 
@@ -223,7 +265,7 @@ class BlockEngine:
         self.process = process
         self._blocks: Dict[int, tuple] = {}
         self._top = (0, np.ones((1, 1)))
-        self._scratch = LadderScratch()
+        self._scratch = BufferPool()
 
     def _rung(self, N: int) -> np.ndarray:
         n, q = self._top
@@ -260,18 +302,20 @@ class BlockEngine:
         return self._factor(N)[3]
 
     def amplitudes(self, N: int, thetas, phased: bool = True) -> np.ndarray:
-        """Output amplitudes, shape (N+1, len(thetas)).
+        """Output amplitudes, shape (N+1, len(thetas)); thetas is a
+        PhaseGrid or the points of one.
 
         phased=False returns instead phase_product's parts, shape
         (2, rows, len(thetas)): the amplitudes on the rows rows(N) without
-        the row phase, which no modulus depends on.
+        the row phase, which no modulus depends on; on a PhaseGrid, a view
+        that the grid's next product may overwrite.
         """
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+        grid = grid_of(thetas)
         C, D, mu, rows = self._factor(N)
-        P = phase_product(C, D, mu, thetas)
+        P = phase_product(C, D, mu, grid)
         if not phased:
             return P
-        Z = np.zeros((N + 1, thetas.size), dtype=complex)
+        Z = np.zeros((N + 1, grid.size), dtype=complex)
         Z.real[rows] = P[0]
         Z.imag[rows] = P[1]
         j = np.arange(N + 1)
@@ -279,10 +323,16 @@ class BlockEngine:
         return Z
 
     def probs(self, N: int, thetas) -> np.ndarray:
-        """Squared moduli on the rows rows(N), shape (rows, len(thetas))."""
+        """Squared moduli on the rows rows(N), shape (rows, len(thetas)).
+
+        The pair form's parts are one contiguous buffer, whose first part
+        takes the sum; the one-product path's parts interleave, and their
+        sum goes to a fresh contiguous array, which the reduction reads
+        faster than a strided one.
+        """
         P = self.amplitudes(N, thetas, phased=False)
         P *= P
-        return P[0] + P[1]
+        return np.add(P[0], P[1], out=P[0] if P.flags.c_contiguous else None)
 
 
 def _signs(m):
@@ -437,8 +487,9 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
 
     Returns (dist_a, dist_b, input_probs): dist_a[n, i] is the mode-a
     probability of n photons at thetas[i] (dist_b likewise); thetas are the
-    dimensionless angles chi t or g t. The blocks come from block_engine.
-    Raises DomainError on a non-finite theta.
+    dimensionless angles chi t or g t. The blocks come from block_engine,
+    and one PhaseGrid of thetas serves every block. Raises DomainError on
+    a non-finite theta.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.isfinite(thetas).all():
@@ -446,10 +497,11 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
     P = fock.thermal_distribution(nbar, tail_tol)
     M = P.size
     eng = block_engine(process)
+    grid = PhaseGrid(thetas)
     da = np.zeros((M, thetas.size))
     db = np.zeros((M, thetas.size))
     for N in range(M):
-        pb = eng.probs(N, thetas)
+        pb = eng.probs(N, grid)
         pb *= P[N]
         rows = eng.rows(N)
         da[N - rows.start::-rows.step] += pb
@@ -477,10 +529,12 @@ class GenericEngine:
     0 a pair (mu, v), (-mu, S v) evolves as 2 v_0 v cos(mu t) on the even
     sites and -2i v_0 v sin(mu t) on the odd ones: the blocks' pair form
     (C, D, mu) of phase_product, C = 2 v_0 v on the even sites, D on the
-    odd ones, 0.0 elsewhere, and a zero mode once, as C = v_0 v. The
-    engine keeps only the level it solved last, as a sweep evolves each
-    level once. Every mode's occupation is fixed by m, so each reduced
-    state is diagonal.
+    odd ones, and a zero mode once, as C = v_0 v. The record keeps only
+    those rows, n//2 + 1 of each (D's last one 0.0 past the chain's end
+    for an even n), column-major, the layout whose product rows keep
+    their bits whatever the number of rows. The engine keeps only the
+    level it solved last, as a sweep evolves each level once. Every
+    mode's occupation is fixed by m, so each reduced state is diagonal.
 
     The name is older than the chains: the benchmark tracer
     (bench/tracer.py) wraps _component, evolve and mode_distributions and
@@ -499,7 +553,8 @@ class GenericEngine:
         self._components: Dict[int, tuple] = {}
 
     def _component(self, n: int):
-        """Pump level n's record (C, D, mu), C and D of n+1 rows."""
+        """Pump level n's record (C, D, mu): C on the even sites, D on the
+        odd ones, each of n//2 + 1 rows."""
         if n not in self._components:
             m = np.arange(n, dtype=float)
             s = self.step * m
@@ -510,32 +565,42 @@ class GenericEngine:
             band[1, :n] = self.process.g * np.sqrt(n - m) * np.sqrt(s + 1)
             band[1, :n] *= np.sqrt(s + self.step)
             mu, V, _ = chain_eig(band)
-            C = V * (2.0 * V[0])
-            C[:, 0] *= 0.5 if n % 2 == 0 else 1.0  # a zero mode enters once
-            D = C.copy()
-            C[1::2], D[::2] = 0.0, 0.0
+            h = n // 2 + 1
+            C = np.zeros((h, mu.size), order="F")
+            D = np.zeros((h, mu.size), order="F")
+            np.multiply(V[::2], 2.0 * V[0], out=C)
+            np.multiply(V[1::2], 2.0 * V[0], out=D[: (n + 1) // 2])
+            if n % 2 == 0:
+                C[:, 0] *= 0.5  # a zero mode enters once
             self._components = {n: (C, D, mu)}
         return self._components[n]
 
     def evolve(self, n: int, ts) -> np.ndarray:
-        """Chain amplitudes from pump level n on a grid of T times, shape
-        (n+1, T): phase_product of the level's pair record, two real
-        products for the whole grid."""
-        P = phase_product(*self._component(n), ts)
-        return P[0] + 1j * P[1]
+        """Chain amplitudes from pump level n on a grid of T times
+        (a PhaseGrid or its points), as phase_product's parts of the
+        level's pair record, shape (2, n//2 + 1, T): the real amplitudes
+        of the even sites and the imaginary ones of the odd sites, two
+        real products for the whole grid."""
+        return phase_product(*self._component(n), ts)
 
     def mode_distributions(self, n: int, t) -> List[np.ndarray]:
         """Photon distributions of pump, signal (and idler) from level n.
 
         They have n+1, step*n+1 (and n+1) rows; 1d for a scalar t, one
-        column per time for a grid.
+        column per time for a grid (a PhaseGrid or its points). Each site's
+        probability is the square of its one nonzero part.
         """
-        ts = np.asarray(t, dtype=float)
-        weight = np.abs(self.evolve(n, np.atleast_1d(ts))) ** 2
-        sig = np.zeros((self.step * n + 1, weight.shape[1]))
+        grid = grid_of(t)
+        P = self.evolve(n, grid)
+        P *= P
+        weight = np.empty((n + 1, grid.size))
+        weight[::2] = P[0]
+        weight[1::2] = P[1][: (n + 1) // 2]
+        sig = np.zeros((self.step * n + 1, grid.size))
         sig[:: self.step] = weight
         dists = [weight[::-1], sig] + ([sig.copy()] if self.step == 1 else [])
-        return [d[:, 0] if ts.ndim == 0 else d for d in dists]
+        scalar = not isinstance(t, PhaseGrid) and np.ndim(t) == 0
+        return [d[:, 0] if scalar else d for d in dists]
 
 
 def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
@@ -543,9 +608,10 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
 
     Rows are signal occupations 0..step*N_max for a thermal pump cut at
     N_max. The chain couplings carry g, so each pump level's chain is
-    evolved once over the times t = g t / g and added, weighted by P[n],
-    into the leading step*n+1 rows. Raises DomainError on a non-finite
-    g t and on a coupling g that is zero or not finite.
+    evolved once over the times t = g t / g, one PhaseGrid for every
+    level, and added, weighted by P[n], into the leading step*n+1 rows.
+    Raises DomainError on a non-finite g t and on a coupling g that is
+    zero or not finite.
     """
     P = fock.thermal_distribution(nbar, tail_tol)
     eng = GenericEngine(process)
@@ -554,9 +620,9 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     if not np.isfinite(gts).all():
         raise DomainError("g t must be finite")
-    ts = gts / process.g
-    sig = np.zeros((eng.step * (P.size - 1) + 1, ts.size))
+    grid = PhaseGrid(gts / process.g)
+    sig = np.zeros((eng.step * (P.size - 1) + 1, grid.size))
     for n in range(P.size):
-        d = eng.mode_distributions(n, ts)[1]
+        d = eng.mode_distributions(n, grid)[1]
         sig[: d.shape[0]] += P[n] * d
     return sig

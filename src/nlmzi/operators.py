@@ -14,8 +14,9 @@ rest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -172,23 +173,28 @@ def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
 QUARTER_TURNS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
-class LadderScratch:
-    """Work buffers of the ladder step, reused from step to step; the flat
-    buffer at least doubles when a step outgrows it."""
+class BufferPool:
+    """Work buffers reused across a loop, one flat buffer per key: take
+    returns a C-contiguous view of its leading entries, and a buffer that
+    a take outgrows is replaced by one at least twice its size, so a loop
+    whose arrays grow step by step reallocates only O(log) times."""
 
     def __init__(self):
-        self._buf = np.empty(0)
+        self._bufs: Dict[str, np.ndarray] = {}
 
-    def triple(self, h: int):
-        """Three (h, h) work arrays."""
-        n = h * h
-        if self._buf.size < 3 * n:
-            self._buf = np.empty(max(3 * n, 2 * self._buf.size))
-        return [self._buf[c * n:(c + 1) * n].reshape(h, h) for c in range(3)]
+    def take(self, key: str, shape, dtype=float) -> np.ndarray:
+        """A view of shape `shape` into buffer `key`, valid until the
+        next take of that key; its contents are undefined."""
+        n = math.prod(shape)
+        buf = self._bufs.get(key)
+        if buf is None or buf.size < n:
+            size = n if buf is None else max(n, 2 * buf.size)
+            buf = self._bufs[key] = np.empty(size, dtype)
+        return buf[:n].reshape(shape)
 
 
 def _jx_factorization(N: int, q_prev: np.ndarray,
-                      scratch: LadderScratch) -> np.ndarray:
+                      scratch: BufferPool) -> np.ndarray:
     """Ladder step: the quarter q_N = r_N[:h, :h], h = N//2 + 1, of the
     rung r_N = 2^((N mod 2)/2) d_N, from the quarter q_{N-1} of r_{N-1}.
 
@@ -222,7 +228,7 @@ def _jx_factorization(N: int, q_prev: np.ndarray,
     i = np.arange(h)
     wa = np.sqrt((N - i) / N)
     wb = np.sqrt(i / N)
-    P, Q, R = scratch.triple(h)
+    P, Q, R = scratch.take("ladder", (3, h, h))
     if N % 2:
         R = q_prev
     else:
@@ -266,7 +272,7 @@ def rung_entries(q: np.ndarray, N: int, rows, cols) -> np.ndarray:
     return A
 
 
-def ladder_walk(N: int, start=None, scratch: LadderScratch | None = None):
+def ladder_walk(N: int, start=None, scratch: BufferPool | None = None):
     """Quarter q_N = r_N[:N//2+1, :N//2+1] of the rung
     r_N = 2^((N mod 2)/2) d_N of the Wigner-d ladder.
 
@@ -276,7 +282,7 @@ def ladder_walk(N: int, start=None, scratch: LadderScratch | None = None):
     if N < 0:
         raise DomainError("block label N must be >= 0")
     n, q = start if start is not None else (0, np.ones((1, 1)))
-    scratch = scratch if scratch is not None else LadderScratch()
+    scratch = scratch if scratch is not None else BufferPool()
     for m in range(n + 1, N + 1):
         q = _jx_factorization(m, q, scratch)
     return q

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fock
 from .errors import ConfigurationError, DomainError, FitError
-from .evolution import chain_eig, interleaved, phase_product
+from .evolution import PhaseGrid, chain_eig, interleaved, phase_product
 from .thermo import checked_probabilities, ergotropy
 
 PARITY_TOL = 1e-10
@@ -233,7 +233,8 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     chain solved once (evolution.chain_eig) as (lam, V), whose phases
     every initial state shares: the states at all taus are
     evolution.phase_product of V diag(V^T psi0), one real product when
-    psi0 is real (a real alpha or a thermal basis state). With
+    psi0 is real (a real alpha or a thermal basis state), all on one
+    evolution.PhaseGrid of the taus, whose phase buffer they reuse. With
     h_m = sqrt(m+1)/sqrt2 the moments of the truncated position X are
     read off the bands
 
@@ -284,6 +285,7 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     ex = np.zeros(taus.size)
     ex2 = np.zeros(taus.size)
     buf = np.empty((osc_cutoff + 1, 2 * taus.size))
+    grid = PhaseGrid(taus)
     top = 0.0
     for n, pn in enumerate(p):
         if pn == 0:
@@ -292,7 +294,7 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
         lam, V, _ = chain_eig(band)
         for w, y in zip(pn * wts, psi0 @ V):
             A = V * y
-            Z = interleaved(phase_product(A, A, lam, taus))
+            Z = interleaved(phase_product(A, A, lam, grid))
             np.multiply(Z, Z, out=buf)
             top = max(top, float(_pairs(buf[-1]).max()))
             phon += w * _pairs(mm @ buf)

@@ -14,6 +14,8 @@ against a dense position matrix, so none can inherit a mistake from the
 Wigner-d ladder, the block machinery, the pump-level chains or the banded
 oscillator moments they check. The closed-form small-nbar work capacities
 (wc_table_oracle, wc_exchange3_windows) have no caller outside the tests.
+fresh_phase_product is the engine's phase kernel with a fresh array for
+every intermediate, the reference for the sweeps' reused buffers.
 """
 
 import math
@@ -427,3 +429,39 @@ def wc_exchange3_windows(nbar: float, theta: float):
     """
     env = thermo.exchange3_envelope(theta)
     return None if env is None else nbar ** 3 / (1.0 + nbar) ** 4 * env
+
+
+def fresh_phase_product(C, D, mu, ts):
+    """evolution.phase_product with every array allocated afresh: the
+    phases of one np.outer, the uniform-grid tables of a grid analysed
+    on the spot, new contiguous parts and a new product."""
+    ts = np.asarray(ts, dtype=float)
+
+    def cis(t):
+        ph = np.outer(mu, -t)
+        Z = np.empty(ph.shape, dtype=complex)
+        np.cos(ph, out=Z.real)
+        np.sin(ph, out=Z.imag)
+        return Z
+
+    T = ts.size
+    B = math.isqrt(T)
+    h = (ts[-1] - ts[0]) / max(T - 1, 1)
+    dev = np.abs(ts - (ts[0] + h * np.arange(T))).max()
+    if B < 4 or not dev <= 4.0 * np.finfo(float).eps * np.abs(ts).max():
+        Z = cis(ts)
+    else:
+        hi, lo = cis(ts[::B]), cis(h * np.arange(B))
+        Z = np.empty((mu.size, T), dtype=complex)
+        Q, F = T // B, T - T % B
+        np.multiply(hi[:, :Q, None], lo[:, None, :],
+                    out=Z[:, :F].reshape(mu.size, Q, B))
+        np.multiply(hi[:, Q:], lo[:, : T - F], out=Z[:, F:])
+        Z[:, ts == 0.0] = 1.0
+    if C is D:
+        Z = C @ Z if np.iscomplexobj(C) else (C @ Z.view(float)).view(complex)
+        return Z.view(float).reshape(Z.shape + (2,)).transpose(2, 0, 1)
+    P = np.empty((2, C.shape[0], T))
+    np.matmul(C, np.ascontiguousarray(Z.real), out=P[0])
+    np.matmul(D, np.ascontiguousarray(Z.imag), out=P[1])
+    return P

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nlmzi import evolution
-from nlmzi.cli import main, parse_grid
+from nlmzi.cli import _fmt, main, parse_grid, write_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -345,3 +345,50 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
         assert proc.returncode == 0, proc.stderr
         digests.add(sha(out))
     assert len(digests) == 1
+
+
+
+def test_write_csv_rows_are_their_cells_formatted_one_by_one(tmp_path):
+    # one % per row must give the bytes of _fmt cell by cell, an empty
+    # cell for nan and None included
+    rng = np.random.default_rng(4)
+    cols = rng.normal(size=(5, 300)) * 10.0 ** rng.integers(-40, 40, (5, 300))
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308]
+    cols.flat[rng.integers(0, cols.size, 120)] = rng.choice(special, 120)
+    rows = list(zip(*cols)) + [(None, 1, True, np.float32(0.1), 2.5),
+                               [0.5, np.nan, 3, -0.0, 7]]
+    out = tmp_path / "cells.csv"
+    write_csv(str(out), ["a", "b", "c", "d", "e"], rows)
+    want = "a,b,c,d,e\n" + "".join(
+        ",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    assert out.read_text() == want
+    assert ",," in want and "inf" in want and "-0," in want
+
+
+FAULTS_SCRIPT = """
+import contextlib, io, resource, sys
+from nlmzi.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts minor page faults on Linux")
+def test_long_scan_reuses_its_sweep_buffers(tmp_path):
+    # a cold exchange scan of 2000 thetas on 141 blocks: with fresh phase
+    # and product arrays for every block, each a little larger than the
+    # last and above malloc's mmap threshold, it faults in about 54000
+    # zero-filled pages; the sweep's reused buffers leave about 6000
+    argv = ["max-efficiency", "--process", "exchange", "--k", "2",
+            "--nbar", "20", "--theta-max", "100", "--grid", "2000",
+            "--tail-tol", "1e-3", "--out", str(tmp_path / "scan.csv")]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT] + argv,
+                          env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert int(proc.stdout) < 20000

@@ -14,8 +14,9 @@ from nlmzi import operators as ops
 from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                              NonDegeneratePDC)
-from oracles import (dense_generator, eig_block_amplitudes, hermitian_eig,
-                     mzi_unitary, pdc_tensor_marginals, tensor_mzi_state)
+from oracles import (dense_generator, eig_block_amplitudes,
+                     fresh_phase_product, hermitian_eig, mzi_unitary,
+                     pdc_tensor_marginals, tensor_mzi_state)
 
 HYBRID = Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))
 # chain cases the single-order processes do not reach: a stride-2 band of
@@ -412,6 +413,50 @@ def test_phase_product_is_the_complex_exponential_product():
                           got[0] + 1j * got[1])
 
 
+# grids of each of _phases' paths: uniform (tabled, with a zero off the
+# table columns), too short for tables, and non-uniform with a zero
+FRESH_GRIDS = {
+    "uniform": np.linspace(-4.0, 4.0, 41),
+    "short": np.linspace(0.1, 4.0, 13),
+    "non-uniform": np.concatenate([[0.0], np.geomspace(0.01, 9.0, 29)]),
+}
+FRESH_PROCESSES = [CrossPhase(s=1), CrossPhase(s=2), Exchange(k=1),
+                   Exchange(k=2), Exchange(k=3),
+                   Exchange(k=4, allow_high_order=True),
+                   Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=3))))]
+
+
+@pytest.mark.parametrize("process", FRESH_PROCESSES, ids=str)
+def test_sweep_writes_the_bits_of_fresh_allocation(process):
+    # every block of one sweep reuses the grid's buffers; block by block
+    # with fresh arrays, as each product was allocated before, the sums
+    # must come out bit for bit the same
+    for ts in FRESH_GRIDS.values():
+        da, db, P = ev.sweep_distributions(process, 1.5, ts, tail_tol=1e-8)
+        eng = ev.block_engine(process)
+        ref_a, ref_b = np.zeros_like(da), np.zeros_like(db)
+        for N in range(P.size):
+            C, D, mu, rows = eng._factor(N)
+            Q = fresh_phase_product(C, D, mu, ts)
+            Q = Q * Q
+            pb = (Q[0] + Q[1]) * P[N]
+            ref_a[N - rows.start::-rows.step] += pb
+            ref_b[rows] += pb
+        assert np.array_equal(da, ref_a) and np.array_equal(db, ref_b)
+
+
+def test_phase_grid_products_share_the_grid_buffers():
+    # a grid's products are views of its pool: each one overwrites the
+    # last, and each block's prefix is C-contiguous
+    grid = ev.PhaseGrid(FRESH_GRIDS["uniform"])
+    eng = ev.BlockEngine(Exchange(k=2))
+    first = eng.amplitudes(30, grid, phased=False)
+    second = eng.amplitudes(31, grid, phased=False)
+    assert np.shares_memory(first, second)
+    assert first.flags.c_contiguous and second.flags.c_contiguous
+    assert np.array_equal(second, eng.amplitudes(31, grid.ts, phased=False))
+
+
 @pytest.mark.parametrize("ts, tabled", [
     (np.linspace(0.0, 100.0, 2000), True),
     (np.linspace(0.3, -5.7, 1001), True),
@@ -437,7 +482,7 @@ def test_phases_match_long_double_reference(ts, tabled):
     assert Z.shape == (mu.size, ts.size) and np.all(err < bound)
     assert np.all(Z[:2] == 1.0)
     assert np.all(Z[:, ts == 0.0] == 1.0)
-    direct = ev._cis(mu, ts)
+    direct = ev._cis(mu, -ts)
     B = math.isqrt(ts.size)
     assert np.array_equal(Z[:, ::B], direct[:, ::B])
     assert np.array_equal(Z, direct) == (not tabled)
@@ -615,7 +660,7 @@ def test_degenerate_pdc_high_pump_component_is_hermitian_to_scale():
     # pump n = 362 of a nbar = 20 thermal pump: its chain couplings reach
     # ~5e3 and must still give a unit-mass, paired signal
     eng = ev.GenericEngine(DegeneratePDC())
-    assert len(eng._component(362)[0]) == 363
+    assert len(eng._component(362)[0]) == 182  # the even sites
     sig = eng.mode_distributions(362, np.linspace(0.0, np.pi, 5))[1]
     assert np.abs(sig.sum(axis=0) - 1.0).max() < 1e-12
     assert not sig[1::2].any()
@@ -659,16 +704,39 @@ def test_nondegenerate_pdc_quarter_period():
 @pytest.mark.parametrize("process", PDC_VARIANTS)
 def test_pump_levels_are_built_as_exact_pairs(process):
     # a pump level is the pair record (C, D, mu): C on the even sites, D on
-    # the odd ones, an even n's zero mode first with mu exactly 0.0
+    # the odd ones, n//2 + 1 rows each and column-major, an even n's zero
+    # mode first with mu exactly 0.0 and D's row past the chain's end 0.0
     eng = ev.GenericEngine(process)
     for n in range(40):
         C, D, mu = eng._component(n)
-        assert C.shape == D.shape == (n + 1, n // 2 + 1)
+        assert C.shape == D.shape == (n // 2 + 1, n // 2 + 1)
+        assert C.flags.f_contiguous and D.flags.f_contiguous
         assert np.all(mu >= 0.0)
         assert (mu[0] == 0.0) == (n % 2 == 0)
-        assert not C[1::2].any() and not D[::2].any()
         if n % 2 == 0:
-            assert not D[:, 0].any()
+            assert not D[:, 0].any() and not D[-1].any()
+
+
+@pytest.mark.parametrize("process", PDC_VARIANTS, ids=str)
+def test_pdc_sweep_writes_the_bits_of_fresh_allocation(process):
+    # the levels reuse one grid's buffers and square the one nonzero part
+    # of each site; level by level with fresh arrays and the modulus of the
+    # full complex amplitude the sums are the same bits
+    P = fock.thermal_distribution(2.0, 1e-8)
+    for gts in FRESH_GRIDS.values():
+        got = ev.pdc_signal_sweep(process, 2.0, gts, tail_tol=1e-8)
+        eng = ev.GenericEngine(process)
+        ref = np.zeros_like(got)
+        for n in range(P.size):
+            C, D, mu = eng._component(n)
+            Q = fresh_phase_product(C, D, mu, gts / process.g)
+            amp = np.zeros((n + 1, gts.size), dtype=complex)
+            amp[::2] = Q[0]
+            amp[1::2] = 1j * Q[1][: (n + 1) // 2]
+            d = np.zeros((eng.step * n + 1, gts.size))
+            d[:: eng.step] = np.abs(amp) ** 2
+            ref[: d.shape[0]] += P[n] * d
+        assert np.array_equal(got, ref)
 
 
 def test_pdc_sweep_keeps_one_pump_level(monkeypatch):

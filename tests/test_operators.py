@@ -164,7 +164,7 @@ def test_quarter_ladder_is_the_full_rungs_quarter():
     # rebuilds it exactly from the quarter
     rng = np.random.default_rng(5)
     q, r = np.ones((1, 1)), np.ones((1, 1))
-    scratch = ops.LadderScratch()
+    scratch = ops.BufferPool()
     for N in range(1, 401):
         q = ops._jx_factorization(N, q, scratch)
         r = risbo_step(N, r)
@@ -285,3 +285,25 @@ def test_exchange_equals_ladder_cubes():
         ref = (two_mode_monomial(N, 3, 0, 0, 3)
                + two_mode_monomial(N, 0, 3, 3, 0))
         assert np.abs(g - ref).max() < TOL
+
+
+def test_buffer_pool_views_share_one_buffer_that_doubles():
+    # a take is a C-contiguous prefix of its key's one buffer; a take that
+    # outgrows it gets one at least twice as large, so a loop of growing
+    # takes reallocates O(log) times
+    pool = ops.BufferPool()
+    a = pool.take("x", (3, 4))
+    b = pool.take("x", (2, 5))
+    assert np.shares_memory(a, b) and a.shape == (3, 4) and b.shape == (2, 5)
+    assert a.flags.c_contiguous and b.flags.c_contiguous
+    assert not np.shares_memory(a, pool.take("y", (3, 4)))
+    z = pool.take("z", (2, 3), complex)
+    assert z.dtype == complex and z.flags.c_contiguous
+    bases = []
+    for n in range(1, 1001):
+        v = pool.take("grow", (n, 3))
+        assert v.shape == (n, 3) and v.flags.c_contiguous
+        if not bases or bases[-1] is not v.base:
+            bases.append(v.base)
+    assert [x.size for x in bases] == [3 * 2 ** i for i in range(len(bases))]
+    assert len(bases) == 11  # 3 * 2^10 >= 3000 > 3 * 2^9

@@ -6,7 +6,8 @@ import pytest
 from nlmzi import evolution, fock, optomech as om, thermo
 from nlmzi.operators import CrossPhase
 from nlmzi.errors import ConfigurationError, DomainError, FitError
-from oracles import dense_oscillator_oracle, position_variance_general
+from oracles import (dense_oscillator_oracle, fresh_phase_product,
+                     position_variance_general)
 
 EVEN3 = [0.5, 0.0, 0.5]          # W = 1/2, |dW^2| = 3/4
 EVEN5 = [0.5, 0.0, 0.3, 0.0, 0.2]  # W = 0.7, |dW^2| = 1.83
@@ -365,3 +366,22 @@ def test_config_validation():
             om.CoherentInit(alpha)
     with pytest.raises(DomainError):
         om.phonon_trace_coherent(EVEN3, cfg_thermal(0.1), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("taus", [np.linspace(0.0, 12.0, 41),
+                                  np.linspace(0.5, 6.0, 13),
+                                  np.geomspace(0.01, 12.0, 30)],
+                         ids=["uniform", "short", "non-uniform"])
+def test_oracle_writes_the_bits_of_fresh_allocation(monkeypatch, taus):
+    # the oracle's products reuse one grid's phase buffer; with a fresh
+    # kernel per call the traces are the same bits, for a real, a complex
+    # and a thermal init
+    dist = [0.3, 0.0, 0.5, 0.2]
+    cfgs = [cfg_coherent(1.5), cfg_coherent(1.0 + 0.7j), cfg_thermal(0.5)]
+    got = [om.full_quantum_oracle(dist, cfg, 40, taus) for cfg in cfgs]
+    monkeypatch.setattr(om, "phase_product", lambda C, D, mu, ts:
+                        fresh_phase_product(C, D, mu, evolution.grid_of(ts).ts))
+    for cfg, tr in zip(cfgs, got):
+        ref = om.full_quantum_oracle(dist, cfg, 40, taus)
+        assert np.array_equal(tr.phonon, ref.phonon)
+        assert np.array_equal(tr.xvar, ref.xvar)
