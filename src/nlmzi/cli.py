@@ -3,10 +3,11 @@
 Every data command writes one CSV (deterministic bytes: 17-significant-digit
 floats, '\\n' endings, header row) plus a JSON run manifest recording the
 full argv, engine version, cutoffs, tail masses, wall time, and a sha256
-digest of each output. `rerun` replays a manifest into a scratch directory
-and verifies the digests still match.
+digest of each output. `rerun` replays a manifest into a temporary
+directory, which it deletes, and verifies the digests still match.
 
-Exit codes: 0 success, 2 usage error, 3 numeric/configuration failure.
+Exit codes: 0 success, 2 usage error, 3 numeric/configuration failure or
+a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -221,23 +222,31 @@ def run_data_command(args, argv) -> int:
 
 def cmd_rerun(args):
     with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigurationError("manifest is not JSON: %s" % exc)
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("argv"), list)
+            and all(isinstance(a, str) for a in manifest["argv"])
+            and isinstance(manifest.get("outputs"), dict)):
+        raise ConfigurationError(
+            "manifest must be an object with an argv list of strings and "
+            "outputs")
     old_argv = list(manifest["argv"])
-    if "--out" not in old_argv:
+    if "--out" not in old_argv[:-1]:
         raise ConfigurationError("manifest argv carries no --out flag")
     i = old_argv.index("--out")
-    tmp = tempfile.mkdtemp(prefix="nlmzi-rerun-")
-    new_out = os.path.join(tmp, os.path.basename(old_argv[i + 1]))
-    old_argv[i + 1] = new_out
-    rc = _dispatch(old_argv)
-    if rc != 0:
-        return rc
-    ok = True
-    for name, digest in manifest["outputs"].items():
-        fresh = sha256_of(os.path.join(tmp, name))
-        match = fresh == digest
-        ok = ok and match
-        print("%s %s" % ("MATCH" if match else "MISMATCH", name))
+    with tempfile.TemporaryDirectory(prefix="nlmzi-rerun-") as tmp:
+        old_argv[i + 1] = os.path.join(tmp, os.path.basename(old_argv[i + 1]))
+        rc = _dispatch(old_argv)
+        if rc != 0:
+            return rc
+        ok = True
+        for name, digest in manifest["outputs"].items():
+            match = sha256_of(os.path.join(tmp, name)) == digest
+            ok = ok and match
+            print("%s %s" % ("MATCH" if match else "MISMATCH", name))
     return 0 if ok else 3
 
 
@@ -318,7 +327,7 @@ def _dispatch(argv) -> int:
         if args.command == "rerun":
             return cmd_rerun(args)
         return run_data_command(args, argv)
-    except (DomainError, ConfigurationError, FitError) as exc:
+    except (DomainError, ConfigurationError, FitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

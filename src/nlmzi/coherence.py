@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Optional
 
 import numpy as np
 
@@ -147,20 +146,19 @@ class ScalingPrediction:
 
 
 def small_nbar_scalings(process: ProcessSpec, nbar: float, theta: float,
-                        theta_ref: Optional[float] = None,
                         tail_tol: float = 1e-12) -> ScalingPrediction:
     """Calibrated small-nbar predictions for the normalized g~^(2,3,4).
 
     The scaling laws fix only shapes (g~2 ~ 1/(2W), g~3 ~ 3f/(2W),
     g~4 ~ 3f/(4W^2) for cross-phase s=1 and 2-photon exchange; windowed
     q_m/W^m forms for 3-photon exchange), so each order is pinned to the
-    measured value at a reference angle (default pi for cross-phase, pi/2
-    for exchange) and propagated along the measured W(theta). Orders whose
-    oscillatory factor has no closed form for the given process come back
-    as nan; a regime warning is raised above nbar = 0.1.
+    measured value at a reference angle theta_ref (pi for cross-phase,
+    pi/2 for exchange, reported with the prediction) and propagated along
+    the measured W(theta). Orders whose oscillatory factor has no closed
+    form for the given process come back as nan; a regime warning is
+    raised above nbar = 0.1.
     """
-    if theta_ref is None:
-        theta_ref = np.pi if isinstance(process, CrossPhase) else np.pi / 2.0
+    theta_ref = np.pi if isinstance(process, CrossPhase) else np.pi / 2.0
     warn = nbar > REGIME_NBAR
 
     def measure(th: float) -> np.ndarray:

@@ -28,7 +28,10 @@ uniform grid of T points (every linspace) it takes the phases by angle
 addition from two tables of about sqrt(T) columns each, so cos and sin
 run O(sqrt(T)) times per eigenvalue rather than T times. A loop over
 blocks or pump levels analyses its grid once, as a PhaseGrid, whose
-buffers every product of the loop reuses.
+buffers every product of the loop reuses. The three loops
+(sweep_distributions, pdc_signal_sweep and the oscillator oracle) take
+plain points and build that grid; every layer below them takes the grid
+and returns phase_product's real and imaginary parts.
 
 The eigensolves call two LAPACK routines through scipy's compiled wrapper
 module, loaded from its file: importing the scipy.linalg package would
@@ -48,9 +51,9 @@ import numpy as np
 
 from . import fock
 from .errors import ConfigurationError, DomainError
-from .operators import (QUARTER_TURNS, BufferPool, DegeneratePDC,
-                        NonDegeneratePDC, ProcessSpec, ladder_walk,
-                        process_generator, rung_entries)
+from .operators import (BufferPool, DegeneratePDC, NonDegeneratePDC,
+                        ProcessSpec, ladder_walk, process_generator,
+                        rung_entries)
 
 
 class PhaseGrid:
@@ -82,11 +85,6 @@ class PhaseGrid:
                 self.tables = (self.negated[::B], -(h * np.arange(B)))
 
 
-def grid_of(ts) -> PhaseGrid:
-    """ts itself when it is a PhaseGrid, else a fresh grid of its points."""
-    return ts if isinstance(ts, PhaseGrid) else PhaseGrid(ts)
-
-
 def _cis(mu, neg_ts, out=None) -> np.ndarray:
     """exp(i outer(mu, neg_ts)) by one cos and one sin per cell, into out
     or a fresh array: the angles go into its imaginary half, where cos
@@ -99,9 +97,9 @@ def _cis(mu, neg_ts, out=None) -> np.ndarray:
     return out
 
 
-def _phases(mu, ts) -> np.ndarray:
-    """exp(-i outer(mu, ts)), shape (mu.size, ts.size), in the grid's
-    buffer "Z"; ts is a PhaseGrid or the points of one.
+def _phases(mu, grid: PhaseGrid) -> np.ndarray:
+    """exp(-i outer(mu, grid.ts)), shape (mu.size, grid.size), in the
+    grid's buffer "Z".
 
     A grid that PhaseGrid finds uniform is cut into runs of B = isqrt(T)
     points: column i = q B + r is exp(-i mu ts[q B]) exp(-i mu r h), one
@@ -112,7 +110,6 @@ def _phases(mu, ts) -> np.ndarray:
     grid, and one of fewer than 16 points, whose tables would save less
     than the uniformity test costs.
     """
-    grid = grid_of(ts)
     T = grid.size
     Z = grid.pool.take("Z", (mu.size, T), complex)
     if grid.tables is None:
@@ -127,22 +124,20 @@ def _phases(mu, ts) -> np.ndarray:
     return Z
 
 
-def phase_product(C, D, mu, ts) -> np.ndarray:
+def phase_product(C, D, mu, grid: PhaseGrid) -> np.ndarray:
     """Real and imaginary parts of C cos(mu t) - i D sin(mu t), column i
-    at ts[i]: shape (2, rows, len(ts)).
+    at grid.ts[i]: shape (2, rows, grid.size).
 
     The one phase kernel of the block engine, the pump-level chains and
-    the oscillator oracle; its phases exp(-i mu t) come from _phases, and
-    ts is a PhaseGrid or the points of one. With C is D this is
-    C exp(-i mu t): a real C takes one real product on the phases' float
-    view (a complex C a complex product) into a fresh array, and the parts
-    are views of the interleaved result. Otherwise C and D are real, the
+    the oscillator oracle; its phases exp(-i mu t) come from _phases.
+    With C is D this is C exp(-i mu t): a real C takes one real product on
+    the phases' float view (a complex C a complex product) into a fresh
+    array, and the parts are views of the interleaved result. Otherwise C and D are real, the
     pair form C = a+b and D = a-b for the columns a, b of eigenvalues mu
     and -mu: one phase per pair and two real products, C @ cos and
     D @ sin, into the grid's buffer "P", which the next pair-form product
     on the grid overwrites.
     """
-    grid = grid_of(ts)
     Z = _phases(mu, grid)
     if C is D:
         Z = C @ Z if np.iscomplexobj(C) else (C @ Z.view(float)).view(complex)
@@ -228,9 +223,11 @@ def chain_eig(band):
 class BlockEngine:
     """Caches one factorization per block for one process family.
 
-    amplitudes(N, thetas) returns the (N+1, T) output amplitudes
-    <N-j, j| U(theta) |N, 0>, one column per theta; probs(N, thetas) their
-    squared moduli on the rows rows(N), outside which they are exact zeros.
+    On a PhaseGrid of T thetas, amplitudes(N, grid) returns the output
+    amplitudes <N-j, j| U(theta) |N, 0> on the rows j of rows(N), outside
+    which they are exact zeros, as phase_product's parts, shape
+    (2, rows, T), without their row phase; probs(N, grid) returns their
+    squared moduli.
 
     The splitter is B_N = diag((-i)^j) d_N diag(i^m), and the ladder gives
     the quarter q_N = r_N[:h, :h], h = N//2 + 1, of the rung r_N = c_N d_N
@@ -301,36 +298,22 @@ class BlockEngine:
         """The rows j that probs(N, .) returns; the others are exact zeros."""
         return self._factor(N)[3]
 
-    def amplitudes(self, N: int, thetas, phased: bool = True) -> np.ndarray:
-        """Output amplitudes, shape (N+1, len(thetas)); thetas is a
-        PhaseGrid or the points of one.
+    def amplitudes(self, N: int, grid: PhaseGrid) -> np.ndarray:
+        """phase_product's parts of block N, shape (2, rows, grid.size):
+        the amplitudes on the rows rows(N) without the row phase, which no
+        modulus depends on; a view that the grid's next product may
+        overwrite."""
+        return phase_product(*self._factor(N)[:3], grid)
 
-        phased=False returns instead phase_product's parts, shape
-        (2, rows, len(thetas)): the amplitudes on the rows rows(N) without
-        the row phase, which no modulus depends on; on a PhaseGrid, a view
-        that the grid's next product may overwrite.
-        """
-        grid = grid_of(thetas)
-        C, D, mu, rows = self._factor(N)
-        P = phase_product(C, D, mu, grid)
-        if not phased:
-            return P
-        Z = np.zeros((N + 1, grid.size), dtype=complex)
-        Z.real[rows] = P[0]
-        Z.imag[rows] = P[1]
-        j = np.arange(N + 1)
-        Z *= QUARTER_TURNS[(j - (j + N) % 2) % 4, None]
-        return Z
-
-    def probs(self, N: int, thetas) -> np.ndarray:
-        """Squared moduli on the rows rows(N), shape (rows, len(thetas)).
+    def probs(self, N: int, grid: PhaseGrid) -> np.ndarray:
+        """Squared moduli on the rows rows(N), shape (rows, grid.size).
 
         The pair form's parts are one contiguous buffer, whose first part
         takes the sum; the one-product path's parts interleave, and their
         sum goes to a fresh contiguous array, which the reduction reads
         faster than a strided one.
         """
-        P = self.amplitudes(N, thetas, phased=False)
+        P = self.amplitudes(N, grid)
         P *= P
         return np.add(P[0], P[1], out=P[0] if P.flags.c_contiguous else None)
 
@@ -575,22 +558,18 @@ class GenericEngine:
             self._components = {n: (C, D, mu)}
         return self._components[n]
 
-    def evolve(self, n: int, ts) -> np.ndarray:
-        """Chain amplitudes from pump level n on a grid of T times
-        (a PhaseGrid or its points), as phase_product's parts of the
-        level's pair record, shape (2, n//2 + 1, T): the real amplitudes
-        of the even sites and the imaginary ones of the odd sites, two
-        real products for the whole grid."""
-        return phase_product(*self._component(n), ts)
+    def evolve(self, n: int, grid: PhaseGrid) -> np.ndarray:
+        """Chain amplitudes from pump level n on a PhaseGrid of T times,
+        as phase_product's parts of the level's pair record, shape
+        (2, n//2 + 1, T): the real amplitudes of the even sites and the
+        imaginary ones of the odd sites, two real products for the whole
+        grid."""
+        return phase_product(*self._component(n), grid)
 
-    def mode_distributions(self, n: int, t) -> List[np.ndarray]:
-        """Photon distributions of pump, signal (and idler) from level n.
-
-        They have n+1, step*n+1 (and n+1) rows; 1d for a scalar t, one
-        column per time for a grid (a PhaseGrid or its points). Each site's
-        probability is the square of its one nonzero part.
-        """
-        grid = grid_of(t)
+    def mode_distributions(self, n: int, grid: PhaseGrid) -> List[np.ndarray]:
+        """Photon distributions of pump, signal (and idler) from level n,
+        of n+1, step*n+1 (and n+1) rows, one column per time of the grid:
+        each site's probability is the square of its one nonzero part."""
         P = self.evolve(n, grid)
         P *= P
         weight = np.empty((n + 1, grid.size))
@@ -598,9 +577,7 @@ class GenericEngine:
         weight[1::2] = P[1][: (n + 1) // 2]
         sig = np.zeros((self.step * n + 1, grid.size))
         sig[:: self.step] = weight
-        dists = [weight[::-1], sig] + ([sig.copy()] if self.step == 1 else [])
-        scalar = not isinstance(t, PhaseGrid) and np.ndim(t) == 0
-        return [d[:, 0] if scalar else d for d in dists]
+        return [weight[::-1], sig] + ([sig.copy()] if self.step == 1 else [])
 
 
 def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):

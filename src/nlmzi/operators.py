@@ -169,10 +169,6 @@ def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
 # beam splitter: the real Wigner-d ladder
 # ---------------------------------------------------------------------------
 
-# (-i)^j for j mod 4: the row phase of B_N = diag((-i)^j) d_N diag(i^m)
-QUARTER_TURNS = np.array([1.0, -1.0j, -1.0, 1.0j])
-
-
 class BufferPool:
     """Work buffers reused across a loop, one flat buffer per key: take
     returns a C-contiguous view of its leading entries, and a buffer that

@@ -64,8 +64,8 @@ class OscillatorConfig:
     init: Union[CoherentInit, ThermalInit]
 
     def __post_init__(self):
-        if not (self.Omega > 0):
-            raise DomainError("Omega must be positive")
+        if not (np.isfinite(self.Omega) and self.Omega > 0):
+            raise DomainError("Omega must be finite and positive")
         if not np.isfinite(self.G):
             raise DomainError("G must be finite")
 
@@ -87,6 +87,13 @@ class OscillatorTrace:
     config: OscillatorConfig
 
 
+def _finite_taus(taus) -> np.ndarray:
+    taus = np.asarray(taus, dtype=float)
+    if not np.isfinite(taus).all():
+        raise DomainError("taus must be finite")
+    return taus
+
+
 def _beat(alpha: complex, c: np.ndarray) -> np.ndarray:
     # (a + a*)/sqrt2 (1 - cos) - (a - a*)/(sqrt2 i) sin, up to the sqrt2
     return np.real(alpha) * (1.0 - np.cos(c)) - np.imag(alpha) * np.sin(c)
@@ -100,9 +107,9 @@ def phonon_trace_moments(mean: float, second_moment: float,
 
     A coherent init beats with its alpha from base |alpha|^2; a thermal
     init does not beat (its phase averages out) and starts at nbar_O.
+    Raises DomainError on a non-finite tau.
     """
-    taus = np.asarray(taus, dtype=float)
-    c = cfg.Omega * taus
+    c = cfg.Omega * _finite_taus(taus)
     u = cfg.G / cfg.Omega
     bulge = second_moment * 4.0 * u ** 2 * np.sin(c / 2.0) ** 2
     if isinstance(cfg.init, ThermalInit):
@@ -111,15 +118,15 @@ def phonon_trace_moments(mean: float, second_moment: float,
     return abs(alpha) ** 2 + 2.0 * u * mean * _beat(alpha, c) + bulge
 
 
-def _parity_trace(dist, cfg: OscillatorConfig, taus, what: str,
-                  small_nbar: bool = False) -> OscillatorTrace:
+def _parity_trace(dist, cfg: OscillatorConfig, taus,
+                  what: str) -> OscillatorTrace:
     """phonon_trace_moments read through <n> = 2W and
     <n^2> = 4 (|dW^2|/3 + W^2), with the position variance attached."""
+    taus = _finite_taus(taus)
     p = np.asarray(dist, dtype=float)
     _require_parity(p, what)
     rep = ergotropy(p)
-    bundle = rep.wc if small_nbar else rep.wc_dispersion / 3.0 + rep.wc ** 2
-    taus = np.asarray(taus, dtype=float)
+    bundle = rep.wc_dispersion / 3.0 + rep.wc ** 2
     return OscillatorTrace(
         taus=taus, phonon=phonon_trace_moments(2.0 * rep.wc, 4.0 * bundle,
                                                cfg, taus),
@@ -134,17 +141,12 @@ def phonon_trace_coherent(dist, cfg: OscillatorConfig, taus) -> OscillatorTrace:
     return _parity_trace(dist, cfg, taus, "phonon_trace_coherent")
 
 
-def phonon_trace_thermal(dist, cfg: OscillatorConfig, taus,
-                         small_nbar: bool = False) -> OscillatorTrace:
+def phonon_trace_thermal(dist, cfg: OscillatorConfig, taus) -> OscillatorTrace:
     """Thermal-oscillator phonon trace of a parity-filtered field: no
-    beating, only the sin^2 bulge.
-
-    small_nbar=True swaps the exact coefficient |dW^2|/3 + W^2 for its
-    small-field limit W (flagged variant; the exact form is the default).
-    """
+    beating, only the sin^2 bulge, of coefficient |dW^2|/3 + W^2."""
     if not isinstance(cfg.init, ThermalInit):
         raise DomainError("cfg.init must be ThermalInit here")
-    return _parity_trace(dist, cfg, taus, "phonon_trace_thermal", small_nbar)
+    return _parity_trace(dist, cfg, taus, "phonon_trace_thermal")
 
 
 def _xvar(wc_dispersion: float, cfg: OscillatorConfig, taus: np.ndarray):
@@ -161,10 +163,12 @@ def position_variance(dist, cfg: OscillatorConfig, taus) -> np.ndarray:
         <dX^2>(tau) = baseline + (32 G^2 / 3 Omega^2) sin^4(.../2) |dW^2|
 
     with baseline 1/2 for a coherent init and (1 + 2 nbar_O)/2 thermal.
+    Raises DomainError on a non-finite tau.
     """
+    taus = _finite_taus(taus)
     p = np.asarray(dist, dtype=float)
     _require_parity(p, "position_variance")
-    return _xvar(ergotropy(p).wc_dispersion, cfg, np.asarray(taus, dtype=float))
+    return _xvar(ergotropy(p).wc_dispersion, cfg, taus)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +256,7 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     anywhere on the grid, the last two with a suggested larger cutoff.
     """
     p = checked_probabilities(dist)
-    taus = np.asarray(taus, dtype=float)
-    if not np.isfinite(taus).all():
-        raise DomainError("taus must be finite")
+    taus = _finite_taus(taus)
     if osc_cutoff < 1:
         raise DomainError("osc_cutoff must be >= 1")
     if osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD:
@@ -323,8 +325,8 @@ class InferenceResult:
     from_xvar: bool       # dispersion measured (True) or approximated
 
 
-def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
-             G: Optional[float] = None, Omega: Optional[float] = None) -> InferenceResult:
+def infer_wc(trace: OscillatorTrace,
+             alpha: Optional[complex] = None) -> InferenceResult:
     """Invert a phonon trace (and, when present, the position variance)
     back to the field work capacity.
 
@@ -342,27 +344,32 @@ def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
     > |Re(alpha)| + 2 |G/Omega| the sine coefficient B = -4 (G/Omega) W
     Im(alpha) gives W linearly instead, and D is not consulted: B weighs W
     by 4 |G/Omega| |Im(alpha)|, against D's 4 |G/Omega| |Re(alpha)| plus
-    the 8 (G/Omega)^2 that does not shrink with alpha.
+    the 8 (G/Omega)^2 that does not shrink with alpha. G, Omega and the
+    init come from the trace's config. Raises FitError on a non-finite
+    tau, phonon or variance entry.
     """
     cfg = trace.config
     if alpha is None:
         if not isinstance(cfg.init, CoherentInit):
             raise FitError("alpha unknown: thermal-init trace carries no beating phase")
         alpha = cfg.init.alpha
-    G = cfg.G if G is None else G
-    Omega = cfg.Omega if Omega is None else Omega
-    u = G / Omega
+    Omega = cfg.Omega
+    u = cfg.G / Omega
     if u == 0:
         raise FitError("G = 0 carries no work-capacity signal")
 
     taus = np.asarray(trace.taus, dtype=float)
+    rhs = np.asarray(trace.phonon, dtype=float)
+    xvar = None if trace.xvar is None else np.asarray(trace.xvar, dtype=float)
+    if not all(np.isfinite(a).all() for a in (taus, rhs, xvar)
+               if a is not None):
+        raise FitError("the trace has a non-finite tau, phonon or xvar")
     if taus.size < 4 or (taus.max() - taus.min()) * Omega < 2.0 * np.pi * 0.99:
         raise FitError("time grid must span at least one oscillator period")
     c = Omega * taus
     # fit const + D (1-cos) + B sin as {1, cos, sin}; the constant column
     # absorbs n_O and any un-modeled thermal background on top of it
     design = np.stack([np.ones_like(c), np.cos(c), np.sin(c)], axis=1)
-    rhs = np.asarray(trace.phonon, dtype=float)
     coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < 3:
         raise FitError("degenerate time grid: beating basis is rank deficient")
@@ -373,11 +380,10 @@ def infer_wc(trace: OscillatorTrace, alpha: Optional[complex] = None,
     ar, ai = float(np.real(alpha)), float(np.imag(alpha))
     # B needs no bundle: it carries W wherever it weighs W more than D
     w_sine = -B / (4.0 * u * ai) if abs(ai) > abs(ar) + 2.0 * abs(u) else None
-    if trace.xvar is not None:
+    if xvar is not None:
         s4 = np.sin(c / 2.0) ** 4
         a2 = np.stack([np.ones_like(s4), s4], axis=1)
-        cf2, _, r2, _ = np.linalg.lstsq(
-            a2, np.asarray(trace.xvar, dtype=float), rcond=None)
+        cf2, _, r2, _ = np.linalg.lstsq(a2, xvar, rcond=None)
         if r2 < 2:
             raise FitError("grid never leaves sin^4 = 0; variance channel empty")
         disp = float(cf2[1]) / ((32.0 / 3.0) * u ** 2)

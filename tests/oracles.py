@@ -15,7 +15,9 @@ Wigner-d ladder, the block machinery, the pump-level chains or the banded
 oscillator moments they check. The closed-form small-nbar work capacities
 (wc_table_oracle, wc_exchange3_windows) have no caller outside the tests.
 fresh_phase_product is the engine's phase kernel with a fresh array for
-every intermediate, the reference for the sweeps' reused buffers.
+every intermediate, the reference for the sweeps' reused buffers, and
+phased_amplitudes the full complex view of a block engine's amplitudes,
+row phase included, that the dense oracles are compared with.
 """
 
 import math
@@ -26,12 +28,14 @@ from scipy.special import gammaln
 
 from nlmzi import fock, thermo
 from nlmzi.errors import ConfigurationError, DomainError
+from nlmzi.evolution import PhaseGrid
 from nlmzi.optomech import CoherentInit
-from nlmzi.operators import (QUARTER_TURNS, CrossPhase, DegeneratePDC,
-                             Exchange, Hybrid, exchange_couplings,
-                             ladder_walk, rung_entries)
+from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
+                             exchange_couplings, ladder_walk, rung_entries)
 
 HERMITICITY_TOL = 1e-12
+# (-i)^j for j mod 4: the row phase of B_N = diag((-i)^j) d_N diag(i^m)
+QUARTER_TURNS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +272,20 @@ def eig_block_amplitudes(process, N, thetas):
         lam, V = np.linalg.eigh(gen)
     Z = np.exp(-1j * np.outer(lam, np.atleast_1d(thetas)))
     return B @ (V @ (Z * (V.T @ B[:, 0])[:, None]))
+
+
+def phased_amplitudes(eng, N, thetas):
+    """Block N's output amplitudes <N-j, j| U(theta) |N, 0>, shape
+    (N+1, len(thetas)), from a BlockEngine: its parts on the rows
+    eng.rows(N), zeros on the others, times the row phase (-i)^j on the
+    rows j of N's parity and (-i)^(j-1) on the others."""
+    P = eng.amplitudes(N, PhaseGrid(thetas))
+    Z = np.zeros((N + 1, P.shape[2]), dtype=complex)
+    Z.real[eng.rows(N)] = P[0]
+    Z.imag[eng.rows(N)] = P[1]
+    j = np.arange(N + 1)
+    Z *= QUARTER_TURNS[(j - (j + N) % 2) % 4, None]
+    return Z
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import importlib.util
 import os
 
 from nlmzi import evolution as ev
-from nlmzi.operators import CrossPhase, DegeneratePDC, Exchange, Hybrid
+from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
+                             NonDegeneratePDC)
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                            "tracer.py")
@@ -53,3 +54,17 @@ def test_block_sweeps_reach_the_generator_layer():
             assert calls.get(layer, {"calls": 0})["calls"] > 0, (process,
                                                                  layer)
         assert t.counts["evolution.sweep_calls"] > 0
+
+
+def test_pump_sweeps_reach_the_pump_chain_layers():
+    # the pump workload is the one that reaches the pump-level chains
+    tracer = _load_tracer()
+    for process in (DegeneratePDC(), NonDegeneratePDC()):
+        with tracer.Tracer() as t:
+            ev.pdc_signal_sweep(process, 1.0, [0.5, 1.0], 1e-4)
+        calls = t.summary()
+        for layer in ("evolution.pdc", "evolution.generic_evolve",
+                      "evolution.generic_reduce"):
+            assert calls.get(layer, {"calls": 0})["calls"] > 0, (process,
+                                                                 layer)
+        assert t.counts["evolution.generic_components"] > 0

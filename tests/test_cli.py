@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +171,73 @@ def test_domain_errors_exit_three(tmp_path, capsys):
     # an oscillator cutoff that overflows or needs more levels than
     # fock.DEFAULT_DIM_GUARD is refused before anything is allocated
     for extra in (("--G", 1e300), ("--alpha", "1e308+1e308j"),
-                  ("--Omega", 1e-300), ("--osc-cutoff", 100000)):
+                  ("--Omega", 1e-300), ("--osc-cutoff", 100000),
+                  ("--Omega", "inf")):
         capsys.readouterr()
         rc = run("optomech", "--process", "cross-kerr", "--nbar", 1,
                  "--t", 1, *extra, "--out", tmp_path / "o.csv")
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+    # an infinite Omega is refused by the oscillator's config, before any
+    # closed form evaluates sin(inf) into nan cells and warnings
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlmzi.cli", "optomech", "--process",
+         "cross-kerr", "--nbar", "1", "--t", "1", "--Omega", "inf",
+         "--out", str(tmp_path / "o.csv")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:") and "Omega" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _refused(capsys, *argv):
+    """run(*argv) exits 3 with one error line on stderr."""
+    capsys.readouterr()
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_file_errors_exit_three(tmp_path, capsys):
+    _refused(capsys, "rerun", tmp_path / "missing.json")
+    for doc in ("[1]", "not json", "{}", json.dumps({"outputs": {}}),
+                json.dumps({"argv": ["wc-sweep", "--out", "x.csv"]}),
+                json.dumps({"argv": ["wc-sweep", "--out"], "outputs": {}}),
+                json.dumps({"argv": ["wc-sweep", "--out", 5], "outputs": {}})):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        _refused(capsys, "rerun", bad)
+    for argv in DATA_COMMANDS.values():
+        _refused(capsys, *argv, "--out", tmp_path / "no-such-dir" / "x.csv")
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+def test_rerun_deletes_its_replay_directory(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "wc.csv"
+    assert run("wc-sweep", "--process", "exchange", "--k", 2, "--nbar", 0.5,
+               "--theta", "0:3:5", "--out", out) == 0
+    man = tmp_path / "wc.csv.manifest.json"
+    doc = json.loads(man.read_text())
+    replays = tmp_path / "replays"
+    replays.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(replays))
+    assert run("rerun", man) == 0
+    assert capsys.readouterr().out.split() == ["MATCH", "wc.csv"]
+    assert not list(replays.iterdir())
+    doc["outputs"]["wc.csv"] = "0" * 64
+    man.write_text(json.dumps(doc))
+    assert run("rerun", man) == 3
+    assert capsys.readouterr().out.split() == ["MISMATCH", "wc.csv"]
+    assert not list(replays.iterdir())
+    doc["argv"][doc["argv"].index("--k") + 1] = "5"  # refused: high order
+    man.write_text(json.dumps(doc))
+    assert run("rerun", man) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(replays.iterdir())
 
 
 def test_oracle_cutoff_below_a_coherent_init_exits_three(tmp_path, capsys):

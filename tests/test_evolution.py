@@ -16,7 +16,8 @@ from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                              NonDegeneratePDC)
 from oracles import (dense_generator, eig_block_amplitudes,
                      fresh_phase_product, hermitian_eig, mzi_unitary,
-                     pdc_tensor_marginals, tensor_mzi_state)
+                     pdc_tensor_marginals, phased_amplitudes,
+                     tensor_mzi_state)
 
 HYBRID = Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))
 # chain cases the single-order processes do not reach: a stride-2 band of
@@ -42,7 +43,7 @@ def test_block_engine_matches_dense_tensor(process):
     for t in rng.uniform(0.1, 3.0, size=2):
         for N in range(nmax + 1):
             ref = tensor_mzi_state(process, t, N, nmax)
-            got = eng.amplitudes(N, [t * process.strength])[:, 0]
+            got = phased_amplitudes(eng, N, [t * process.strength])[:, 0]
             assert np.abs(got - ref).max() < 1e-10
 
 
@@ -61,7 +62,7 @@ def test_engine_consistent_with_unitary():
     for N in range(7):
         for t in (0.3, 1.7):
             U = mzi_unitary(proc, t, N)
-            got = eng.amplitudes(N, [t * proc.strength])[:, 0]
+            got = phased_amplitudes(eng, N, [t * proc.strength])[:, 0]
             assert np.abs(got - U[:, 0]).max() < 1e-12
 
 
@@ -71,7 +72,7 @@ def test_engine_matches_eigensolver_splitter(N):
     # eigenvalues are exact integers, so only the splitters differ
     thetas = [0.3, 2.0, np.pi, 5.9]
     proc = CrossPhase(s=1)
-    got = ev.BlockEngine(proc).amplitudes(N, thetas)
+    got = phased_amplitudes(ev.BlockEngine(proc), N, thetas)
     assert np.abs(got - eig_block_amplitudes(proc, N, thetas)).max() < 1e-13
 
 
@@ -88,7 +89,7 @@ def test_engine_matches_eigensolver_splitter_exchange(process):
     eng = ev.BlockEngine(process)
     for N in (200, 201):
         ref = eig_block_amplitudes(process, N, thetas)
-        got = eng.amplitudes(N, thetas)
+        got = phased_amplitudes(eng, N, thetas)
         scale = max(thetas) * np.abs(np.linalg.eigvalsh(np.real(
             dense_generator(process, N)))).max()
         assert np.abs(got - ref).max() < 2e-15 * scale
@@ -103,7 +104,7 @@ def test_even_order_exchange_keeps_half_the_columns(process):
     # also on the diagonal blocks below the exchange order
     eng = ev.BlockEngine(process)
     for N in range(300):
-        eng.amplitudes(N, [0.0])
+        eng.amplitudes(N, ev.PhaseGrid([0.0]))
         C, D, mu, rows = eng._blocks[N]
         assert C.dtype == D.dtype == float
         assert C.shape == D.shape == (N // 2 + 1, mu.size)
@@ -117,7 +118,7 @@ def test_cross_phase_keeps_parity_rows_and_half_the_columns(process):
     # a real C is D of N//2 + 1 rows and columns; the others are exact zeros
     eng = ev.BlockEngine(process)
     for N in range(300):
-        amps = eng.amplitudes(N, [0.0, 0.9, 4.1])
+        amps = phased_amplitudes(eng, N, [0.0, 0.9, 4.1])
         C, D, mu, rows = eng._blocks[N]
         assert C is D and C.dtype == float
         assert C.shape == (N // 2 + 1, N // 2 + 1) == mu.shape * 2
@@ -165,8 +166,8 @@ def test_probs_are_squared_amplitudes(process):
     eng = ev.BlockEngine(process)
     thetas = np.linspace(0.0, 2.0 * np.pi, 7)
     for N in range(41):
-        p = eng.probs(N, thetas)
-        amps = eng.amplitudes(N, thetas)
+        p = eng.probs(N, ev.PhaseGrid(thetas))
+        amps = phased_amplitudes(eng, N, thetas)
         rows = eng.rows(N)
         assert np.abs(p - np.abs(amps[rows]) ** 2).max() < 1e-14
         dropped = np.ones(N + 1, dtype=bool)
@@ -186,7 +187,7 @@ def test_exchange_pairs_are_built_exactly(process):
     thetas = np.array([0.0, 0.7, 13.0, 57.3, 100.0])
     zero_modes = 0
     for N in range(61):
-        got = eng.amplitudes(N, thetas)
+        got = phased_amplitudes(eng, N, thetas)
         ref = eig_block_amplitudes(process, N, thetas)
         lmax = np.abs(np.linalg.eigvalsh(np.real(
             dense_generator(process, N)))).max()
@@ -247,12 +248,12 @@ def test_cold_out_of_order_builds_match_in_order(process, ladder_steps):
     thetas = [0.4, 2.2, 5.0]
     ref = ev.BlockEngine(process)
     for N in range(81):
-        ref.amplitudes(N, thetas)
+        ref.amplitudes(N, ev.PhaseGrid(thetas))
     ladder_steps.clear()
     eng = ev.BlockEngine(process)
     for N in (60, 10, 80, 70):
-        assert np.array_equal(eng.amplitudes(N, thetas),
-                              ref.amplitudes(N, thetas))
+        assert np.array_equal(phased_amplitudes(eng, N, thetas),
+                              phased_amplitudes(ref, N, thetas))
     # 80 walks up from the highest rung, r_60; 60, 10 and 70 from r_0
     assert len(ladder_steps) == 60 + 10 + 20 + 70
 
@@ -279,7 +280,7 @@ def test_kept_engine_sweeps_give_a_fresh_engines_bits(process):
     ev.block_engine.cache_clear()
     eng = ev.block_engine(process)
     for N in (50, 7, 31):
-        eng.amplitudes(N, [0.3])
+        eng.amplitudes(N, ev.PhaseGrid([0.3]))
     warm = ev.sweep_distributions(process, 2.0, thetas)
     assert ev.block_engine(process) is eng
     for a, b in zip(fresh, warm):
@@ -391,6 +392,7 @@ def test_phase_product_is_the_complex_exponential_product():
     rng = np.random.default_rng(7)
     lam, ts = rng.normal(size=6), np.array([0.0, 0.4, -1.7, 3.0])
     ref_phases = np.exp(-1j * np.outer(lam, ts))
+    grid = ev.PhaseGrid(ts)
 
     def draw(dtype):
         M = rng.normal(size=(5, 6))
@@ -398,14 +400,14 @@ def test_phase_product_is_the_complex_exponential_product():
 
     for dtype in (float, complex):
         A = draw(dtype)
-        got = ev.phase_product(A, A, lam, ts)
+        got = ev.phase_product(A, A, lam, grid)
         assert got.shape == (2, 5, ts.size) and got.dtype == float
         assert np.abs(got[0] + 1j * got[1] - A @ ref_phases).max() < 1e-14
         assert np.array_equal(ev.interleaved(got).view(complex),
                               got[0] + 1j * got[1])
     # the pair form: columns a, b of eigenvalues lam, -lam
     a, b = draw(float), draw(float)
-    got = ev.phase_product(a + b, a - b, lam, ts)
+    got = ev.phase_product(a + b, a - b, lam, grid)
     ref = a @ ref_phases + b @ ref_phases.conj()
     assert got.shape == (2, 5, ts.size) and got.dtype == float
     assert np.abs(got[0] + 1j * got[1] - ref).max() < 1e-14
@@ -450,11 +452,11 @@ def test_phase_grid_products_share_the_grid_buffers():
     # last, and each block's prefix is C-contiguous
     grid = ev.PhaseGrid(FRESH_GRIDS["uniform"])
     eng = ev.BlockEngine(Exchange(k=2))
-    first = eng.amplitudes(30, grid, phased=False)
-    second = eng.amplitudes(31, grid, phased=False)
+    first = eng.amplitudes(30, grid)
+    second = eng.amplitudes(31, grid)
     assert np.shares_memory(first, second)
     assert first.flags.c_contiguous and second.flags.c_contiguous
-    assert np.array_equal(second, eng.amplitudes(31, grid.ts, phased=False))
+    assert np.array_equal(second, eng.amplitudes(31, ev.PhaseGrid(grid.ts)))
 
 
 @pytest.mark.parametrize("ts, tabled", [
@@ -474,7 +476,7 @@ def test_phases_match_long_double_reference(ts, tabled):
     # grid is evaluated directly
     mu = np.concatenate([[0.0, -0.0, 1.0, -3.7, 988.2, -1.23e4],
                          np.random.default_rng(3).normal(scale=50.0, size=40)])
-    Z = ev._phases(mu, ts)
+    Z = ev._phases(mu, ev.PhaseGrid(ts))
     ph = np.outer(mu.astype(np.longdouble), ts.astype(np.longdouble))
     err = np.maximum(np.abs(Z.real - np.cos(ph)),
                      np.abs(Z.imag + np.sin(ph))).astype(float)
@@ -604,6 +606,15 @@ def test_chain_eig_is_the_only_eigensolver_call_in_src():
         ("evolution", "eig_banded", "dsbevd")}
 
 
+def test_each_loop_over_the_phase_kernel_builds_one_grid():
+    # every product of a loop reuses its one grid's buffers, so only the
+    # three loops make a PhaseGrid; every layer below them takes one
+    assert _callers({"PhaseGrid"}) == {
+        ("evolution", "sweep_distributions", "PhaseGrid"),
+        ("evolution", "pdc_signal_sweep", "PhaseGrid"),
+        ("optomech", "full_quantum_oracle", "PhaseGrid")}
+
+
 def test_block_engine_is_the_only_engine_maker_in_src():
     # the engine comes from the process alone, so no caller passes one
     assert _callers({"BlockEngine"}) == {
@@ -630,7 +641,7 @@ def test_generic_engine_matches_dense_tensor():
     for process in PDC_VARIANTS:
         eng = ev.GenericEngine(process)
         for n0 in (1, 2, 3):
-            grid = eng.mode_distributions(n0, PDC_TIMES)
+            grid = eng.mode_distributions(n0, ev.PhaseGrid(PDC_TIMES))
             for i, t in enumerate(PDC_TIMES):
                 ref = pdc_tensor_marginals(process, n0, t)
                 assert len(grid) == len(ref)
@@ -644,16 +655,16 @@ def test_generic_engine_time_grid_matches_oracle_and_scalar_calls():
     for process in PDC_VARIANTS:
         eng = ev.GenericEngine(process)
         for n0 in (1, 2, 3):
-            grid = eng.mode_distributions(n0, PDC_TIMES)
+            grid = eng.mode_distributions(n0, ev.PhaseGrid(PDC_TIMES))
             rows = [n0 + 1, eng.step * n0 + 1, n0 + 1][: len(grid)]
             assert [d.shape for d in grid] == [(r, PDC_TIMES.size)
                                                 for r in rows]
             for i, t in enumerate(PDC_TIMES):
                 # a one-column product rounds differently from a wide one
-                for d_scalar, d_grid in zip(eng.mode_distributions(n0, t),
-                                            grid):
-                    assert d_scalar.shape == d_grid[:, i].shape
-                    assert np.abs(d_scalar - d_grid[:, i]).max() < 1e-14
+                for d_point, d_grid in zip(
+                        eng.mode_distributions(n0, ev.PhaseGrid([t])), grid):
+                    assert d_point.shape == (d_grid.shape[0], 1)
+                    assert np.abs(d_point[:, 0] - d_grid[:, i]).max() < 1e-14
 
 
 def test_degenerate_pdc_high_pump_component_is_hermitian_to_scale():
@@ -661,7 +672,8 @@ def test_degenerate_pdc_high_pump_component_is_hermitian_to_scale():
     # ~5e3 and must still give a unit-mass, paired signal
     eng = ev.GenericEngine(DegeneratePDC())
     assert len(eng._component(362)[0]) == 182  # the even sites
-    sig = eng.mode_distributions(362, np.linspace(0.0, np.pi, 5))[1]
+    grid = ev.PhaseGrid(np.linspace(0.0, np.pi, 5))
+    sig = eng.mode_distributions(362, grid)[1]
     assert np.abs(sig.sum(axis=0) - 1.0).max() < 1e-12
     assert not sig[1::2].any()
 
@@ -697,7 +709,7 @@ def test_nondegenerate_pdc_quarter_period():
     # signal and idler marginals stay identical by symmetry
     eng = ev.GenericEngine(NonDegeneratePDC())
     for n in range(4):
-        dists = eng.mode_distributions(n, 0.9)
+        dists = eng.mode_distributions(n, ev.PhaseGrid([0.9]))
         assert np.abs(dists[1] - dists[2]).max() < 1e-12
 
 
@@ -744,8 +756,8 @@ def test_pdc_sweep_keeps_one_pump_level(monkeypatch):
     held = []
     reduce = ev.GenericEngine.mode_distributions
 
-    def counted(self, n, t):
-        out = reduce(self, n, t)
+    def counted(self, n, grid):
+        out = reduce(self, n, grid)
         held.append(len(self._components))
         return out
 

@@ -62,11 +62,12 @@ def test_thermal_trace_peak_and_small_field_variant():
     assert abs(tr.phonon[2] - 0.2) < 1e-14
     # on EVEN5 the exact bundle (1.1) and its small-field stand-in (0.7)
     # separate, unlike on any three-level even distribution
-    exact = om.phonon_trace_thermal(EVEN5, cfg_thermal(0.0, G=0.1), taus)
-    soft = om.phonon_trace_thermal(EVEN5, cfg_thermal(0.0, G=0.1), taus,
-                                   small_nbar=True)
+    cfg = cfg_thermal(0.0, G=0.1)
+    exact = om.phonon_trace_thermal(EVEN5, cfg, taus)
+    w = thermo.ergotropy(EVEN5).wc
+    soft = om.phonon_trace_moments(2.0 * w, 4.0 * w, cfg, taus)
     assert abs(exact.phonon[1] - 1.1 * 0.16) < 1e-14
-    assert abs(soft.phonon[1] - 0.7 * 0.16) < 1e-14
+    assert abs(soft[1] - 0.7 * 0.16) < 1e-14
 
 
 def test_position_variance_anchors():
@@ -140,11 +141,9 @@ def test_parity_traces_are_views_of_the_moment_form():
         assert tr.phonon.tobytes() == ref.tobytes()
     for nbar_osc in (0.0, 0.3):
         cfg = cfg_thermal(nbar_osc, G=0.07, Omega=1.3)
-        for small_nbar, coeff in ((False, bundle), (True, w)):
-            tr = om.phonon_trace_thermal(EVEN5, cfg, taus,
-                                         small_nbar=small_nbar)
-            ref = om.phonon_trace_moments(2.0 * w, 4.0 * coeff, cfg, taus)
-            assert tr.phonon.tobytes() == ref.tobytes()
+        tr = om.phonon_trace_thermal(EVEN5, cfg, taus)
+        ref = om.phonon_trace_moments(2.0 * w, 4.0 * bundle, cfg, taus)
+        assert tr.phonon.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("init", [
@@ -344,8 +343,10 @@ def test_infer_error_cases():
                                xvar=tr.xvar[:3], config=cfg)
     with pytest.raises(FitError):
         om.infer_wc(short)
-    with pytest.raises(FitError):
-        om.infer_wc(tr, G=0.0)
+    uncoupled = om.OscillatorTrace(taus=good, phonon=tr.phonon,
+                                   xvar=tr.xvar, config=cfg_coherent(1.0, G=0.0))
+    with pytest.raises(FitError, match="G = 0"):
+        om.infer_wc(uncoupled)
     th = om.phonon_trace_thermal(EVEN3, cfg_thermal(0.1, G=0.01), good)
     with pytest.raises(FitError):
         om.infer_wc(th)  # alpha unknown
@@ -353,11 +354,26 @@ def test_infer_error_cases():
                                config=cfg)
     with pytest.raises(FitError):
         om.infer_wc(blind, alpha=0.0)  # no beat, no closure
+    for bad in (np.nan, np.inf):
+        for field in ("taus", "phonon", "xvar"):
+            arrays = dict(taus=good.copy(), phonon=tr.phonon.copy(),
+                          xvar=tr.xvar.copy())
+            arrays[field][7] = bad
+            with pytest.raises(FitError, match="non-finite"):
+                om.infer_wc(om.OscillatorTrace(config=cfg, **arrays))
+        nan_blind = om.OscillatorTrace(taus=good, phonon=tr.phonon.copy(),
+                                       xvar=None, config=cfg)
+        nan_blind.phonon[0] = bad
+        with pytest.raises(FitError, match="non-finite"):
+            om.infer_wc(nan_blind)
 
 
 def test_config_validation():
+    for Omega in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            om.OscillatorConfig(G=0.1, Omega=Omega, init=om.CoherentInit(1.0))
     with pytest.raises(DomainError):
-        om.OscillatorConfig(G=0.1, Omega=0.0, init=om.CoherentInit(1.0))
+        om.OscillatorConfig(G=np.inf, Omega=1.0, init=om.CoherentInit(1.0))
     for nbar_osc in (-0.5, np.nan, np.inf):
         with pytest.raises(DomainError):
             om.ThermalInit(nbar_osc)
@@ -366,6 +382,17 @@ def test_config_validation():
             om.CoherentInit(alpha)
     with pytest.raises(DomainError):
         om.phonon_trace_coherent(EVEN3, cfg_thermal(0.1), [0.0, 1.0])
+    # the closed forms refuse a non-finite tau, as the oracle does
+    for bad in (np.nan, np.inf, -np.inf):
+        taus = [0.0, bad, 1.0]
+        for fn, cfg in ((om.phonon_trace_coherent, cfg_coherent(1.0)),
+                        (om.phonon_trace_thermal, cfg_thermal(0.1)),
+                        (om.position_variance, cfg_coherent(1.0)),
+                        (om.position_variance, cfg_thermal(0.1))):
+            with pytest.raises(DomainError, match="taus"):
+                fn(EVEN3, cfg, taus)
+        with pytest.raises(DomainError, match="taus"):
+            om.phonon_trace_moments(1.0, 2.0, cfg_coherent(1.0), taus)
 
 
 @pytest.mark.parametrize("taus", [np.linspace(0.0, 12.0, 41),
@@ -379,8 +406,8 @@ def test_oracle_writes_the_bits_of_fresh_allocation(monkeypatch, taus):
     dist = [0.3, 0.0, 0.5, 0.2]
     cfgs = [cfg_coherent(1.5), cfg_coherent(1.0 + 0.7j), cfg_thermal(0.5)]
     got = [om.full_quantum_oracle(dist, cfg, 40, taus) for cfg in cfgs]
-    monkeypatch.setattr(om, "phase_product", lambda C, D, mu, ts:
-                        fresh_phase_product(C, D, mu, evolution.grid_of(ts).ts))
+    monkeypatch.setattr(om, "phase_product", lambda C, D, mu, grid:
+                        fresh_phase_product(C, D, mu, grid.ts))
     for cfg, tr in zip(cfgs, got):
         ref = om.full_quantum_oracle(dist, cfg, 40, taus)
         assert np.array_equal(tr.phonon, ref.phonon)
