@@ -6,8 +6,8 @@ full argv, engine version, cutoffs, tail masses, wall time, and a sha256
 digest of each output. `rerun` replays a manifest into a temporary
 directory, which it deletes, and verifies the digests still match.
 
-Exit codes: 0 success, 2 usage error, 3 numeric/configuration failure or
-a file that cannot be read or written.
+Exit codes: 0 success, 2 usage error, 3 numeric/configuration failure, an
+array too large to allocate, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -30,23 +30,23 @@ from .operators import CrossPhase, DegeneratePDC, Exchange, NonDegeneratePDC
 PDC_HEAD = 9
 
 
-def parse_grid(spec: str) -> np.ndarray:
-    """Inclusive grid 'start:stop:count' -> linspace."""
+def grid_arg(spec: str) -> str:
+    """An inclusive grid 'start:stop:count', checked without building it."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:count, got %r" % spec)
     start, stop = float(parts[0]), float(parts[1])
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError("grid start and stop must be finite, got %r" % spec)
-    count = int(parts[2])
-    if count < 1:
+    if int(parts[2]) < 1:
         raise ValueError("grid count must be >= 1")
-    return np.linspace(start, stop, count)
-
-
-def grid_arg(spec: str) -> str:
-    parse_grid(spec)
     return spec
+
+
+def parse_grid(spec: str) -> np.ndarray:
+    """Inclusive grid 'start:stop:count' -> linspace."""
+    start, stop, count = grid_arg(spec).split(":")
+    return np.linspace(float(start), float(stop), int(count))
 
 
 def _fmt(x) -> str:
@@ -327,7 +327,8 @@ def _dispatch(argv) -> int:
         if args.command == "rerun":
             return cmd_rerun(args)
         return run_data_command(args, argv)
-    except (DomainError, ConfigurationError, FitError, OSError) as exc:
+    except (DomainError, ConfigurationError, FitError, OSError,
+            MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

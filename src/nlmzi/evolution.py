@@ -31,7 +31,8 @@ blocks or pump levels analyses its grid once, as a PhaseGrid, whose
 buffers every product of the loop reuses. The three loops
 (sweep_distributions, pdc_signal_sweep and the oscillator oracle) take
 plain points and build that grid; every layer below them takes the grid
-and returns phase_product's real and imaginary parts.
+and returns phase_product's real and imaginary parts, the one format
+that every loop reads.
 
 The eigensolves call two LAPACK routines through scipy's compiled wrapper
 module, loaded from its file: importing the scipy.linalg package would
@@ -45,7 +46,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -132,14 +133,18 @@ def phase_product(C, D, mu, grid: PhaseGrid) -> np.ndarray:
     the oscillator oracle; its phases exp(-i mu t) come from _phases.
     With C is D this is C exp(-i mu t): a real C takes one real product on
     the phases' float view (a complex C a complex product) into a fresh
-    array, and the parts are views of the interleaved result. Otherwise C and D are real, the
-    pair form C = a+b and D = a-b for the columns a, b of eigenvalues mu
-    and -mu: one phase per pair and two real products, C @ cos and
-    D @ sin, into the grid's buffer "P", which the next pair-form product
-    on the grid overwrites.
+    array, and the parts are views of the interleaved result. Otherwise C
+    and D are real, the pair form C = a+b and D = a-b for the columns a, b
+    of eigenvalues mu and -mu: one phase per pair and two real products,
+    C @ cos and D @ sin, into the grid's buffer "P", which the next
+    pair-form product on the grid overwrites.
     """
     Z = _phases(mu, grid)
     if C is D:
+        # a fresh array, not the pair form on pooled buffers: that kept all
+        # CSV bytes but took bright_scan's peak RSS up 5.6% in free heap,
+        # and exact-size pools or a fresh pair-form product cost long_scan
+        # 11% RSS or 4x its page faults
         Z = C @ Z if np.iscomplexobj(C) else (C @ Z.view(float)).view(complex)
         return Z.view(float).reshape(Z.shape + (2,)).transpose(2, 0, 1)
     # unit-stride parts: numpy's matmul skips BLAS on some strided operands
@@ -150,12 +155,6 @@ def phase_product(C, D, mu, grid: PhaseGrid) -> np.ndarray:
     np.matmul(C, re, out=P[0])
     np.matmul(D, im, out=P[1])
     return P
-
-
-def interleaved(P) -> np.ndarray:
-    """phase_product's parts as the float view of a complex array, shape
-    (rows, 2 T); no copy when they came from one interleaved buffer."""
-    return P.transpose(1, 2, 0).reshape(P.shape[1], -1)
 
 
 def _load_flapack():
@@ -519,9 +518,9 @@ class GenericEngine:
     level it solved last, as a sweep evolves each level once. Every
     mode's occupation is fixed by m, so each reduced state is diagonal.
 
-    The name is older than the chains: the benchmark tracer
-    (bench/tracer.py) wraps _component, evolve and mode_distributions and
-    reads _components.
+    The name is older than the chains, and mode_distributions' older than
+    its signal-only output: the benchmark tracer (bench/tracer.py) wraps
+    _component, evolve and mode_distributions and reads _components.
     """
 
     def __init__(self, process):
@@ -566,18 +565,16 @@ class GenericEngine:
         grid."""
         return phase_product(*self._component(n), grid)
 
-    def mode_distributions(self, n: int, grid: PhaseGrid) -> List[np.ndarray]:
-        """Photon distributions of pump, signal (and idler) from level n,
-        of n+1, step*n+1 (and n+1) rows, one column per time of the grid:
-        each site's probability is the square of its one nonzero part."""
+    def mode_distributions(self, n: int, grid: PhaseGrid) -> np.ndarray:
+        """Signal distribution from pump level n, step*n + 1 rows, one
+        column per time of the grid: site m's probability, the square of
+        its one nonzero part, on row step*m, and 0.0 between."""
         P = self.evolve(n, grid)
         P *= P
-        weight = np.empty((n + 1, grid.size))
-        weight[::2] = P[0]
-        weight[1::2] = P[1][: (n + 1) // 2]
         sig = np.zeros((self.step * n + 1, grid.size))
-        sig[:: self.step] = weight
-        return [weight[::-1], sig] + ([sig.copy()] if self.step == 1 else [])
+        sig[:: 2 * self.step] = P[0]
+        sig[self.step:: 2 * self.step] = P[1][: (n + 1) // 2]
+        return sig
 
 
 def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
@@ -600,6 +597,5 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
     grid = PhaseGrid(gts / process.g)
     sig = np.zeros((eng.step * (P.size - 1) + 1, grid.size))
     for n in range(P.size):
-        d = eng.mode_distributions(n, grid)[1]
-        sig[: d.shape[0]] += P[n] * d
+        sig[: eng.step * n + 1] += P[n] * eng.mode_distributions(n, grid)
     return sig

@@ -35,6 +35,9 @@ def thermal_cutoff(nbar: float, tail_tol: float = 1e-12) -> int:
     if nbar == 0:
         return 0
     x = nbar / (1.0 + nbar)
+    if x == 1.0:  # nbar above about 9e15: no finite N_max
+        raise ConfigurationError("nbar %g needs more blocks than the block "
+                                 "budget %d" % (nbar, DEFAULT_DIM_GUARD))
     # solve x^(N+1) <= tol, then walk to the exact minimal integer
     n = max(0, int(np.ceil(np.log(tail_tol) / np.log(x))) - 1)
     while x ** (n + 1) > tail_tol:

@@ -130,6 +130,7 @@ def exchange_couplings(N: int, k: int) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
     """Nonlinear-arm generator of a process on block N, in the lower band
     storage of LAPACK's dsbevd (evolution.eig_banded): shape (b+1, N+1).
@@ -139,7 +140,8 @@ def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
     the sum of c times the exchange_couplings of the order-d terms; b is
     the largest exchange order that fits in the block, or 0. A Hybrid's
     term weighs c = coefficient times strength (chi or g); a bare process
-    is the one term of weight 1, as its strength scales theta instead. The
+    is the one term of weight 1, as its strength scales theta instead. A
+    band that overflows raises DomainError, with no numpy warning. The
     benchmark tracer (bench/tracer.py) wraps this as the per-block
     generator layer.
     """
@@ -162,6 +164,8 @@ def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
             band[0] += c * ((N - j) * j) ** spec.s
         elif spec.k <= N:
             band[spec.k, : N + 1 - spec.k] += c * exchange_couplings(N, spec.k)
+    if not np.isfinite(band).all():
+        raise DomainError("the generator of block %d is not finite" % N)
     return band
 
 

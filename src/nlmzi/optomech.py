@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fock
 from .errors import ConfigurationError, DomainError, FitError
-from .evolution import PhaseGrid, chain_eig, interleaved, phase_product
+from .evolution import PhaseGrid, chain_eig, phase_product
 from .thermo import checked_probabilities, ergotropy
 
 PARITY_TOL = 1e-10
@@ -214,11 +214,6 @@ def suggested_osc_cutoff(cfg: OscillatorConfig, n_top: int) -> int:
     return int(cutoff)
 
 
-def _pairs(v: np.ndarray) -> np.ndarray:
-    """Sums of the (real, imaginary) pairs of a complex vector's float view."""
-    return v[0::2] + v[1::2]
-
-
 def _small_cutoff(cfg, n_top: int, osc_cutoff: int, why: str):
     suggest = max(suggested_osc_cutoff(cfg, n_top),
                   min(2 * osc_cutoff, fock.DEFAULT_DIM_GUARD - 1))
@@ -286,7 +281,7 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     phon = np.zeros(taus.size)
     ex = np.zeros(taus.size)
     ex2 = np.zeros(taus.size)
-    buf = np.empty((osc_cutoff + 1, 2 * taus.size))
+    buf = np.empty((2, osc_cutoff + 1, taus.size))
     grid = PhaseGrid(taus)
     top = 0.0
     for n, pn in enumerate(p):
@@ -296,15 +291,15 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
         lam, V, _ = chain_eig(band)
         for w, y in zip(pn * wts, psi0 @ V):
             A = V * y
-            Z = interleaved(phase_product(A, A, lam, grid))
+            Z = phase_product(A, A, lam, grid)
             np.multiply(Z, Z, out=buf)
-            top = max(top, float(_pairs(buf[-1]).max()))
-            phon += w * _pairs(mm @ buf)
-            x2 = _pairs(d @ buf)
-            np.multiply(Z[:-1], Z[1:], out=buf[:-1])
-            ex += w * 2.0 * _pairs(h @ buf[:-1])
-            np.multiply(Z[:-2], Z[2:], out=buf[:-2])
-            ex2 += w * (x2 + 2.0 * _pairs(hh @ buf[:-2]))
+            top = max(top, float(buf[:, -1].sum(axis=0).max()))
+            phon += w * (mm @ buf).sum(axis=0)
+            x2 = (d @ buf).sum(axis=0)
+            np.multiply(Z[:, :-1], Z[:, 1:], out=buf[:, :-1])
+            ex += w * 2.0 * (h @ buf[:, :-1]).sum(axis=0)
+            np.multiply(Z[:, :-2], Z[:, 2:], out=buf[:, :-2])
+            ex2 += w * (x2 + 2.0 * (hh @ buf[:, :-2]).sum(axis=0))
     if top > ORACLE_TOP_TOL:
         raise _small_cutoff(cfg, p.size - 1, osc_cutoff,
                             "top-level population %.2e" % top)

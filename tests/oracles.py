@@ -17,7 +17,9 @@ oscillator moments they check. The closed-form small-nbar work capacities
 fresh_phase_product is the engine's phase kernel with a fresh array for
 every intermediate, the reference for the sweeps' reused buffers, and
 phased_amplitudes the full complex view of a block engine's amplitudes,
-row phase included, that the dense oracles are compared with.
+row phase included, that the dense oracles are compared with, and
+pump_level_marginals every mode's distribution of a pump level, where the
+engine builds the signal's alone.
 """
 
 import math
@@ -286,6 +288,21 @@ def phased_amplitudes(eng, N, thetas):
     j = np.arange(N + 1)
     Z *= QUARTER_TURNS[(j - (j + N) % 2) % 4, None]
     return Z
+
+
+def pump_level_marginals(eng, n, grid):
+    """Pump, signal (and idler) distributions from pump level n of a
+    GenericEngine on a PhaseGrid, of n+1, step*n+1 (and n+1) rows: site
+    m = 0..n, the state (n-m, step*m(, m)), weighs the square of its one
+    nonzero part of GenericEngine.evolve, on even sites the real part and
+    on odd ones the imaginary part."""
+    P = eng.evolve(n, grid)
+    weight = np.empty((n + 1, grid.size))
+    weight[::2] = P[0] ** 2
+    weight[1::2] = P[1][: (n + 1) // 2] ** 2
+    sig = np.zeros((eng.step * n + 1, grid.size))
+    sig[:: eng.step] = weight
+    return [weight[::-1], sig] + ([sig.copy()] if eng.step == 1 else [])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nlmzi import evolution
-from nlmzi.cli import _fmt, main, parse_grid, write_csv
+from nlmzi.cli import _fmt, grid_arg, main, parse_grid, write_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,8 +58,12 @@ def test_parse_grid():
     assert np.allclose(g, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert parse_grid("1.5:1.5:1").tolist() == [1.5]
     for bad in ("1:2", "a:b:c", "0:1:0", "1:2:3:4", "0:inf:3", "nan:1:3"):
-        with pytest.raises(ValueError):
-            parse_grid(bad)
+        for check in (parse_grid, grid_arg):
+            with pytest.raises(ValueError):
+                check(bad)
+    # the argument check builds no grid, so a count past memory passes it
+    spec = "0:1:%d" % 10 ** 13
+    assert grid_arg(spec) == spec
 
 
 def test_wc_sweep_csv_and_manifest(tmp_path):
@@ -192,6 +196,29 @@ def test_domain_errors_exit_three(tmp_path, capsys):
     assert proc.stderr.startswith("error:") and "Omega" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+    # an nbar whose nbar/(1+nbar) rounds to 1 has no finite cutoff
+    _refused(capsys, "wc-sweep", "--process", "cross-kerr", "--nbar", 1e300,
+             "--theta", "0:1:5", "--out", tmp_path / "x.csv")
+    # grids too large to allocate: argparse checks the spec without
+    # building it, and the command's allocation fails at once
+    _refused(capsys, "wc-sweep", "--process", "cross-kerr", "--nbar", 1,
+             "--theta", "0:1:%d" % 10 ** 13, "--out", tmp_path / "x.csv")
+    _refused(capsys, "max-efficiency", "--process", "cross-kerr", "--nbar",
+             1, "--theta-max", 1, "--grid", 10 ** 14,
+             "--out", tmp_path / "y.csv")
+    # ((N-j) j)^1000 overflows from block 4 on: refused by the generator
+    # before any phase turns it into nan cells and warnings
+    argv = ("wc-sweep", "--process", "cross-kerr", "--s", "1000", "--nbar",
+            "1", "--theta", "0:1:5", "--out", str(tmp_path / "x.csv"))
+    _refused(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlmzi.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:") and "block 4" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def _refused(capsys, *argv):
@@ -200,6 +227,7 @@ def _refused(capsys, *argv):
     assert run(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_file_errors_exit_three(tmp_path, capsys):

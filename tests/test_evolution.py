@@ -17,7 +17,7 @@ from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
 from oracles import (dense_generator, eig_block_amplitudes,
                      fresh_phase_product, hermitian_eig, mzi_unitary,
                      pdc_tensor_marginals, phased_amplitudes,
-                     tensor_mzi_state)
+                     pump_level_marginals, tensor_mzi_state)
 
 HYBRID = Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))
 # chain cases the single-order processes do not reach: a stride-2 band of
@@ -403,16 +403,12 @@ def test_phase_product_is_the_complex_exponential_product():
         got = ev.phase_product(A, A, lam, grid)
         assert got.shape == (2, 5, ts.size) and got.dtype == float
         assert np.abs(got[0] + 1j * got[1] - A @ ref_phases).max() < 1e-14
-        assert np.array_equal(ev.interleaved(got).view(complex),
-                              got[0] + 1j * got[1])
     # the pair form: columns a, b of eigenvalues lam, -lam
     a, b = draw(float), draw(float)
     got = ev.phase_product(a + b, a - b, lam, grid)
     ref = a @ ref_phases + b @ ref_phases.conj()
     assert got.shape == (2, 5, ts.size) and got.dtype == float
     assert np.abs(got[0] + 1j * got[1] - ref).max() < 1e-14
-    assert np.array_equal(ev.interleaved(got).view(complex),
-                          got[0] + 1j * got[1])
 
 
 # grids of each of _phases' paths: uniform (tabled, with a zero off the
@@ -615,6 +611,15 @@ def test_each_loop_over_the_phase_kernel_builds_one_grid():
         ("optomech", "full_quantum_oracle", "PhaseGrid")}
 
 
+def test_phase_product_has_one_caller_per_evolution():
+    # the block engine, the pump chains and the oscillator oracle each
+    # take the kernel's parts from one call site
+    assert _callers({"phase_product"}) == {
+        ("evolution", "amplitudes", "phase_product"),
+        ("evolution", "evolve", "phase_product"),
+        ("optomech", "full_quantum_oracle", "phase_product")}
+
+
 def test_block_engine_is_the_only_engine_maker_in_src():
     # the engine comes from the process alone, so no caller passes one
     assert _callers({"BlockEngine"}) == {
@@ -641,7 +646,7 @@ def test_generic_engine_matches_dense_tensor():
     for process in PDC_VARIANTS:
         eng = ev.GenericEngine(process)
         for n0 in (1, 2, 3):
-            grid = eng.mode_distributions(n0, ev.PhaseGrid(PDC_TIMES))
+            grid = pump_level_marginals(eng, n0, ev.PhaseGrid(PDC_TIMES))
             for i, t in enumerate(PDC_TIMES):
                 ref = pdc_tensor_marginals(process, n0, t)
                 assert len(grid) == len(ref)
@@ -654,15 +659,18 @@ def test_generic_engine_matches_dense_tensor():
 def test_generic_engine_time_grid_matches_oracle_and_scalar_calls():
     for process in PDC_VARIANTS:
         eng = ev.GenericEngine(process)
-        for n0 in (1, 2, 3):
-            grid = eng.mode_distributions(n0, ev.PhaseGrid(PDC_TIMES))
+        for n0 in (0, 1, 2, 3):
+            grid = pump_level_marginals(eng, n0, ev.PhaseGrid(PDC_TIMES))
             rows = [n0 + 1, eng.step * n0 + 1, n0 + 1][: len(grid)]
             assert [d.shape for d in grid] == [(r, PDC_TIMES.size)
                                                 for r in rows]
+            # the engine builds the signal alone, with the same bits
+            assert np.array_equal(
+                eng.mode_distributions(n0, ev.PhaseGrid(PDC_TIMES)), grid[1])
             for i, t in enumerate(PDC_TIMES):
                 # a one-column product rounds differently from a wide one
-                for d_point, d_grid in zip(
-                        eng.mode_distributions(n0, ev.PhaseGrid([t])), grid):
+                point = pump_level_marginals(eng, n0, ev.PhaseGrid([t]))
+                for d_point, d_grid in zip(point, grid):
                     assert d_point.shape == (d_grid.shape[0], 1)
                     assert np.abs(d_point[:, 0] - d_grid[:, i]).max() < 1e-14
 
@@ -673,7 +681,7 @@ def test_degenerate_pdc_high_pump_component_is_hermitian_to_scale():
     eng = ev.GenericEngine(DegeneratePDC())
     assert len(eng._component(362)[0]) == 182  # the even sites
     grid = ev.PhaseGrid(np.linspace(0.0, np.pi, 5))
-    sig = eng.mode_distributions(362, grid)[1]
+    sig = eng.mode_distributions(362, grid)
     assert np.abs(sig.sum(axis=0) - 1.0).max() < 1e-12
     assert not sig[1::2].any()
 
@@ -709,7 +717,7 @@ def test_nondegenerate_pdc_quarter_period():
     # signal and idler marginals stay identical by symmetry
     eng = ev.GenericEngine(NonDegeneratePDC())
     for n in range(4):
-        dists = eng.mode_distributions(n, ev.PhaseGrid([0.9]))
+        dists = pump_level_marginals(eng, n, ev.PhaseGrid([0.9]))
         assert np.abs(dists[1] - dists[2]).max() < 1e-12
 
 

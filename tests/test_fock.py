@@ -31,6 +31,10 @@ def test_thermal_distribution_block_budget():
         fock.thermal_distribution(1e6, 1e-12)
     with pytest.raises(ConfigurationError):
         fock.thermal_distribution(1000.0, 1e-2)
+    # from about 9e15 on nbar/(1+nbar) rounds to 1: no cutoff exists
+    for nbar in (1e16, 1e300):
+        with pytest.raises(ConfigurationError, match="block budget"):
+            fock.thermal_cutoff(nbar, 1e-12)
 
 
 def test_thermal_distribution_shape_and_mass():

@@ -1,6 +1,7 @@
 """Block operators: pseudospin algebra, generators, splitter identities."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -115,6 +116,14 @@ def test_process_spec_validation():
             ops.Hybrid(terms=((1.0, ops.CrossPhase()), bad))
     with pytest.raises(ConfigurationError):
         ops.process_generator(ops.DegeneratePDC(), 3)
+    # ((N-j) j)^1000 is finite up to block 3 and overflows from block 4 on,
+    # which is refused without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        band = ops.process_generator(ops.CrossPhase(s=1000), 3)
+        assert np.isfinite(band).all()
+        with pytest.raises(DomainError, match="block 4"):
+            ops.process_generator(ops.CrossPhase(s=1000), 4)
 
 
 def test_beam_splitter_basics():
