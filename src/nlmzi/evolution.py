@@ -34,18 +34,20 @@ plain points and build that grid; every layer below them takes the grid
 and returns phase_product's real and imaginary parts, the one format
 that every loop reads.
 
-The eigensolves call two LAPACK routines through scipy's compiled wrapper
-module, loaded from its file: importing the scipy.linalg package would
-cost more start-up time than most commands spend computing.
+The eigensolves call two LAPACK routines, dstevd and dsbevd, through the
+LAPACKE interface of the OpenBLAS that numpy bundles and already runs
+every product on, so the process holds one BLAS library and one thread
+pool. The library is found once, at import, in the process's memory map;
+where there is none (a numpy built on MKL or Accelerate, or a system
+without /proc), the first chain solve raises ConfigurationError naming
+what is missing, and the CLI exits 3.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
 from typing import Dict
 
 import numpy as np
@@ -157,50 +159,107 @@ def phase_product(C, D, mu, grid: PhaseGrid) -> np.ndarray:
     return P
 
 
-def _load_flapack():
-    """scipy.linalg._flapack, scipy's f2py LAPACK wrappers, executed from
-    its file without running scipy/linalg/__init__.py and the array-API
-    machinery it imports. Like an import, this enters the module in
-    sys.modules, where a later import of scipy.linalg finds it."""
-    scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec(
-        "scipy.linalg._flapack", [os.path.join(p, "linalg") for p in scipy_dirs])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+_COL_MAJOR = 102  # LAPACKE's matrix layout code for Fortran order
 
 
-_flapack = _load_flapack()
+def _find_lapacke(maps="/proc/self/maps"):
+    """{routine: function} of LAPACKE dstevd and dsbevd in numpy's bundled
+    OpenBLAS, found among the libraries that maps (this process's memory
+    map) lists, or, when there is none, a message naming what is missing.
+
+    numpy's wheels bundle an ILP64 OpenBLAS (scipy-openblas64), which
+    exports LAPACKE as scipy_LAPACKE_<routine>64_, with 64-bit integers;
+    numpy maps it at import, and a library that is already mapped is not
+    loaded again. Another BLAS (MKL, Accelerate) or a 32-bit-integer
+    OpenBLAS exports no such names.
+    """
+    want = {r: "scipy_LAPACKE_%s64_" % r for r in ("dstevd", "dsbevd")}
+    try:
+        with open(maps, encoding="utf-8") as fh:
+            libs = sorted({ln.split(maxsplit=5)[5].strip() for ln in fh
+                           if "openblas" in ln.lower()})
+    except OSError:
+        libs = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        if all(hasattr(handle, sym) for sym in want.values()):
+            break
+    else:
+        return ("chain_eig needs numpy's bundled OpenBLAS, whose LAPACKE "
+                "exports %s; no library listed in %s exports them"
+                % (" and ".join(want.values()), maps))
+    ptr = ctypes.POINTER(ctypes.c_double)
+    i64, char = ctypes.c_int64, ctypes.c_char
+    args = {"dstevd": [ctypes.c_int, char, i64, ptr, ptr, ptr, i64],
+            "dsbevd": [ctypes.c_int, char, char, i64, i64, ptr, i64, ptr,
+                       ptr, i64]}
+    found = {r: getattr(handle, sym) for r, sym in want.items()}
+    for routine, fn in found.items():
+        fn.argtypes, fn.restype = args[routine], i64
+    return found
+
+
+_LAPACKE = _find_lapacke()
+
+
+def _ref(a):
+    """A double* argument for a, a writeable Fortran-order float64 array
+    that its caller made: a ctypes view of its buffer, which raises
+    TypeError on any other layout but reads no dtype. It takes about
+    0.5 us, against 2 us for a.ctypes and 5 us for
+    numpy.ctypeslib.ndpointer's checks, on solves of 10-100 us."""
+    return ctypes.c_double.from_buffer(a.T)
+
+
+def _lapacke(routine):
+    """LAPACKE routine of numpy's OpenBLAS; ConfigurationError, naming
+    what is missing, where _find_lapacke found none."""
+    if isinstance(_LAPACKE, str):
+        raise ConfigurationError(_LAPACKE)
+    return _LAPACKE[routine]
 
 
 def eig_banded(band):
     """(mu, V, info) of LAPACK dsbevd on a real symmetric band in lower
-    storage, called as scipy.linalg.eig_banded(band, lower=True) calls it.
-    The benchmark tracer (bench/tracer.py) wraps this name."""
-    return _flapack.dsbevd(band, compute_v=1, lower=1, overwrite_ab=0)
+    storage, shape (b+1, L): eigenvalues ascending and eigenvectors as
+    Fortran-order columns, as scipy.linalg.eig_banded(band, lower=True)
+    gives them. The benchmark tracer (bench/tracer.py) wraps this name."""
+    L = band.shape[1]
+    ab = np.array(band, dtype=float, order="F")  # dsbevd overwrites it
+    mu, V = np.empty(L), np.empty((L, L), order="F")
+    info = _lapacke("dsbevd")(_COL_MAJOR, b"V", b"L", L, band.shape[0] - 1,
+                              _ref(ab), band.shape[0], _ref(mu), _ref(V), L)
+    return mu, V, info
 
 
 def chain_eig(band):
     """(mu, V, paired) of a real symmetric chain in the lower band storage
     of operators.process_generator, shape (b+1, L): the one eigensolve of
-    the package. Bandwidth 1 goes to LAPACK dstevd, the routine of
-    scipy.linalg.eigh_tridiagonal, which gives eig_banded's bits without
-    its product with the reduction matrix, and a wider band to dsbevd
-    (eig_banded); a single site is its own eigenvector. A non-finite band
-    raises DomainError, a nonzero LAPACK info ConfigurationError. A
-    bipartite chain (zero diagonal, couplings at odd offsets only) has
-    exact pairs (mu, v), (-mu, S v), S = diag((-1)^i) (Coulson &
-    Rushbrooke, Proc. Camb. Phil. Soc. 36, 193 (1940)): it comes back as
-    its mu >= 0 half with paired=True, an odd length's zero mode first,
-    with mu = 0.0 and odd entries 0.0. Any other chain comes back whole,
-    mu ascending.
+    the package. Bandwidth 1 goes to LAPACK dstevd, which gives
+    eig_banded's bits without its product with the reduction matrix, and
+    a wider band to dsbevd (eig_banded), both of numpy's OpenBLAS
+    (_find_lapacke); a single site is its own eigenvector. A non-finite
+    band raises DomainError; a nonzero LAPACK info, or no such library in
+    the process, ConfigurationError. A bipartite chain (zero diagonal,
+    couplings at odd offsets only) has exact pairs (mu, v), (-mu, S v),
+    S = diag((-1)^i) (Coulson & Rushbrooke, Proc. Camb. Phil. Soc. 36,
+    193 (1940)): it comes back as its mu >= 0 half with paired=True, an
+    odd length's zero mode first, with mu = 0.0 and odd entries 0.0. Any
+    other chain comes back whole, mu ascending.
     """
     if not np.isfinite(band).all():
         raise DomainError("chain_eig needs a finite band")
     if band.shape[1] == 1:
         mu, V, info = band[0].copy(), np.ones((1, 1)), 0
     elif band.shape[0] == 2:
-        mu, V, info = _flapack.dstevd(band[0], band[1, :-1], compute_v=1)
+        L = band.shape[1]
+        mu, e = np.array(band, dtype=float)  # dstevd overwrites both
+        V = np.empty((L, L), order="F")
+        info = _lapacke("dstevd")(_COL_MAJOR, b"V", L, _ref(mu), _ref(e),
+                                  _ref(V), L)
     else:
         mu, V, info = eig_banded(band)
     if info:

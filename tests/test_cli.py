@@ -280,8 +280,7 @@ def test_oracle_cutoff_below_a_coherent_init_exits_three(tmp_path, capsys):
 
 def test_failed_eigensolve_exits_three(tmp_path, capsys, monkeypatch):
     # a LAPACK routine's nonzero info is a ConfigurationError, not a traceback
-    monkeypatch.setattr(evolution._flapack, "dstevd",
-                        lambda *args, **kwargs: (None, None, 1))
+    monkeypatch.setitem(evolution._LAPACKE, "dstevd", lambda *args: 1)
     rc = run("pdc", "--variant", "degenerate", "--nbar", 0.5,
              "--gt", "0:1:3", "--out", tmp_path / "z.csv")
     assert rc == 3
@@ -290,21 +289,48 @@ def test_failed_eigensolve_exits_three(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_commands_start_without_scipy_linalg_or_special():
-    # the eigensolves load scipy's LAPACK wrapper module alone; the
-    # scipy.linalg and scipy.special packages, and the array-API layer
-    # they import, would more than double the start-up of every command
+def test_missing_openblas_exits_three(tmp_path, capsys, monkeypatch):
+    # with no OpenBLAS LAPACKE in the process map, the first chain solve
+    # names what is missing, and the command exits 3 with one error line
+    maps = tmp_path / "maps"
+    maps.write_text("")
+    monkeypatch.setattr(evolution, "_LAPACKE",
+                        evolution._find_lapacke(str(maps)))
+    rc = run("pdc", "--variant", "degenerate", "--nbar", 0.5,
+             "--gt", "0:1:3", "--out", tmp_path / "z.csv")
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "scipy_LAPACKE_dstevd64_" in lines[0]
+    assert not (tmp_path / "z.csv").exists()
+
+
+def test_commands_start_without_scipy_linalg_or_special(tmp_path):
+    # chains are solved by numpy's own OpenBLAS: after a command has run,
+    # no scipy module is loaded, and the process maps one OpenBLAS, whose
+    # thread pool runs both the products and the solves
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    script = (
+        "import json, sys, nlmzi.cli\n"
+        "rc = nlmzi.cli.main(['pdc', '--variant', 'degenerate', '--nbar',\n"
+        "                     '3', '--gt', '0:3:5', '--out', sys.argv[1]])\n"
+        "try:\n"
+        "    with open('/proc/self/maps') as fh:\n"
+        "        libs = sorted({ln.split(maxsplit=5)[5].strip() for ln in fh\n"
+        "                       if 'openblas' in ln.lower()})\n"
+        "except OSError:\n"
+        "    libs = None\n"
+        "print(json.dumps([rc, sorted(sys.modules), libs]))\n")
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, nlmzi.cli; print(' '.join(sorted(sys.modules)))"],
+        [sys.executable, "-c", script, str(tmp_path / "p.csv")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "nlmzi.cli" in loaded
-    assert not loaded & {"scipy.linalg", "scipy.special",
-                         "scipy._lib._array_api"}
+    rc, loaded, libs = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0 and "nlmzi.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    if sys.platform.startswith("linux"):
+        assert libs is not None and len(libs) == 1, libs
 
 
 def test_high_order_exchange_behind_flag(tmp_path):

@@ -515,10 +515,21 @@ def _wide_chains(rng, L):
     yield ops.process_generator(HYBRID_CHAINS[1], L - 1)
 
 
+def _near(V, ref_V, ulps):
+    """Whether each column of V is ref_V's, after sign alignment, within
+    ulps of the column's largest entry."""
+    sign = np.where((V * ref_V).sum(axis=0) < 0.0, -1.0, 1.0)
+    scale = np.abs(ref_V).max(axis=0) * np.finfo(float).eps
+    return bool(np.all(np.abs(V - sign * ref_V) <= ulps * scale))
+
+
 def test_chain_eig_is_eig_banded_on_tridiagonal_chains():
-    # dstevd gives eig_banded's bits on a tridiagonal chain, and dsbevd
-    # gives them on a wider one (eig_banded calls it); a bipartite chain
-    # keeps the mu >= 0 half, zero mode first
+    # dstevd gives eig_banded's bits on a tridiagonal chain; a bipartite
+    # chain keeps the mu >= 0 half, zero mode first. A wider chain goes to
+    # dsbevd, as eig_banded's does, but in another OpenBLAS build (numpy's
+    # 0.3.31 against scipy's 0.3.30 here): its eigenvalues are equal, and
+    # its eigenvectors within 8 ulp of each column's scale, where at most
+    # 5.1 ulp was measured (first at band (3, 106))
     rng = np.random.default_rng(11)
     for L in range(1, 201):
         chains = list(_tridiagonal_chains(rng, L))
@@ -527,17 +538,19 @@ def test_chain_eig_is_eig_banded_on_tridiagonal_chains():
         for band in chains:
             mu, V, paired = ev.chain_eig(band)
             ref_mu, ref_V = eig_banded(band, lower=True)
+            same = np.array_equal if band.shape[0] == 2 else \
+                (lambda a, b: _near(a, b, 8.0))
             assert paired == (not band[0].any() and not band[2::2].any())
             if paired:
                 h = L // 2
                 ref_mu, ref_V = ref_mu[h:], ref_V[:, h:]
                 if L % 2:
                     assert mu[0] == 0.0 and not V[1::2, 0].any()
-                    assert np.array_equal(V[::2, 0], ref_V[::2, 0])
+                    assert same(V[::2, :1], ref_V[::2, :1]), (L, band.shape)
                     mu, V = mu[1:], V[:, 1:]
                     ref_mu, ref_V = ref_mu[1:], ref_V[:, 1:]
             assert np.array_equal(mu, ref_mu), (L, band.shape)
-            assert np.array_equal(V, ref_V), (L, band.shape)
+            assert same(V, ref_V), (L, band.shape)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -551,15 +564,31 @@ def test_chain_eig_rejects_a_non_finite_band(bad, rows):
 
 @pytest.mark.parametrize("routine,rows", [("dstevd", 2), ("dsbevd", 4)])
 def test_chain_eig_raises_on_a_failed_solve(monkeypatch, routine, rows):
-    def failed(*args, **kwargs):
-        return np.zeros(6), np.eye(6), 3
+    def failed(*args):
+        return 3
 
-    monkeypatch.setattr(ev._flapack, routine, failed)
+    monkeypatch.setitem(ev._LAPACKE, routine, failed)
     with pytest.raises(ConfigurationError, match="LAPACK"):
         ev.chain_eig(np.ones((rows, 6)))
 
 
-SOLVERS = {"dstevd", "dsbevd", "eig_banded", "eigh_tridiagonal", "eigh"}
+def test_chain_eig_without_numpys_openblas_raises(monkeypatch, tmp_path):
+    # a process that maps no OpenBLAS exporting LAPACKE (a numpy built on
+    # MKL or Accelerate) gets a ConfigurationError that names what is
+    # missing, on its first chain solve
+    maps = tmp_path / "maps"
+    maps.write_text("00400000-00452000 r-xp 00000000 08:02 173521 "
+                    "/usr/lib/libm.so.6\n")
+    monkeypatch.setattr(ev, "_LAPACKE", ev._find_lapacke(str(maps)))
+    assert ev.chain_eig(np.ones((2, 1)))[0] == 1.0  # no solve on one site
+    for rows in (2, 4):
+        with pytest.raises(ConfigurationError,
+                           match="scipy_LAPACKE_dstevd64_"):
+            ev.chain_eig(np.ones((rows, 6)))
+
+
+SOLVERS = {"_lapacke", "dstevd", "dsbevd", "eig_banded", "eigh_tridiagonal",
+           "eigh"}
 SRC_TREES = {path.stem: ast.parse(path.read_text()) for path in
              sorted(pathlib.Path(ev.__file__).parent.glob("*.py"))}
 
@@ -587,19 +616,19 @@ def _callers(names):
 
 
 def test_chain_eig_is_the_only_eigensolver_call_in_src():
-    # the routines come from the LAPACK wrapper module evolution loads; no
-    # module imports the scipy.linalg or scipy.special packages
+    # the routines come from numpy's OpenBLAS through evolution._lapacke;
+    # no module imports scipy
     for module, tree in SRC_TREES.items():
         imports = [a.name for n in ast.walk(tree)
                    if isinstance(n, ast.Import) for a in n.names]
         imports += [n.module for n in ast.walk(tree)
                     if isinstance(n, ast.ImportFrom) and n.module]
-        assert not [m for m in imports if m.startswith(
-            ("scipy.linalg", "scipy.special"))], module
+        assert not [m for m in imports
+                    if m.split(".")[0] == "scipy"], module
     assert _callers(SOLVERS) == {
-        ("evolution", "chain_eig", "dstevd"),
+        ("evolution", "chain_eig", "_lapacke"),
         ("evolution", "chain_eig", "eig_banded"),
-        ("evolution", "eig_banded", "dsbevd")}
+        ("evolution", "eig_banded", "_lapacke")}
 
 
 def test_each_loop_over_the_phase_kernel_builds_one_grid():
