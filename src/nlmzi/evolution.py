@@ -9,38 +9,29 @@ with g_N the nonlinear-arm generator on the block and theta = chi t (cross
 phase) or g t (exchange) the single dimensionless knob swept everywhere.
 Per block the engine (BlockEngine) keeps the input's components on the
 generator eigenvectors carried through the second splitter, a real
-record, so every theta of a sweep costs real matrix products per block,
-whatever the number of thetas. The splitter is the phased real Wigner
-matrix exp(-i (pi/2) J_y), which a division-free ladder builds a quarter
-at a time. Every generator is a diagonal plus exchange bands: a diagonal
-block needs no eigensolve, and any other is solved on its banded chains
-j = c, c+g, ..., g the gcd of its exchange orders. chain_eig solves every
-real chain of the package and gives a bipartite one as its exact
-(mu, -mu) pairs, which take one phase exp(-i mu theta) per pair and
-theta.
+record, so every theta of a sweep costs real matrix products per block.
+The splitter is the phased real Wigner matrix exp(-i (pi/2) J_y), which a
+division-free ladder builds a quarter at a time. A diagonal generator
+needs no eigensolve; any other is solved on its banded chains j = c,
+c+g, ..., g the gcd of its exchange orders, by chain_eig, which gives a
+bipartite chain as its (mu, -mu) pairs: one phase exp(-i mu theta) per
+pair and theta. With n pump photons, parametric down-conversion reaches
+one bipartite chain of n + 1 states, kept in the blocks' pair form one
+level at a time.
 
-Parametric down-conversion is not block-diagonal in N, but with n pump
-photons it reaches one bipartite chain of n + 1 states, which the pump
-engine keeps in the blocks' pair form, one level at a time.
+Every evolution goes through one phase kernel, phase_product, which on a
+uniform grid takes its phases by angle addition from two tables of about
+sqrt(T) columns. Each loop over blocks or pump levels
+(sweep_distributions, pdc_signal_sweep, the oscillator oracle) analyses
+its grid once, as a PhaseGrid, whose buffers every product of the loop
+reuses, and reads phase_product's real and imaginary parts.
 
-Every evolution goes through one phase kernel, phase_product. On a
-uniform grid of T points (every linspace) it takes the phases by angle
-addition from two tables of about sqrt(T) columns each, so cos and sin
-run O(sqrt(T)) times per eigenvalue rather than T times. A loop over
-blocks or pump levels analyses its grid once, as a PhaseGrid, whose
-buffers every product of the loop reuses. The three loops
-(sweep_distributions, pdc_signal_sweep and the oscillator oracle) take
-plain points and build that grid; every layer below them takes the grid
-and returns phase_product's real and imaginary parts, the one format
-that every loop reads.
-
-The eigensolves call two LAPACK routines, dstevd and dsbevd, through the
-LAPACKE interface of the OpenBLAS that numpy bundles and already runs
+The eigensolves call LAPACK dbdsdc (a bipartite tridiagonal chain, as the
+SVD of its half-size bidiagonal), dstevd (any other tridiagonal chain)
+and dsbevd (a wider one) in the OpenBLAS that numpy bundles and runs
 every product on, so the process holds one BLAS library and one thread
-pool. The library is found once, at import, in the process's memory map;
-where there is none (a numpy built on MKL or Accelerate, or a system
-without /proc), the first chain solve raises ConfigurationError naming
-what is missing, and the CLI exits 3.
+pool. Where the process maps no such library, the first chain solve
+raises ConfigurationError, and the CLI exits 3.
 """
 
 from __future__ import annotations
@@ -163,9 +154,10 @@ _COL_MAJOR = 102  # LAPACKE's matrix layout code for Fortran order
 
 
 def _find_lapacke(maps="/proc/self/maps"):
-    """{routine: function} of LAPACKE dstevd and dsbevd in numpy's bundled
-    OpenBLAS, found among the libraries that maps (this process's memory
-    map) lists, or, when there is none, a message naming what is missing.
+    """{routine: function} of LAPACKE dstevd, dsbevd and dbdsdc in numpy's
+    bundled OpenBLAS, found among the libraries that maps (this process's
+    memory map) lists, or, when there is none, a message naming what is
+    missing.
 
     numpy's wheels bundle an ILP64 OpenBLAS (scipy-openblas64), which
     exports LAPACKE as scipy_LAPACKE_<routine>64_, with 64-bit integers;
@@ -173,7 +165,8 @@ def _find_lapacke(maps="/proc/self/maps"):
     loaded again. Another BLAS (MKL, Accelerate) or a 32-bit-integer
     OpenBLAS exports no such names.
     """
-    want = {r: "scipy_LAPACKE_%s64_" % r for r in ("dstevd", "dsbevd")}
+    want = {r: "scipy_LAPACKE_%s64_" % r for r in ("dstevd", "dsbevd",
+                                                   "dbdsdc")}
     try:
         with open(maps, encoding="utf-8") as fh:
             libs = sorted({ln.split(maxsplit=5)[5].strip() for ln in fh
@@ -190,12 +183,14 @@ def _find_lapacke(maps="/proc/self/maps"):
     else:
         return ("chain_eig needs numpy's bundled OpenBLAS, whose LAPACKE "
                 "exports %s; no library listed in %s exports them"
-                % (" and ".join(want.values()), maps))
+                % (", ".join(want.values()), maps))
     ptr = ctypes.POINTER(ctypes.c_double)
     i64, char = ctypes.c_int64, ctypes.c_char
     args = {"dstevd": [ctypes.c_int, char, i64, ptr, ptr, ptr, i64],
             "dsbevd": [ctypes.c_int, char, char, i64, i64, ptr, i64, ptr,
-                       ptr, i64]}
+                       ptr, i64],
+            "dbdsdc": [ctypes.c_int, char, char, i64, ptr, ptr, ptr, i64,
+                       ptr, i64, ptr, ctypes.POINTER(i64)]}
     found = {r: getattr(handle, sym) for r, sym in want.items()}
     for routine, fn in found.items():
         fn.argtypes, fn.restype = args[routine], i64
@@ -236,42 +231,64 @@ def eig_banded(band):
 
 
 def chain_eig(band):
-    """(mu, V, paired) of a real symmetric chain in the lower band storage
-    of operators.process_generator, shape (b+1, L): the one eigensolve of
-    the package. Bandwidth 1 goes to LAPACK dstevd, which gives
-    eig_banded's bits without its product with the reduction matrix, and
-    a wider band to dsbevd (eig_banded), both of numpy's OpenBLAS
-    (_find_lapacke); a single site is its own eigenvector. A non-finite
-    band raises DomainError; a nonzero LAPACK info, or no such library in
-    the process, ConfigurationError. A bipartite chain (zero diagonal,
-    couplings at odd offsets only) has exact pairs (mu, v), (-mu, S v),
-    S = diag((-1)^i) (Coulson & Rushbrooke, Proc. Camb. Phil. Soc. 36,
-    193 (1940)): it comes back as its mu >= 0 half with paired=True, an
-    odd length's zero mode first, with mu = 0.0 and odd entries 0.0. Any
-    other chain comes back whole, mu ascending.
+    """(mu, X, Y) of a real symmetric chain in the lower band storage of
+    operators.process_generator, shape (b+1, L): the one eigensolve of the
+    package (_find_lapacke). A non-finite band raises DomainError; a
+    nonzero LAPACK info, or no LAPACK, ConfigurationError.
+
+    A bipartite chain (zero diagonal, couplings at odd offsets only) has
+    exact pairs (mu, (u, v)/sqrt2), (-mu, (u, -v)/sqrt2), u on its even
+    sites and v on its odd ones (Coulson & Rushbrooke, Proc. Camb. Phil.
+    Soc. 36, 193 (1940)): it comes back as its mu >= 0 half, ascending,
+    with X = u and Y = v, columns of unit norm, an odd length's zero mode
+    first, with mu and Y's column 0.0. A tridiagonal one is the SVD of its
+    lower bidiagonal B[k, k] = e[2k], B[k+1, k] = e[2k+1], padded with a
+    zero column at odd length, by dbdsdc, which keeps small mu to high
+    relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873
+    (1990)); a wider one is dsbevd's (eig_banded) positive half V as
+    X = sqrt2 V[0::2], Y = sqrt2 V[1::2]. Any other chain comes back
+    whole, mu ascending, with its eigenvectors X and Y None, from dstevd
+    (eig_banded's bits) when tridiagonal and from dsbevd otherwise.
     """
     if not np.isfinite(band).all():
         raise DomainError("chain_eig needs a finite band")
-    if band.shape[1] == 1:
-        mu, V, info = band[0].copy(), np.ones((1, 1)), 0
-    elif band.shape[0] == 2:
-        L = band.shape[1]
-        mu, e = np.array(band, dtype=float)  # dstevd overwrites both
-        V = np.empty((L, L), order="F")
-        info = _lapacke("dstevd")(_COL_MAJOR, b"V", L, _ref(mu), _ref(e),
-                                  _ref(V), L)
+    L = band.shape[1]
+    paired = not band[0].any() and not band[2::2].any()
+    if paired and band.shape[0] == 2:
+        h = (L + 1) // 2
+        # dbdsdc overwrites both and reads h-1 of e, which never is empty
+        d, e = band[1, ::2].copy(), np.zeros(h)
+        e[: h - 1] = band[1, 1: L - 1: 2]
+        if L % 2:
+            d[-1] = 0.0  # the padded column; band[1, L-1] lies past the end
+        U, VT = np.empty((h, h), order="F"), np.empty((h, h), order="F")
+        info = _lapacke("dbdsdc")(_COL_MAJOR, b"L", b"I", h, _ref(d),
+                                  _ref(e), _ref(U), h, _ref(VT), h, None,
+                                  None)
+        mu, X, Y = d[::-1], U[:, ::-1], VT[::-1, : L // 2].T  # ascending
     else:
-        mu, V, info = eig_banded(band)
+        if L == 1:
+            mu, X, info = band[0].copy(), np.ones((1, 1)), 0
+        elif band.shape[0] == 2:
+            mu, e = np.array(band, dtype=float)  # dstevd overwrites both
+            X = np.empty((L, L), order="F")
+            info = _lapacke("dstevd")(_COL_MAJOR, b"V", L, _ref(mu), _ref(e),
+                                      _ref(X), L)
+        else:
+            mu, X, info = eig_banded(band)
+        if paired:
+            mu, V = mu[L // 2:], X[:, L // 2:]
+            X, Y = np.sqrt(2.0) * V[::2], np.sqrt(2.0) * V[1::2]
+            if L % 2:
+                X[:, 0] = V[::2, 0]  # the zero mode is its own partner
+        else:
+            Y = None
     if info:
         raise ConfigurationError("LAPACK failed on a chain (info %d)" % info)
-    paired = not band[0].any() and not band[2::2].any()
-    if paired:
-        h = band.shape[1] // 2
-        mu, V = mu[h:], V[:, h:]
-        if band.shape[1] % 2:
-            mu[0] = 0.0
-            V[1::2, 0] = 0.0
-    return mu, V, paired
+    if paired and L % 2:
+        mu[0] = 0.0
+        Y[:, 0] = 0.0
+    return mu, X, Y
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +454,11 @@ def _exchange_chains(q, N: int, band, offsets, scale):
     odd g it mixes the parities of j and stays whole. A fold stays
     bipartite only at odd length, as at even length its central coupling
     lands on the diagonal. A bipartite chain comes back as its positive
-    half: the partner (-mu, S v) of (mu, v) keeps the image (U0, k0) of
-    v's even sites i and flips the sign of (U1, k1), that of its odd ones
-    (_image), and a zero mode enters once, as C = a, D = 0.
+    half with the halves u, v of its pairs on the even and odd sites i
+    (chain_eig), each of unit norm, which go to _image as they come: the
+    partner (-mu, (u, -v)/sqrt2) of (mu, (u, v)/sqrt2) keeps the image
+    (U0, k0) of u and flips the sign of (U1, k1), that of v, and a zero
+    mode, whose v is 0.0, enters once, as C = a, D = 0.
 
     For even g every site has the parity of c, and a pair's C = a+b and
     D = a-b are 2 (U0 k0 + U1 k1) and 2 (U0 k1 + U1 k0). For odd g the
@@ -467,18 +486,21 @@ def _exchange_chains(q, N: int, band, offsets, scale):
         if m == c and even:
             pos, cb = pos[: (pos.size + 1) // 2], _fold(
                 cb, _signs(c) * _signs(N - c))
-        mu, V, paired = chain_eig(cb)
+        mu, X, Y = chain_eig(cb)
+        paired = Y is not None
         if even and 2 * pos[-1] == N:
-            V[-1] *= np.sqrt(0.5)  # the middle site is its own mirror
+            # the middle site is its own mirror; it is the chain's last
+            (Y if paired and pos.size % 2 == 0 else X)[-1] *= np.sqrt(0.5)
         # exact: merged mirror columns are twice the chain's on the rows of
-        # N's parity, and a pair's C = a+b, D = a-b twice its half-images
-        w = scale * 2.0 ** ((m != c or even) + paired)
+        # N's parity
+        w = scale * 2.0 ** (m != c or even)
         if even and not paired:
-            U, kappa = _image(q, N, rows, pos, V, w)
+            U, kappa = _image(q, N, rows, pos, X, w)
             C = D = U * kappa
         else:
-            (U0, k0), (U1, k1) = (_image(q, N, rows, pos[s::2], V[s::2], w)
-                                  for s in (0, 1))
+            halves = (X, Y) if paired else (X[::2], X[1::2])
+            (U0, k0), (U1, k1) = (_image(q, N, rows, pos[s::2], V, w)
+                                  for s, V in enumerate(halves))
             C = U0 * k0 + U1 * k1
             if even:
                 D = U0 * k1 + U1 * k0
@@ -488,8 +510,6 @@ def _exchange_chains(q, N: int, band, offsets, scale):
                 D[N % 2::2] = 0.0
                 if not paired:
                     C = D = C + D
-            if paired and pos.size % 2:
-                C[:, 0] *= 0.5  # the zero mode is its own partner
         mus.append(mu)
         Cs.append(C)
         Ds.append(D)
@@ -566,14 +586,16 @@ class GenericEngine:
         g sqrt(n-m) sqrt(2m+1) sqrt(2m+2)   (degenerate)
         g sqrt(n-m) sqrt(m+1) sqrt(m+1)     (non-degenerate),
 
-    a bipartite chain that chain_eig gives as its mu >= 0 half. From site
-    0 a pair (mu, v), (-mu, S v) evolves as 2 v_0 v cos(mu t) on the even
-    sites and -2i v_0 v sin(mu t) on the odd ones: the blocks' pair form
-    (C, D, mu) of phase_product, C = 2 v_0 v on the even sites, D on the
-    odd ones, and a zero mode once, as C = v_0 v. The record keeps only
-    those rows, n//2 + 1 of each (D's last one 0.0 past the chain's end
-    for an even n), column-major, the layout whose product rows keep
-    their bits whatever the number of rows. The engine keeps only the
+    a bipartite chain that chain_eig gives as its mu >= 0 half, with the
+    halves U and V of its pairs (mu, (u, v)/sqrt2), (-mu, (u, -v)/sqrt2)
+    on the even and odd sites. From site 0 a pair evolves as
+    u_0 u cos(mu t) on the even sites and -i u_0 v sin(mu t) on the odd
+    ones: the blocks' pair form (C, D, mu) of phase_product, C = u_0 U
+    and D = u_0 V straight from the halves, a zero mode, whose v is 0.0,
+    included. The record keeps only those rows, n//2 + 1 of each (D's
+    last one 0.0 past the chain's end for an even n), column-major, the
+    layout whose product rows keep their bits whatever the number of
+    rows. The engine keeps only the
     level it solved last, as a sweep evolves each level once. Every
     mode's occupation is fixed by m, so each reduced state is diagonal.
 
@@ -605,14 +627,10 @@ class GenericEngine:
             # last bits of the couplings and with them the output bytes
             band[1, :n] = self.process.g * np.sqrt(n - m) * np.sqrt(s + 1)
             band[1, :n] *= np.sqrt(s + self.step)
-            mu, V, _ = chain_eig(band)
-            h = n // 2 + 1
-            C = np.zeros((h, mu.size), order="F")
-            D = np.zeros((h, mu.size), order="F")
-            np.multiply(V[::2], 2.0 * V[0], out=C)
-            np.multiply(V[1::2], 2.0 * V[0], out=D[: (n + 1) // 2])
-            if n % 2 == 0:
-                C[:, 0] *= 0.5  # a zero mode enters once
+            mu, X, Y = chain_eig(band)
+            C = np.multiply(X, X[0], order="F")
+            D = np.zeros(C.shape, order="F")
+            np.multiply(Y, X[0], out=D[: Y.shape[0]])
             self._components = {n: (C, D, mu)}
         return self._components[n]
 

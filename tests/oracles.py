@@ -19,7 +19,8 @@ every intermediate, the reference for the sweeps' reused buffers, and
 phased_amplitudes the full complex view of a block engine's amplitudes,
 row phase included, that the dense oracles are compared with, and
 pump_level_marginals every mode's distribution of a pump level, where the
-engine builds the signal's alone.
+engine builds the signal's alone. sturm_eigenvalues is a long-double
+bisection reference for the eigenvalues of a chain.
 """
 
 import math
@@ -324,6 +325,36 @@ def hermitian_eig(op):
         raise DomainError("operator is not Hermitian within %g of its scale"
                           % HERMITICITY_TOL)
     return eigh(op)
+
+
+def sturm_eigenvalues(diag, off, ks):
+    """Eigenvalues ks (0-based, ascending order) of the real symmetric
+    tridiagonal matrix with diagonal diag and couplings off, as long
+    doubles, by Sturm bisection in long double: the number of eigenvalues
+    below x is the number of negative pivots of the LDL^T factorization of
+    T - x, where a zero pivot counts as the smallest positive one and a
+    pivot past it may overflow to -inf. Each bisection runs until its
+    midpoint no longer moves."""
+    a = np.asarray(diag, dtype=np.longdouble)
+    b2 = np.asarray(off, dtype=np.longdouble)[: a.size - 1] ** 2
+    ks = np.asarray(ks)
+    r = np.abs(a).max() + 2.0 * np.sqrt(b2.max(initial=0.0))  # Gershgorin
+    lo, hi = np.full(ks.size, -r), np.full(ks.size, r)
+    tiny = np.finfo(np.longdouble).tiny
+    while True:
+        x = (lo + hi) / 2
+        moved = (x > lo) & (x < hi)
+        if not moved.any():
+            return lo
+        q = a[0] - x
+        below = (q < 0).astype(int)
+        with np.errstate(over="ignore"):
+            for i in range(1, a.size):
+                q = a[i] - x - b2[i - 1] / np.where(q == 0.0, tiny, q)
+                below += q < 0
+        right = below <= ks  # eigenvalue k lies at or above x
+        lo = np.where(moved & right, x, lo)
+        hi = np.where(moved & ~right, x, hi)
 
 
 def unitary_of(op, theta):

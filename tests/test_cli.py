@@ -279,8 +279,9 @@ def test_oracle_cutoff_below_a_coherent_init_exits_three(tmp_path, capsys):
 
 
 def test_failed_eigensolve_exits_three(tmp_path, capsys, monkeypatch):
-    # a LAPACK routine's nonzero info is a ConfigurationError, not a traceback
-    monkeypatch.setitem(evolution._LAPACKE, "dstevd", lambda *args: 1)
+    # a LAPACK routine's nonzero info is a ConfigurationError, not a
+    # traceback; every pump chain is bipartite, so pdc solves by dbdsdc
+    monkeypatch.setitem(evolution._LAPACKE, "dbdsdc", lambda *args: 1)
     rc = run("pdc", "--variant", "degenerate", "--nbar", 0.5,
              "--gt", "0:1:3", "--out", tmp_path / "z.csv")
     assert rc == 3
@@ -301,7 +302,8 @@ def test_missing_openblas_exits_three(tmp_path, capsys, monkeypatch):
     assert rc == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "scipy_LAPACKE_dstevd64_" in lines[0]
+    for routine in ("dstevd", "dsbevd", "dbdsdc"):
+        assert "scipy_LAPACKE_%s64_" % routine in lines[0]
     assert not (tmp_path / "z.csv").exists()
 
 
@@ -441,10 +443,12 @@ def test_optomech_roundtrip_smoke(tmp_path):
      "0:6.283:8000"),
     ("max-efficiency", "--process", "cross-kerr", "--nbar", 40,
      "--theta-max", "6.283185307179586", "--grid", 100, "--tail-tol", "1e-3"),
+    # the full-size pump, 567 levels, about 2 s a run
+    ("pdc", "--variant", "degenerate", "--nbar", 20, "--gt", "0:3.1416:50"),
 ], ids=["wc-sweep-exchange", "pdc-degenerate", "optomech-exchange",
         "max-efficiency-exchange", "wc-sweep-exchange-k3",
         "wc-sweep-exchange-k1", "pdc-non-degenerate", "coherence-cross-kerr",
-        "max-efficiency-cross-kerr"])
+        "max-efficiency-cross-kerr", "pdc-degenerate-full"])
 def test_bytes_do_not_depend_on_blas_threads(tmp_path, argv):
     # each thread count needs its own process: BLAS reads it at load time
     digests = set()

@@ -17,7 +17,8 @@ from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
 from oracles import (dense_generator, eig_block_amplitudes,
                      fresh_phase_product, hermitian_eig, mzi_unitary,
                      pdc_tensor_marginals, phased_amplitudes,
-                     pump_level_marginals, tensor_mzi_state)
+                     pump_level_marginals, sturm_eigenvalues,
+                     tensor_mzi_state)
 
 HYBRID = Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))
 # chain cases the single-order processes do not reach: a stride-2 band of
@@ -523,34 +524,77 @@ def _near(V, ref_V, ulps):
     return bool(np.all(np.abs(V - sign * ref_V) <= ulps * scale))
 
 
+def _pair_floors(band, mu, X, Y):
+    """(residual, orthonormality) of a paired tridiagonal chain_eig result:
+    max|T V - V diag(mu)| in eps max|mu| for the unit eigenvectors
+    V = (X, Y)/sqrt2 (the zero mode's V = X) interleaved on the chain, and
+    max|A^T A - 1| in eps over X and Y's columns (the zero mode's Y,
+    0.0, left out)."""
+    L = band.shape[1]
+    T = np.diag(band[1, : L - 1], 1)
+    T += T.T
+    V = np.empty((L, mu.size))
+    V[::2], V[1::2] = X * np.sqrt(0.5), Y * np.sqrt(0.5)
+    if L % 2:
+        V[::2, 0] = X[:, 0]
+    eps = np.finfo(float).eps
+    scale = eps * max(np.abs(mu).max(), np.finfo(float).tiny)  # L = 1: 0.0
+    res = np.abs(T @ V - V * mu).max() / scale
+    orth = max(np.abs(A.T @ A - np.eye(A.shape[1])).max(initial=0.0) / eps
+               for A in (X, Y[:, L % 2:]))
+    return res, orth
+
+
 def test_chain_eig_is_eig_banded_on_tridiagonal_chains():
-    # dstevd gives eig_banded's bits on a tridiagonal chain; a bipartite
-    # chain keeps the mu >= 0 half, zero mode first. A wider chain goes to
-    # dsbevd, as eig_banded's does, but in another OpenBLAS build (numpy's
-    # 0.3.31 against scipy's 0.3.30 here): its eigenvalues are equal, and
-    # its eigenvectors within 8 ulp of each column's scale, where at most
-    # 5.1 ulp was measured (first at band (3, 106))
+    # dstevd gives eig_banded's bits on an unpaired tridiagonal chain. A
+    # wider chain goes to dsbevd, as eig_banded's does, but in another
+    # OpenBLAS build (numpy's 0.3.31 against scipy's 0.3.30 here): its
+    # eigenvalues are equal, and its eigenvectors within 8 ulp of each
+    # column's scale, where at most 5.1 ulp was measured (first at band
+    # (3, 106)); a wide bipartite chain's halves are sqrt2 times its
+    # positive half's eigenvectors on the even and odd sites.
+    # A bipartite tridiagonal chain is a bidiagonal SVD (dbdsdc), whose
+    # vectors differ from eig_banded's by up to 1.8e7 ulp of a column's
+    # scale where mu cluster (at L = 196), so no vector-by-vector
+    # comparison holds; it meets these floors instead, over all the chains
+    # here (the largest value measured on them in brackets):
+    # - residual max|T V - V diag(mu)| <= 32 eps max|mu| (30.9);
+    # - orthonormality max|X^T X - 1|, max|Y^T Y - 1| <= 20 eps (18.0, 19.5);
+    # - mu within 25 ulp of max|mu| of eig_banded's mu >= 0 half (21);
+    # - an odd length's zero mode has mu and Y's column exactly 0.0.
     rng = np.random.default_rng(11)
     for L in range(1, 201):
         chains = list(_tridiagonal_chains(rng, L))
         if L % 7 == 1 or L in (2, 3, 4):
             chains += list(_wide_chains(rng, L))
         for band in chains:
-            mu, V, paired = ev.chain_eig(band)
+            mu, X, Y = ev.chain_eig(band)
             ref_mu, ref_V = eig_banded(band, lower=True)
-            same = np.array_equal if band.shape[0] == 2 else \
-                (lambda a, b: _near(a, b, 8.0))
-            assert paired == (not band[0].any() and not band[2::2].any())
-            if paired:
-                h = L // 2
-                ref_mu, ref_V = ref_mu[h:], ref_V[:, h:]
-                if L % 2:
-                    assert mu[0] == 0.0 and not V[1::2, 0].any()
-                    assert same(V[::2, :1], ref_V[::2, :1]), (L, band.shape)
-                    mu, V = mu[1:], V[:, 1:]
-                    ref_mu, ref_V = ref_mu[1:], ref_V[:, 1:]
-            assert np.array_equal(mu, ref_mu), (L, band.shape)
-            assert same(V, ref_V), (L, band.shape)
+            paired = not band[0].any() and not band[2::2].any()
+            assert (Y is not None) == paired, (L, band.shape)
+            if not paired:
+                same = np.array_equal if band.shape[0] == 2 else \
+                    (lambda a, b: _near(a, b, 8.0))
+                assert np.array_equal(mu, ref_mu), (L, band.shape)
+                assert same(X, ref_V), (L, band.shape)
+                continue
+            ref_mu, ref_V = ref_mu[L // 2:], ref_V[:, L // 2:]
+            assert X.shape == ((L + 1) // 2, mu.size)
+            assert Y.shape == (L // 2, mu.size)
+            if L % 2:
+                assert mu[0] == 0.0 and not Y[:, 0].any(), (L, band.shape)
+            if band.shape[0] == 2:
+                res, orth = _pair_floors(band, mu, X, Y)
+                assert res <= 32.0 and orth <= 20.0, (L, res, orth)
+                assert np.abs(mu - ref_mu).max() <= \
+                    25.0 * np.spacing(np.abs(mu).max()), L
+                continue
+            ref = np.sqrt(2.0) * np.vstack([ref_V[::2], ref_V[1::2]])
+            if L % 2:
+                ref[:, 0] = 0.0
+                ref[: X.shape[0], 0] = ref_V[::2, 0]
+            assert np.array_equal(mu[L % 2:], ref_mu[L % 2:]), (L, band.shape)
+            assert _near(np.vstack([X, Y]), ref, 8.0), (L, band.shape)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -562,33 +606,39 @@ def test_chain_eig_rejects_a_non_finite_band(bad, rows):
         ev.chain_eig(band)
 
 
-@pytest.mark.parametrize("routine,rows", [("dstevd", 2), ("dsbevd", 4)])
+@pytest.mark.parametrize("routine,rows", [("dstevd", 2), ("dsbevd", 4),
+                                          ("dbdsdc", 2)])
 def test_chain_eig_raises_on_a_failed_solve(monkeypatch, routine, rows):
     def failed(*args):
         return 3
 
+    band = np.ones((rows, 6))
+    if routine == "dbdsdc":
+        band[0] = 0.0  # bipartite
     monkeypatch.setitem(ev._LAPACKE, routine, failed)
     with pytest.raises(ConfigurationError, match="LAPACK"):
-        ev.chain_eig(np.ones((rows, 6)))
+        ev.chain_eig(band)
 
 
 def test_chain_eig_without_numpys_openblas_raises(monkeypatch, tmp_path):
     # a process that maps no OpenBLAS exporting LAPACKE (a numpy built on
     # MKL or Accelerate) gets a ConfigurationError that names what is
-    # missing, on its first chain solve
+    # missing, all three routines, on its first chain solve
     maps = tmp_path / "maps"
     maps.write_text("00400000-00452000 r-xp 00000000 08:02 173521 "
                     "/usr/lib/libm.so.6\n")
     monkeypatch.setattr(ev, "_LAPACKE", ev._find_lapacke(str(maps)))
     assert ev.chain_eig(np.ones((2, 1)))[0] == 1.0  # no solve on one site
-    for rows in (2, 4):
-        with pytest.raises(ConfigurationError,
-                           match="scipy_LAPACKE_dstevd64_"):
-            ev.chain_eig(np.ones((rows, 6)))
+    for band in (np.ones((2, 6)), np.ones((4, 6)),
+                 np.vstack([np.zeros(6), np.ones(6)])):
+        with pytest.raises(ConfigurationError) as err:
+            ev.chain_eig(band)
+        for routine in ("dstevd", "dsbevd", "dbdsdc"):
+            assert "scipy_LAPACKE_%s64_" % routine in str(err.value)
 
 
-SOLVERS = {"_lapacke", "dstevd", "dsbevd", "eig_banded", "eigh_tridiagonal",
-           "eigh"}
+SOLVERS = {"_lapacke", "dstevd", "dsbevd", "dbdsdc", "eig_banded",
+           "eigh_tridiagonal", "eigh"}
 SRC_TREES = {path.stem: ast.parse(path.read_text()) for path in
              sorted(pathlib.Path(ev.__file__).parent.glob("*.py"))}
 
@@ -713,6 +763,25 @@ def test_degenerate_pdc_high_pump_component_is_hermitian_to_scale():
     sig = eng.mode_distributions(362, grid)
     assert np.abs(sig.sum(axis=0) - 1.0).max() < 1e-12
     assert not sig[1::2].any()
+
+
+def test_degenerate_pump_chain_keeps_its_smallest_mu_to_a_few_ulp():
+    # the bidiagonal SVD keeps small singular values to high relative
+    # accuracy: on pump level n = 200 the three smallest positive mu lie
+    # within 8 ulp of a long-double Sturm bisection. Measured 4.5, 2.0 and
+    # 0.7 ulp; the whole-chain dstevd solve gave 15.5, 11.0 and 15.7 here
+    # (38.6, 27.3 and 37.9 at n = 566)
+    n = 200
+    C, D, mu = ev.GenericEngine(DegeneratePDC())._component(n)
+    m = np.arange(n, dtype=float)
+    band = np.zeros((2, n + 1))
+    band[1, :n] = np.sqrt(n - m) * np.sqrt(2.0 * m + 1.0)  # the engine's order
+    band[1, :n] *= np.sqrt(2.0 * m + 2.0)
+    assert np.array_equal(ev.chain_eig(band)[0], mu)
+    assert mu[0] == 0.0  # the zero mode; the chain's spectrum has it at n/2
+    ref = sturm_eigenvalues(band[0], band[1], n // 2 + np.arange(1, 4))
+    err = (mu[1:4].astype(np.longdouble) - ref) / np.spacing(mu[1:4])
+    assert np.all(np.abs(err) <= 8.0), err
 
 
 def test_pdc_identity_at_zero_time():
