@@ -157,7 +157,9 @@ def _find_lapacke(maps="/proc/self/maps"):
     """{routine: function} of LAPACKE dstevd, dsbevd and dbdsdc in numpy's
     bundled OpenBLAS, found among the libraries that maps (this process's
     memory map) lists, or, when there is none, a message naming what is
-    missing.
+    missing. dbdsdc is bound in its _work form, which takes its workspace
+    from the caller, where the plain form allocates and frees it on every
+    call.
 
     numpy's wheels bundle an ILP64 OpenBLAS (scipy-openblas64), which
     exports LAPACKE as scipy_LAPACKE_<routine>64_, with 64-bit integers;
@@ -165,8 +167,9 @@ def _find_lapacke(maps="/proc/self/maps"):
     loaded again. Another BLAS (MKL, Accelerate) or a 32-bit-integer
     OpenBLAS exports no such names.
     """
-    want = {r: "scipy_LAPACKE_%s64_" % r for r in ("dstevd", "dsbevd",
-                                                   "dbdsdc")}
+    want = {"dstevd": "scipy_LAPACKE_dstevd64_",
+            "dsbevd": "scipy_LAPACKE_dsbevd64_",
+            "dbdsdc": "scipy_LAPACKE_dbdsdc_work64_"}
     try:
         with open(maps, encoding="utf-8") as fh:
             libs = sorted({ln.split(maxsplit=5)[5].strip() for ln in fh
@@ -190,7 +193,8 @@ def _find_lapacke(maps="/proc/self/maps"):
             "dsbevd": [ctypes.c_int, char, char, i64, i64, ptr, i64, ptr,
                        ptr, i64],
             "dbdsdc": [ctypes.c_int, char, char, i64, ptr, ptr, ptr, i64,
-                       ptr, i64, ptr, ctypes.POINTER(i64)]}
+                       ptr, i64, ptr, ctypes.POINTER(i64), ptr,
+                       ctypes.POINTER(i64)]}
     found = {r: getattr(handle, sym) for r, sym in want.items()}
     for routine, fn in found.items():
         fn.argtypes, fn.restype = args[routine], i64
@@ -230,11 +234,15 @@ def eig_banded(band):
     return mu, V, info
 
 
-def chain_eig(band):
+def chain_eig(band, pool: BufferPool | None = None):
     """(mu, X, Y) of a real symmetric chain in the lower band storage of
     operators.process_generator, shape (b+1, L): the one eigensolve of the
     package (_find_lapacke). A non-finite band raises DomainError; a
-    nonzero LAPACK info, or no LAPACK, ConfigurationError.
+    nonzero LAPACK info, or no LAPACK, ConfigurationError. pool
+    (operators.BufferPool, a fresh one by default) holds dbdsdc's
+    workspace, 3 h^2 + 4 h doubles and 8 h integers for h = (L+1)//2: a
+    loop's chains grow solve by solve, and a fresh workspace above glibc's
+    mmap threshold would be mapped and faulted in on every one.
 
     A bipartite chain (zero diagonal, couplings at odd offsets only) has
     exact pairs (mu, (u, v)/sqrt2), (-mu, (u, -v)/sqrt2), u on its even
@@ -262,9 +270,13 @@ def chain_eig(band):
         if L % 2:
             d[-1] = 0.0  # the padded column; band[1, L-1] lies past the end
         U, VT = np.empty((h, h), order="F"), np.empty((h, h), order="F")
+        # one buffer: the doubles, then the 64-bit integers
+        nw = 3 * h * h + 4 * h
+        work = (pool or BufferPool()).take("dbdsdc", (nw + 8 * h,))
         info = _lapacke("dbdsdc")(_COL_MAJOR, b"L", b"I", h, _ref(d),
                                   _ref(e), _ref(U), h, _ref(VT), h, None,
-                                  None)
+                                  None, _ref(work),
+                                  ctypes.c_int64.from_buffer(work, 8 * nw))
         mu, X, Y = d[::-1], U[:, ::-1], VT[::-1, : L // 2].T  # ascending
     else:
         if L == 1:
@@ -309,13 +321,13 @@ class BlockEngine:
     with c_N^2 = 2^(N mod 2) (operators.ladder_walk); every entry of r_N a
     block reads is gathered from q_N (operators.rung_entries), and no full
     rung is formed.
-    Block N keeps (C, D, mu, rows), C and D real, and its amplitudes are
-    phase_j [C cos(theta mu) - i D sin(theta mu)]_j on the rows j of the
-    slice rows (phase_product), with the row phase phase_j = (-i)^j on the
-    rows j of N's parity and (-i)^(j-1) on the others. Column l of C and D
-    comes from the input's components on generator eigenvectors, carried
-    through the second splitter, with the columns of mirror eigenvectors
-    of one eigenvalue merged. The generator comes as a band
+    Block N keeps (C, D, mu, rows, sign), C and D real, and its amplitudes
+    are phase_j [C cos(theta mu) - i D sin(theta mu)]_j on the rows j of
+    the slice rows (phase_product), with the row phase phase_j = (-i)^j on
+    the rows j of N's parity and (-i)^(j-1) on the others. Column l of C
+    and D comes from the input's components on generator eigenvectors,
+    carried through the second splitter, with the columns of mirror
+    eigenvectors of one eigenvalue merged. The generator comes as a band
     (operators.process_generator): a block with no couplings is diagonal,
     and its columns m and N-m merge, so that only the rows of N's parity
     are nonzero, where the merged column is 2 r_N[:, m] exactly; any other
@@ -327,10 +339,20 @@ class BlockEngine:
     of N's parity, N//2 + 1 at most, as the mirror merge makes the others
     exact zeros; an odd-stride block keeps all N+1 rows, those off N's
     parity divided by i (_exchange_chains). A diagonal block keeps N//2 + 1
-    columns. The engine keeps the highest quarter built so far
-    (_top): a new block takes ladder steps from it, or from r_0 when it
-    lies below that one. A process with no photon-number blocks raises
-    ConfigurationError on its first block.
+    columns. Where N is even and the rows are those of N's parity, the
+    row mirror r_N[N-j, m] = (-1)^m r_N[j, m] maps them onto themselves,
+    and every column's m share one parity: (-1)^m for the diagonal's
+    merged column m, (-1)^c for a column of chain c (for even g a merged
+    mirror chain has the parity of c). Such a record keeps only its rows
+    j <= N/2, ceil((N//2 + 1)/2) of them, and sign, that mirror sign per
+    column; any other keeps sign None. A middle row j = N/2 is kept, with
+    exact zeros on the columns of sign -1. amplitudes rebuilds the rows
+    j > N/2 into the grid's pool (_full) before its one product, so
+    every product keeps the bits of a full-height record. The engine
+    keeps the highest quarter built so far (_top): a new block takes
+    ladder steps from it, or from r_0 when it lies below that one. A
+    process with no photon-number blocks raises ConfigurationError on its
+    first block.
     """
 
     def __init__(self, process: ProcessSpec):
@@ -352,7 +374,8 @@ class BlockEngine:
         band = process_generator(self.process, N)
         offsets = [d for d in range(1, band.shape[0]) if band[d].any()]
         if offsets:
-            self._blocks[N] = _exchange_chains(q, N, band, offsets, inv_c2)
+            self._blocks[N] = _exchange_chains(q, N, band, offsets, inv_c2,
+                                               self._scratch)
             return
         # diagonal generator: it and the input column r_N[:, 0] are
         # symmetric under j -> N-j, so columns m and N-m merge; on the rows
@@ -361,13 +384,33 @@ class BlockEngine:
         rows = slice(N % 2, N + 1, 2)
         w = inv_c2 * q[:, 0]
         w[: N + 1 - h] *= 2.0  # an even N's middle column is its own mirror
-        C = np.multiply(rung_entries(q, N, rows, np.arange(h)), w, order="C")
-        self._blocks[N] = (C, C, band[0, :h], rows)
+        kept, m = _kept_rows(N, rows), np.arange(h)
+        C = np.multiply(rung_entries(q, N, kept, m), w, order="C")
+        self._blocks[N] = (C, C, band[0, :h], rows,
+                           None if kept is rows else 1.0 - 2.0 * (m % 2))
 
     def _factor(self, N: int):
         if N not in self._blocks:
             self._build(N)
         return self._blocks[N]
+
+    def _full(self, N: int, pool: BufferPool):
+        """Block N's (C, D, mu) on all the rows rows(N). A half record's
+        rows j > N/2 are rebuilt into pool, each row N-j times its
+        column's mirror sign, exactly, before the one product: a product
+        split by rows changes the bits of some cells."""
+        C, D, mu, _, sign = self._factor(N)
+        if sign is None:
+            return C, D, mu
+        h, t = N // 2 + 1, C.shape[0]
+        full = []
+        for key, half in zip("CD", (C,) if D is C else (C, D)):
+            F = pool.take(key, (h, half.shape[1]))
+            F[:t] = half
+            # an odd h's middle row is stored and is its own mirror
+            np.multiply(half[::-1][h % 2:], sign, out=F[t:])
+            full.append(F)
+        return full[0], full[-1], mu
 
     def rows(self, N: int) -> slice:
         """The rows j that probs(N, .) returns; the others are exact zeros."""
@@ -378,7 +421,7 @@ class BlockEngine:
         the amplitudes on the rows rows(N) without the row phase, which no
         modulus depends on; a view that the grid's next product may
         overwrite."""
-        return phase_product(*self._factor(N)[:3], grid)
+        return phase_product(*self._full(N, grid.pool), grid)
 
     def probs(self, N: int, grid: PhaseGrid) -> np.ndarray:
         """Squared moduli on the rows rows(N), shape (rows, grid.size).
@@ -391,6 +434,14 @@ class BlockEngine:
         P = self.amplitudes(N, grid)
         P *= P
         return np.add(P[0], P[1], out=P[0] if P.flags.c_contiguous else None)
+
+
+def _kept_rows(N: int, rows: slice) -> slice:
+    """The rows that block N's record keeps of rows, the slice rows(N):
+    where N is even and rows are those of N's parity, which the row
+    mirror j -> N-j maps onto themselves, those j <= N/2; otherwise
+    rows, the same slice object."""
+    return slice(0, N // 2 + 1, 2) if N % 2 == 0 and rows.step == 2 else rows
 
 
 def _signs(m):
@@ -438,10 +489,11 @@ def _fold(band, sigma):
     return fb
 
 
-def _exchange_chains(q, N: int, band, offsets, scale):
-    """(C, D, mu, rows) of block N on its chains, one chain or mirror pair
-    at a time; q is the quarter of the rung r_N, band the generator
-    (operators.process_generator), with couplings at the offsets offsets.
+def _exchange_chains(q, N: int, band, offsets, scale, pool: BufferPool):
+    """(C, D, mu, rows, sign) of block N on its chains, one chain or mirror
+    pair at a time; q is the quarter of the rung r_N, band the generator
+    (operators.process_generator), with couplings at the offsets offsets,
+    and pool the engine's work buffers.
 
     The generator couples only sites j an offset apart, so it splits into
     g real chains j = c, c+g, ..., g the gcd of the offsets, each a band
@@ -471,12 +523,17 @@ def _exchange_chains(q, N: int, band, offsets, scale):
     keeps divided by i: a pair's C is 2 (U0 k0 + U1 k1) on the former,
     its D 2 (-1)^c (U1 k0 - U0 k1) on the latter, each 0.0 elsewhere, and
     an unpaired column is C + D.
+
+    For even g and even N, _image gathers only the rows j <= N/2 that
+    the record keeps (_kept_rows), and sign is (-1)^c on chain c's
+    columns (BlockEngine); otherwise sign is None.
     """
     g = math.gcd(*offsets)
     b = max(offsets) // g
     even = g % 2 == 0
     rows = slice(N % 2, N + 1, 2) if even else slice(0, N + 1, 1)
-    mus, Cs, Ds = [], [], []
+    kept = _kept_rows(N, rows)
+    mus, Cs, Ds, parities = [], [], [], []
     for c in range(g):
         m = (N - c) % g
         if m < c:
@@ -486,7 +543,7 @@ def _exchange_chains(q, N: int, band, offsets, scale):
         if m == c and even:
             pos, cb = pos[: (pos.size + 1) // 2], _fold(
                 cb, _signs(c) * _signs(N - c))
-        mu, X, Y = chain_eig(cb)
+        mu, X, Y = chain_eig(cb, pool)
         paired = Y is not None
         if even and 2 * pos[-1] == N:
             # the middle site is its own mirror; it is the chain's last
@@ -495,11 +552,11 @@ def _exchange_chains(q, N: int, band, offsets, scale):
         # N's parity
         w = scale * 2.0 ** (m != c or even)
         if even and not paired:
-            U, kappa = _image(q, N, rows, pos, X, w)
+            U, kappa = _image(q, N, kept, pos, X, w)
             C = D = U * kappa
         else:
             halves = (X, Y) if paired else (X[::2], X[1::2])
-            (U0, k0), (U1, k1) = (_image(q, N, rows, pos[s::2], V, w)
+            (U0, k0), (U1, k1) = (_image(q, N, kept, pos[s::2], V, w)
                                   for s, V in enumerate(halves))
             C = U0 * k0 + U1 * k1
             if even:
@@ -513,9 +570,11 @@ def _exchange_chains(q, N: int, band, offsets, scale):
         mus.append(mu)
         Cs.append(C)
         Ds.append(D)
+        parities.append(np.full(mu.size, c % 2))
     C = np.hstack(Cs)
     D = C if all(a is b for a, b in zip(Cs, Ds)) else np.hstack(Ds)
-    return C, D, np.concatenate(mus), rows
+    sign = None if kept is rows else 1.0 - 2.0 * np.concatenate(parities)
+    return C, D, np.concatenate(mus), rows, sign
 
 
 @functools.lru_cache(maxsize=1)
@@ -614,6 +673,7 @@ class GenericEngine:
             raise ConfigurationError("GenericEngine needs a PDC process spec")
         self.process = process
         self._components: Dict[int, tuple] = {}
+        self._scratch = BufferPool()
 
     def _component(self, n: int):
         """Pump level n's record (C, D, mu): C on the even sites, D on the
@@ -627,7 +687,7 @@ class GenericEngine:
             # last bits of the couplings and with them the output bytes
             band[1, :n] = self.process.g * np.sqrt(n - m) * np.sqrt(s + 1)
             band[1, :n] *= np.sqrt(s + self.step)
-            mu, X, Y = chain_eig(band)
+            mu, X, Y = chain_eig(band, self._scratch)
             C = np.multiply(X, X[0], order="F")
             D = np.zeros(C.shape, order="F")
             np.multiply(Y, X[0], out=D[: Y.shape[0]])

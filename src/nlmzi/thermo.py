@@ -171,12 +171,15 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
 
     Coarse grid scan followed by bracket refinement around the best grid
     point; the best point of a grid is its smallest angle whose W lies
-    within _PEAK_ULPS ulp of the grid's maximum. A sweep evaluating a dozen
-    angles through the cached block factors costs barely more than
-    evaluating one (the cache streaming dominates), so each refinement
-    round re-grids the bracket instead of bisecting point by point. The
-    rounds stop at a bracket narrower than _THETA_XTOL, or at one that a
-    round no longer narrows, where the ulp of theta exceeds it.
+    within _PEAK_ULPS ulp of the grid's maximum. Each refinement round
+    re-grids the bracket on 13 points, narrowing it sixfold. On the kept
+    blocks of cross-phase nbar=40 (280 blocks, tail_tol 1e-3), warm, on a
+    2-vCPU machine, a sweep of 1 angle takes 11-13 ms, of 13 angles 24-29
+    ms and of 100 angles 65-69 ms: a round costs two to three one-point
+    sweeps, less than the four a golden-section search spends on the same
+    narrowing, and the six rounds of a 210-235 ms call take 145-170 ms of
+    it. The rounds stop at a bracket narrower than _THETA_XTOL, or at one
+    that a round no longer narrows, where the ulp of theta exceeds it.
     """
     if not (np.isfinite(theta_max) and theta_max > 0):
         raise DomainError("theta_max must be finite and > 0")

@@ -17,7 +17,8 @@ oscillator moments they check. The closed-form small-nbar work capacities
 fresh_phase_product is the engine's phase kernel with a fresh array for
 every intermediate, the reference for the sweeps' reused buffers, and
 phased_amplitudes the full complex view of a block engine's amplitudes,
-row phase included, that the dense oracles are compared with, and
+row phase included, that the dense oracles are compared with,
+full_factor a block's record on all its rows, and
 pump_level_marginals every mode's distribution of a pump level, where the
 engine builds the signal's alone. sturm_eigenvalues is a long-double
 bisection reference for the eigenvalues of a chain.
@@ -33,8 +34,9 @@ from nlmzi import fock, thermo
 from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.evolution import PhaseGrid
 from nlmzi.optomech import CoherentInit
-from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
-                             exchange_couplings, ladder_walk, rung_entries)
+from nlmzi.operators import (BufferPool, CrossPhase, DegeneratePDC,
+                             Exchange, Hybrid, exchange_couplings,
+                             ladder_walk, rung_entries)
 
 HERMITICITY_TOL = 1e-12
 # (-i)^j for j mod 4: the row phase of B_N = diag((-i)^j) d_N diag(i^m)
@@ -289,6 +291,15 @@ def phased_amplitudes(eng, N, thetas):
     j = np.arange(N + 1)
     Z *= QUARTER_TURNS[(j - (j + N) % 2) % 4, None]
     return Z
+
+
+def full_factor(eng, N):
+    """Block N's record of a BlockEngine on all its rows, (C, D, mu, rows)
+    with rows = eng.rows(N), in fresh arrays: a record kept at half height
+    comes back with its rows past N/2 rebuilt from their mirrors, as every
+    product sees it (BlockEngine._full); C is D where the record's are."""
+    C, D, mu = eng._full(N, BufferPool())
+    return C, D, mu, eng.rows(N)
 
 
 def pump_level_marginals(eng, n, grid):

@@ -15,8 +15,8 @@ from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                              NonDegeneratePDC)
 from oracles import (dense_generator, eig_block_amplitudes,
-                     fresh_phase_product, hermitian_eig, mzi_unitary,
-                     pdc_tensor_marginals, phased_amplitudes,
+                     fresh_phase_product, full_factor, hermitian_eig,
+                     mzi_unitary, pdc_tensor_marginals, phased_amplitudes,
                      pump_level_marginals, sturm_eigenvalues,
                      tensor_mzi_state)
 
@@ -102,29 +102,92 @@ def test_engine_matches_eigensolver_splitter_exchange(process):
 def test_even_order_exchange_keeps_half_the_columns(process):
     # mirror pairs merge and self-mirror chains fold onto the input's sector;
     # the rows of the other parity than N are exact zeros and are not kept,
-    # also on the diagonal blocks below the exchange order
+    # also on the diagonal blocks below the exchange order; an even N keeps
+    # only its rows j <= N/2, whose mirrors N-j the others are
     eng = ev.BlockEngine(process)
     for N in range(300):
         eng.amplitudes(N, ev.PhaseGrid([0.0]))
-        C, D, mu, rows = eng._blocks[N]
+        C, D, mu, rows, sign = eng._blocks[N]
+        h = N // 2 + 1
         assert C.dtype == D.dtype == float
-        assert C.shape == D.shape == (N // 2 + 1, mu.size)
+        assert C.shape == D.shape == ((h + 1) // 2 if N % 2 == 0 else h,
+                                      mu.size)
         assert rows == slice(N % 2, N + 1, 2)
         assert mu.size <= N // 2 + 1
+        assert (sign is None) == (N % 2 == 1)
 
 
 @pytest.mark.parametrize("process", [CrossPhase(s=1), CrossPhase(s=2)])
 def test_cross_phase_keeps_parity_rows_and_half_the_columns(process):
     # columns m and N-m merge, and only the rows j of N's parity are kept:
-    # a real C is D of N//2 + 1 rows and columns; the others are exact zeros
+    # a real C is D of N//2 + 1 columns; the others are exact zeros. An even
+    # N keeps only its rows j <= N/2, ceil((N//2 + 1)/2) of them
     eng = ev.BlockEngine(process)
     for N in range(300):
         amps = phased_amplitudes(eng, N, [0.0, 0.9, 4.1])
-        C, D, mu, rows = eng._blocks[N]
+        C, D, mu, rows, sign = eng._blocks[N]
+        h = N // 2 + 1
         assert C is D and C.dtype == float
-        assert C.shape == (N // 2 + 1, N // 2 + 1) == mu.shape * 2
+        assert C.shape == ((h + 1) // 2 if N % 2 == 0 else h, h)
+        assert mu.shape == (h,)
         assert rows == slice(N % 2, N + 1, 2)
         assert np.all(amps[1 - N % 2::2] == 0.0)
+
+
+@pytest.mark.parametrize("process", [CrossPhase(s=1), CrossPhase(s=2),
+                                     Exchange(k=2),
+                                     Exchange(k=4, allow_high_order=True),
+                                     HYBRID], ids=str)
+def test_half_records_rebuild_the_full_factor(process, monkeypatch):
+    # an even block keeps its rows j <= N/2 and one mirror sign per column;
+    # rebuilt, the factor is the one a build on all the rows of N's parity
+    # makes, value for value (a zero-mode column of D may come back -0.0
+    # where the full build has 0.0), and every product is bit for bit
+    # the full factor's. For N = 0 mod 4 the middle row j = N/2 is its own
+    # mirror: its entries on the columns of sign -1 are exact zeros
+    eng = ev.BlockEngine(process)
+    for N in range(200):
+        eng.rows(N)
+    monkeypatch.setattr(ev, "_kept_rows", lambda N, rows: rows)
+    ref = ev.BlockEngine(process)
+    grid = ev.PhaseGrid(np.linspace(0.0, 7.0, 37))
+    for N in range(200):
+        C, D, mu, rows = full_factor(eng, N)
+        rC, rD, rmu, rrows, rsign = ref._factor(N)
+        assert rsign is None and rows == rrows
+        assert (C is D) == (rC is rD)
+        assert np.array_equal(C, rC) and np.array_equal(D, rD), N
+        assert np.array_equal(mu, rmu)
+        assert np.array_equal(eng.amplitudes(N, grid).view(np.int64),
+                              ref.amplitudes(N, grid).view(np.int64)), N
+        hC, hD, _, _, sign = eng._blocks[N]
+        if N % 2:
+            assert sign is None
+            continue
+        assert np.array_equal(np.abs(sign), np.ones(mu.size))
+        if N % 4 == 0:
+            assert np.all(hC[-1, sign < 0] == 0.0)
+            assert np.all(hD[-1, sign < 0] == 0.0)
+
+
+@pytest.mark.parametrize("process, nbar, blocks, nbytes", [
+    (CrossPhase(), 40.0, 280, 11_113_480),   # bright_scan's bench inputs
+    (Exchange(k=2), 20.0, 142, 1_726_352),   # long_scan's
+], ids=["cross-kerr", "exchange-2"])
+def test_kept_engine_factor_bytes_are_exact(process, nbar, blocks, nbytes):
+    # the kept engine's factors, C and D once each: a cross-phase block keeps
+    # h = N//2 + 1 columns on t rows, t = ceil(h/2) for an even N > 0 and
+    # t = h otherwise, 8 bytes an entry
+    ev.block_engine.cache_clear()
+    ev.sweep_distributions(process, nbar, [0.3], 1e-3)
+    eng = ev.block_engine(process)
+    assert len(eng._blocks) == blocks
+    assert sum(C.nbytes + (D is not C) * D.nbytes
+               for C, D, *_ in eng._blocks.values()) == nbytes
+    if isinstance(process, CrossPhase):
+        h = np.arange(blocks) // 2 + 1
+        t = np.where((np.arange(blocks) % 2 == 0) & (h > 1), (h + 1) // 2, h)
+        assert int((t * h * 8).sum()) == nbytes
 
 
 def test_cross_phase_odd_photon_numbers_are_exact_zeros():
@@ -194,7 +257,7 @@ def test_exchange_pairs_are_built_exactly(process):
             dense_generator(process, N)))).max()
         scale = np.maximum(thetas * max(lmax, 1.0), 1.0)
         assert np.all(np.abs(got - ref).max(axis=0) < 4e-15 * scale), N
-        C, D, mu, rows = eng._blocks[N]
+        C, D, mu, rows = full_factor(eng, N)
         assert np.all(mu[np.any(C != D, axis=0)] >= 0.0)
         near_zero = np.abs(mu) < 1e-8 * max(lmax, 1.0)
         assert np.all(mu[near_zero] == 0.0)
@@ -219,8 +282,7 @@ def test_odd_stride_blocks_are_real(process):
     # and a pair's C is exactly zero off N's parity and its D on it
     eng = ev.BlockEngine(process)
     for N in range(60):
-        rows = eng.rows(N)
-        C, D, mu, _ = eng._blocks[N]
+        C, D, mu, rows = full_factor(eng, N)
         assert C.dtype == D.dtype == np.float64
         if C is D or rows.step == 2:
             continue
@@ -435,7 +497,7 @@ def test_sweep_writes_the_bits_of_fresh_allocation(process):
         eng = ev.block_engine(process)
         ref_a, ref_b = np.zeros_like(da), np.zeros_like(db)
         for N in range(P.size):
-            C, D, mu, rows = eng._factor(N)
+            C, D, mu, rows = full_factor(eng, N)
             Q = fresh_phase_product(C, D, mu, ts)
             Q = Q * Q
             pb = (Q[0] + Q[1]) * P[N]
@@ -606,6 +668,24 @@ def test_chain_eig_rejects_a_non_finite_band(bad, rows):
         ev.chain_eig(band)
 
 
+def test_chain_eig_reuses_a_pools_dbdsdc_workspace():
+    # one grow-only workspace serves a loop of solves: a solve on the stale
+    # workspace of a larger one gives the bits of a fresh workspace, and a
+    # chain no larger than the last takes no new buffer
+    pool = ops.BufferPool()
+    rng = np.random.default_rng(3)
+    for L, keeps in ((81, False), (20, True), (81, True), (101, False)):
+        band = np.vstack([np.zeros(L), rng.uniform(0.5, 2.0, L)])
+        held = dict(pool._bufs)
+        got, ref = ev.chain_eig(band, pool), ev.chain_eig(band)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), L
+        kept = bool(held) and all(pool._bufs[k] is v
+                                  for k, v in held.items())
+        assert kept == keeps, L
+        assert set(pool._bufs) == {"dbdsdc"}
+
+
 @pytest.mark.parametrize("routine,rows", [("dstevd", 2), ("dsbevd", 4),
                                           ("dbdsdc", 2)])
 def test_chain_eig_raises_on_a_failed_solve(monkeypatch, routine, rows):
@@ -633,7 +713,7 @@ def test_chain_eig_without_numpys_openblas_raises(monkeypatch, tmp_path):
                  np.vstack([np.zeros(6), np.ones(6)])):
         with pytest.raises(ConfigurationError) as err:
             ev.chain_eig(band)
-        for routine in ("dstevd", "dsbevd", "dbdsdc"):
+        for routine in ("dstevd", "dsbevd", "dbdsdc_work"):
             assert "scipy_LAPACKE_%s64_" % routine in str(err.value)
 
 
