@@ -32,7 +32,7 @@ def main():
     print("%-18s %10s %10s %10s %10s %12s" %
           ("arm at phase pi", "P(0)", "P(1)", "P(2)", "P(3)", "odd mass"))
     for label, proc, phase in processes:
-        da, _ = evolution.mzi_output(proc, phase, NBAR)
+        da = evolution.mzi_output(proc, phase, NBAR)
         print("%-18s %10.6f %10.6f %10.6f %10.6f %12.3e"
               % (label, da[0], da[1], da[2], da[3], fock.odd_mass(da)))
 
@@ -42,7 +42,7 @@ def main():
     print()
     gts = np.linspace(0, 2 * np.pi, 41)
     proc = Exchange(k=3)
-    da, _, _ = evolution.sweep_distributions(proc, NBAR, gts, 1e-12)
+    da = evolution.sweep_distributions(proc, NBAR, gts, 1e-12)
     om = [fock.odd_mass(da[:, j]) for j in range(gts.size)]
     j = int(np.argmax(om))
     print("k=3 odd mass over a full phase sweep: peak %.4e at gt = %.3f"

@@ -18,7 +18,7 @@ from nlmzi.operators import CrossPhase
 def main():
     # exact route: at phase pi the bright output is even-only, so g2 is
     # fixed by the work capacity report alone
-    da, _ = evolution.mzi_output(CrossPhase(s=1), np.pi, 1.0)
+    da = evolution.mzi_output(CrossPhase(s=1), np.pi, 1.0)
     rep = thermo.ergotropy(da, nbar=1.0)
     direct = coherence.g_m(da, 2)
     via_wc = coherence.g2_from_wc(rep)
@@ -35,7 +35,7 @@ def main():
     print("%8s %23s %23s" % ("theta", "g2~ pred / meas", "g3~ pred / meas"))
     for theta in (0.8, 1.6, 2.4, np.pi):
         pred = coherence.small_nbar_scalings(CrossPhase(s=1), nbar, theta)
-        d, _ = evolution.mzi_output(CrossPhase(s=1), theta, nbar)
+        d = evolution.mzi_output(CrossPhase(s=1), theta, nbar)
         meas = coherence.coherence_report(d)
         print("%8.4f %11.4f / %9.4f %11.2f / %9.2f"
               % (theta, pred.g2, meas.g2_norm, pred.g3, meas.g3_norm))

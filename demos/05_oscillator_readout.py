@@ -17,7 +17,7 @@ from nlmzi.operators import CrossPhase
 
 
 def main():
-    da, _ = evolution.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-13)
+    da = evolution.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-13)
     w_true = thermo.ergotropy(da).wc
     print("field: bright output at phase pi, nbar = 1; W = %.10f" % w_true)
 

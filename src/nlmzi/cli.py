@@ -161,8 +161,8 @@ def cmd_max_efficiency(process, args):
 
 def cmd_coherence(process, args):
     thetas = parse_grid(args.theta)
-    da, _, _ = evolution.sweep_distributions(process, args.nbar, thetas,
-                                             tail_tol=args.tail_tol)
+    da = evolution.sweep_distributions(process, args.nbar, thetas,
+                                       tail_tol=args.tail_tol)
     rep = thermo.ergotropy(da)
     coh = coherence.coherence_report(da)
     rows = zip(thetas, rep.wc, coh.g2, coh.g3, coh.g4,
@@ -173,8 +173,8 @@ def cmd_coherence(process, args):
 
 
 def cmd_optomech(process, args):
-    dist_a, _ = evolution.mzi_output(process, args.t, args.nbar,
-                                     tail_tol=args.tail_tol)
+    dist_a = evolution.mzi_output(process, args.t, args.nbar,
+                                  tail_tol=args.tail_tol)
     taus = parse_grid(args.tau)
     cfg = optomech.OscillatorConfig(
         G=args.G, Omega=args.Omega, init=optomech.CoherentInit(args.alpha))

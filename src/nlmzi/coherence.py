@@ -165,7 +165,7 @@ def small_nbar_scalings(process: ProcessSpec, nbar: float, theta: float,
         # one-point sweeps: a column of a wider product is rounded
         # differently by BLAS, and the reference must be bit-identical to
         # what mzi_output gives at theta_ref
-        return sweep_distributions(process, nbar, [th], tail_tol)[0][:, 0]
+        return sweep_distributions(process, nbar, [th], tail_tol)[:, 0]
 
     da_ref = measure(theta_ref)
     w = ergotropy(measure(theta)).wc

@@ -586,30 +586,25 @@ def block_engine(process: ProcessSpec) -> BlockEngine:
 
 
 def mzi_output(process: ProcessSpec, t: float, nbar: float,
-               tail_tol: float = 1e-12):
-    """Thermal-input interferometer output marginals (dist_a, dist_b).
-
-    The one-point sweep_distributions at theta = t * strength: |N, 0> is
-    evolved on every retained block, weighted by the thermal P_N and reduced
-    to the two single-mode distributions. Evolution is exact per block; the
-    only approximation is the input tail cut.
-    """
+               tail_tol: float = 1e-12) -> np.ndarray:
+    """Mode a's thermal-input output distribution, dist_a, at time t: the
+    one-point sweep_distributions at theta = t * strength. Evolution is
+    exact per block; the only approximation is the input tail cut."""
     if not np.isfinite(t):
         raise DomainError("t must be finite")
-    da, db, _ = sweep_distributions(process, nbar, [t * process.strength],
-                                    tail_tol)
-    return da[:, 0], db[:, 0]
+    return sweep_distributions(process, nbar, [t * process.strength],
+                               tail_tol)[:, 0]
 
 
 def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
-                        tail_tol: float = 1e-12):
-    """Output distributions across a theta grid in one pass.
+                        tail_tol: float = 1e-12) -> np.ndarray:
+    """Mode a's output distributions across a theta grid in one pass.
 
-    Returns (dist_a, dist_b, input_probs): dist_a[n, i] is the mode-a
-    probability of n photons at thetas[i] (dist_b likewise); thetas are the
-    dimensionless angles chi t or g t. The blocks come from block_engine,
-    and one PhaseGrid of thetas serves every block. Raises DomainError on
-    a non-finite theta.
+    Returns dist_a, shape (M, T): dist_a[n, i] is the mode-a probability
+    of n photons at thetas[i], the dimensionless angles chi t or g t, on
+    the M = fock.thermal_distribution(nbar, tail_tol).size kept blocks.
+    The blocks come from block_engine, and one PhaseGrid of thetas serves
+    every block. Raises DomainError on a non-finite theta.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.isfinite(thetas).all():
@@ -619,14 +614,12 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
     eng = block_engine(process)
     grid = PhaseGrid(thetas)
     da = np.zeros((M, thetas.size))
-    db = np.zeros((M, thetas.size))
     for N in range(M):
         pb = eng.probs(N, grid)
         pb *= P[N]
         rows = eng.rows(N)
         da[N - rows.start::-rows.step] += pb
-        db[rows] += pb
-    return da, db, P
+    return da
 
 
 # ---------------------------------------------------------------------------

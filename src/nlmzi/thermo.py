@@ -135,6 +135,8 @@ def exchange3_envelope(theta):
 
 @dataclass(frozen=True)
 class SweepResult:
+    """wc_sweep's columns per theta. Photon number is conserved, so mode
+    b's mean_b is the kept input's mean, sum_N N P_N, minus mean_a."""
     thetas: np.ndarray
     wc: np.ndarray
     eta: np.ndarray
@@ -149,11 +151,13 @@ def wc_sweep(process: ProcessSpec, nbar: float, thetas,
              tail_tol: float = 1e-12) -> SweepResult:
     """Work capacity and companions across a theta grid (vectorized)."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    da, db, P = sweep_distributions(process, nbar, thetas, tail_tol)
+    da = sweep_distributions(process, nbar, thetas, tail_tol)
+    P = fock.thermal_distribution(nbar, tail_tol)
     rep = ergotropy(da, nbar)
     return SweepResult(thetas=thetas, wc=rep.wc, eta=rep.efficiency,
                        wc_dispersion=rep.wc_dispersion,
-                       mean_a=rep.mean_energy, mean_b=fock.mean_photon(db),
+                       mean_a=rep.mean_energy,
+                       mean_b=fock.mean_photon(P) - rep.mean_energy,
                        odd_mass=fock.odd_mass(da),
                        tail_mass=fock.thermal_tail_mass(nbar, P.size - 1))
 

@@ -18,7 +18,8 @@ fresh_phase_product is the engine's phase kernel with a fresh array for
 every intermediate, the reference for the sweeps' reused buffers, and
 phased_amplitudes the full complex view of a block engine's amplitudes,
 row phase included, that the dense oracles are compared with,
-full_factor a block's record on all its rows, and
+full_factor a block's record on all its rows,
+mode_b_distributions the output mode the sweeps do not reduce, and
 pump_level_marginals every mode's distribution of a pump level, where the
 engine builds the signal's alone. sturm_eigenvalues is a long-double
 bisection reference for the eigenvalues of a chain.
@@ -32,7 +33,7 @@ from scipy.special import gammaln
 
 from nlmzi import fock, thermo
 from nlmzi.errors import ConfigurationError, DomainError
-from nlmzi.evolution import PhaseGrid
+from nlmzi.evolution import PhaseGrid, block_engine
 from nlmzi.optomech import CoherentInit
 from nlmzi.operators import (BufferPool, CrossPhase, DegeneratePDC,
                              Exchange, Hybrid, exchange_couplings,
@@ -300,6 +301,19 @@ def full_factor(eng, N):
     product sees it (BlockEngine._full); C is D where the record's are."""
     C, D, mu = eng._full(N, BufferPool())
     return C, D, mu, eng.rows(N)
+
+
+def mode_b_distributions(process, nbar, thetas, tail_tol=1e-12):
+    """Mode b's output distributions across a theta grid, (M, T), the
+    reduction evolution.sweep_distributions makes for mode a alone: block
+    N's probabilities on the rows j = n_b of block_engine(process),
+    weighted by the thermal P[N] and added up block by block."""
+    P = fock.thermal_distribution(nbar, tail_tol)
+    eng, grid = block_engine(process), PhaseGrid(thetas)
+    db = np.zeros((P.size, grid.size))
+    for N in range(P.size):
+        db[eng.rows(N)] += eng.probs(N, grid) * P[N]
+    return db
 
 
 def pump_level_marginals(eng, n, grid):

@@ -37,7 +37,7 @@ def _parity_outputs():
         for label, proc in (("cross-phase", CrossPhase(s=1)),
                             ("exchange k=2", Exchange(k=2)),
                             ("exchange k=4", Exchange(k=4, allow_high_order=True))):
-            da, _ = ev.mzi_output(proc, np.pi, NBAR_REF)
+            da = ev.mzi_output(proc, np.pi, NBAR_REF)
             _parity_cache[label] = da
     return _parity_cache
 
@@ -63,7 +63,7 @@ def test_c02_parity_filtering():
     gts = np.linspace(0.0, 2.0 * np.pi, 41)
     for k in (3, 5):
         proc = Exchange(k=k, allow_high_order=True)
-        da, _, _ = ev.sweep_distributions(proc, NBAR_REF, gts, 1e-12)
+        da = ev.sweep_distributions(proc, NBAR_REF, gts, 1e-12)
         odd["k=%d" % k] = max(fock.odd_mass(da[:, j]) for j in range(gts.size))
     ok = all(v < 1e-12 for v in even.values()) \
         and all(v > 1e-3 for v in odd.values())
@@ -112,7 +112,7 @@ def test_c05_g2_from_work_capacity():
                       ("exchange k=2", Exchange(k=2))):
         for nbar in (0.1, 1.0, 5.0):
             thetas = np.linspace(0.0, 2.0 * np.pi, 100)
-            da, _, _ = ev.sweep_distributions(proc, nbar, thetas, 1e-12)
+            da = ev.sweep_distributions(proc, nbar, thetas, 1e-12)
             errs = []
             for j in range(thetas.size):
                 rep = thermo.ergotropy(da[:, j])
@@ -132,7 +132,7 @@ def test_c06_small_nbar_scaling_accuracy():
     rows = []
     worst = 0.0
     for theta in (np.pi / 2.0, np.pi, 1.5 * np.pi):
-        da, _ = ev.mzi_output(CrossPhase(s=1), theta, nbar)
+        da = ev.mzi_output(CrossPhase(s=1), theta, nbar)
         if thermo.wc_from_dist(da) < 1e-12:
             continue
         pred = coh.small_nbar_scalings(CrossPhase(s=1), nbar, theta)
@@ -153,13 +153,13 @@ def test_c07_leading_probability_oracles():
     gts = np.linspace(0.0, 2.0 * np.pi, 61)
     r3 = np.sqrt(3.0)
 
-    da2, _, _ = ev.sweep_distributions(Exchange(k=2), nbar, gts, 1e-15)
+    da2 = ev.sweep_distributions(Exchange(k=2), nbar, gts, 1e-15)
     pair = (P[2] * np.sin(gts) ** 2
             + P[3] * 0.25 * np.sin(2.0 * r3 * gts) ** 2
             + P[4] * 0.125 * np.sin(4.0 * r3 * gts) ** 2)
     err2 = np.abs(da2[2, :] - pair).max()
 
-    da3, _, _ = ev.sweep_distributions(Exchange(k=3), nbar, gts, 1e-15)
+    da3 = ev.sweep_distributions(Exchange(k=3), nbar, gts, 1e-15)
     s3, s6, s12 = np.sin(3 * gts), np.sin(6 * gts), np.sin(12 * gts)
     triplet = {
         1: (3 / 16) * P[3] * s6 ** 2 + (9 / 16) * P[4] * s12 ** 2,
@@ -189,7 +189,7 @@ def test_c08_oscillator_oracle_equivalence():
 
 
 def test_c09_inference_round_trip():
-    da, _ = ev.mzi_output(CrossPhase(s=1), np.pi, NBAR_REF, tail_tol=1e-13)
+    da = ev.mzi_output(CrossPhase(s=1), np.pi, NBAR_REF, tail_tol=1e-13)
     cfg = om.OscillatorConfig(G=0.01, Omega=1.0,
                               init=om.CoherentInit(10.0 + 0.0j))
     taus = np.linspace(0.0, 6.0 * np.pi, 128)

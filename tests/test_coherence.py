@@ -62,7 +62,7 @@ def test_g2_routes_agree_on_even_distribution():
 def test_g2_routes_agree_cross_phase_pi():
     # the bright output at theta = pi holds only even photon numbers, so
     # the work-capacity expression must reproduce the direct moment ratio
-    da, _ = ev.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-14)
+    da = ev.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-14)
     direct = coh.g_m(da, 2)
     via_wc = coh.g2_from_wc(thermo.ergotropy(da))
     assert abs(direct - 5.25) < 1e-9
@@ -74,7 +74,7 @@ def test_g2_routes_agree_cross_phase_pi():
                    "(p(4) > p(2)), so W exceeds <n>/2 and the "
                    "work-capacity route misses the direct moment ratio")
 def test_g2_routes_agree_exchange2_pi():
-    da, _ = ev.mzi_output(Exchange(k=2), np.pi, 1.0, tail_tol=1e-14)
+    da = ev.mzi_output(Exchange(k=2), np.pi, 1.0, tail_tol=1e-14)
     assert abs(coh.g_m(da, 2) - coh.g2_from_wc(thermo.ergotropy(da))) < 1e-6
 
 
@@ -84,7 +84,7 @@ def test_g2_routes_agree_exchange2_pi():
 def test_g2_minimum_sits_at_peak_work_cross_phase():
     thetas = np.linspace(0.5, np.pi, 60)
     res = thermo.wc_sweep(CrossPhase(s=1), 1.0, thetas)
-    da, _, _ = ev.sweep_distributions(CrossPhase(s=1), 1.0, thetas, 1e-12)
+    da = ev.sweep_distributions(CrossPhase(s=1), 1.0, thetas, 1e-12)
     g2 = np.array([coh.g_m(da[:, i], 2) for i in range(thetas.size)])
     assert int(np.argmin(g2)) == int(np.argmax(res.wc))
 
@@ -100,7 +100,7 @@ def test_cross_phase_g3_scaling_small_nbar():
     # g3 -> (3/2) f(theta) / W as nbar -> 0
     nbar = 0.002
     for theta in (0.9, 2.2, np.pi):
-        da, _ = ev.mzi_output(CrossPhase(s=1), theta, nbar)
+        da = ev.mzi_output(CrossPhase(s=1), theta, nbar)
         w = thermo.wc_from_dist(da)
         pred = 1.5 * float(coh.f_cross_phase(theta)) / w
         meas = coh.g_m(da, 3)
@@ -110,7 +110,7 @@ def test_cross_phase_g3_scaling_small_nbar():
 def test_exchange2_g3_scaling_small_nbar():
     nbar = 0.002
     for theta in (0.9, 1.7, 2.6):
-        da, _ = ev.mzi_output(Exchange(k=2), theta, nbar)
+        da = ev.mzi_output(Exchange(k=2), theta, nbar)
         w = thermo.wc_from_dist(da)
         pred = 1.5 * float(coh.f_exchange2(theta)) / w
         meas = coh.g_m(da, 3)
@@ -131,7 +131,7 @@ def test_q_exchange3_windows_and_anchors():
 def test_scaling_prediction_calibrates_at_reference():
     nbar = 0.01
     pred = coh.small_nbar_scalings(CrossPhase(s=1), nbar, np.pi)
-    da, _ = ev.mzi_output(CrossPhase(s=1), np.pi, nbar)
+    da = ev.mzi_output(CrossPhase(s=1), np.pi, nbar)
     rep = coh.coherence_report(da)
     assert abs(pred.g2 - rep.g2_norm) < 1e-12
     assert abs(pred.g3 - rep.g3_norm) < 1e-12
@@ -148,7 +148,7 @@ def test_scaling_prediction_is_exact_at_reference():
     nbar = 0.05
     for process, ref in ((CrossPhase(s=1), np.pi), (Exchange(k=2), np.pi / 2)):
         pred = coh.small_nbar_scalings(process, nbar, ref)
-        da, _ = ev.mzi_output(process, ref, nbar)
+        da = ev.mzi_output(process, ref, nbar)
         rep = coh.coherence_report(da)
         assert (pred.g2, pred.g3, pred.g4) == (rep.g2_norm, rep.g3_norm,
                                                rep.g4_norm)
@@ -157,7 +157,7 @@ def test_scaling_prediction_is_exact_at_reference():
 def test_scaling_prediction_tracks_measurement():
     nbar = 0.002
     pred = coh.small_nbar_scalings(CrossPhase(s=1), nbar, 2.0)
-    da, _ = ev.mzi_output(CrossPhase(s=1), 2.0, nbar)
+    da = ev.mzi_output(CrossPhase(s=1), 2.0, nbar)
     rep = coh.coherence_report(da)
     assert abs(pred.g2 / rep.g2_norm - 1.0) < 1e-2
     assert abs(pred.g3 / rep.g3_norm - 1.0) < 1e-2
@@ -167,7 +167,7 @@ def test_scaling_prediction_tracks_measurement():
 def test_scaling_prediction_exchange3():
     nbar = 0.01
     pred = coh.small_nbar_scalings(Exchange(k=3), nbar, 0.7 * np.pi)
-    da, _ = ev.mzi_output(Exchange(k=3), 0.7 * np.pi, nbar)
+    da = ev.mzi_output(Exchange(k=3), 0.7 * np.pi, nbar)
     rep = coh.coherence_report(da)
     assert abs(pred.g2 / rep.g2_norm - 1.0) < 5e-2
     # outside both window families the windowed forms say nothing

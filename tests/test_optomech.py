@@ -151,7 +151,7 @@ def test_parity_traces_are_views_of_the_moment_form():
     om.CoherentInit(0.0), om.ThermalInit(0.3)], ids=str)
 def test_oracle_matches_dense_position_matrix(init):
     # the banded moments against a dense X @ Z, both with odd field levels
-    dist, _ = evolution.mzi_output(CrossPhase(s=1), 1.3, 1.0)
+    dist = evolution.mzi_output(CrossPhase(s=1), 1.3, 1.0)
     cfg = om.OscillatorConfig(G=0.02, Omega=1.0, init=init)
     cutoff = om.suggested_osc_cutoff(cfg, dist.size - 1)
     taus = np.linspace(0, 4 * np.pi, 24)
@@ -253,7 +253,7 @@ def test_infer_pure_imaginary_alpha_uses_sine_channel():
 def _noisy_c09_errors(alpha):
     """Relative W errors of c09's trace (nbar 1 cross-phase at pi, G 0.01)
     read with alpha, under 100 seeded draws of 1e-3 phonon noise."""
-    da, _ = evolution.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-13)
+    da = evolution.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-13)
     cfg = cfg_coherent(alpha, G=0.01)
     taus = np.linspace(0.0, 6.0 * np.pi, 128)
     trace = om.phonon_trace_coherent(da, cfg, taus)

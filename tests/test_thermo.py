@@ -10,7 +10,8 @@ from nlmzi import evolution as ev
 from nlmzi import fock, thermo
 from nlmzi.errors import DomainError
 from nlmzi.operators import CrossPhase, Exchange
-from oracles import wc_exchange3_windows, wc_table_oracle
+from oracles import (mode_b_distributions, wc_exchange3_windows,
+                     wc_table_oracle)
 
 
 def test_passive_distribution_is_descending():
@@ -92,7 +93,7 @@ def test_wc_dispersion_is_variance_shift():
 def test_cross_kerr_closed_form_against_pipeline():
     for nbar in (0.2, 1.0, 2.5):
         for theta in (0.7, np.pi / 2, np.pi, 4.5):
-            da, _ = ev.mzi_output(CrossPhase(s=1), theta, nbar, tail_tol=1e-13)
+            da = ev.mzi_output(CrossPhase(s=1), theta, nbar, tail_tol=1e-13)
             w = thermo.wc_from_dist(da)
             ref = thermo.wc_cross_kerr_closed_form(nbar, theta)
             assert abs(w - ref) < 1e-10
@@ -104,10 +105,10 @@ def test_small_nbar_table():
     nbar = 0.01
     for theta in (0.6, 1.9):
         ck = wc_table_oracle(CrossPhase(s=1), nbar, theta)
-        da, _ = ev.mzi_output(CrossPhase(s=1), theta, nbar)
+        da = ev.mzi_output(CrossPhase(s=1), theta, nbar)
         assert abs(thermo.wc_from_dist(da) - ck) < 5 * nbar ** 3
         x2 = wc_table_oracle(Exchange(k=2), nbar, theta)
-        da2, _ = ev.mzi_output(Exchange(k=2), theta, nbar)
+        da2 = ev.mzi_output(Exchange(k=2), theta, nbar)
         assert abs(thermo.wc_from_dist(da2) - x2) < 5 * nbar ** 3
     assert wc_table_oracle(Exchange(k=3), nbar, 1.0) is None
 
@@ -121,7 +122,7 @@ def test_exchange3_window_formula():
         if ref is None:
             continue
         hits += 1
-        da, _ = ev.mzi_output(proc, theta, nbar)
+        da = ev.mzi_output(proc, theta, nbar)
         assert abs(thermo.wc_from_dist(da) - ref) < 5 * nbar ** 4
     assert hits > 10  # both window families must actually fire
 
@@ -133,12 +134,26 @@ def test_exchange3_second_window_wraps():
     assert wc_exchange3_windows(0.01, 6.4 * np.pi / 18.0) is not None
 
 
+def test_wc_sweep_mean_b_of_the_linear_exchange():
+    # exchange k=1 is linear optics: a photon leaves through b with
+    # probability cos^2 theta on every block, so mean_b = kept cos^2 theta.
+    # Near theta = pi/2 mean_b falls to 1e-5 of the kept energy; taken by
+    # conservation, its error stays round-off of the kept energy
+    thetas = np.linspace(0.0, 6.283, 400)
+    P = fock.thermal_distribution(5.0)
+    kept = fock.mean_photon(P)
+    res = thermo.wc_sweep(Exchange(k=1), 5.0, thetas)
+    err = np.abs(res.mean_b - kept * np.cos(thetas) ** 2).max()
+    assert err <= P.size * np.finfo(float).eps * kept
+
+
 def test_wc_sweep_matches_pointwise():
     proc = Exchange(k=2)
     thetas = np.linspace(0.1, 3.0, 7)
     res = thermo.wc_sweep(proc, 1.0, thetas)
     for i, th in enumerate(thetas):
-        da, db = ev.mzi_output(proc, th, 1.0)
+        da = ev.mzi_output(proc, th, 1.0)
+        db = mode_b_distributions(proc, 1.0, [th])[:, 0]
         rep = thermo.ergotropy(da, nbar=1.0)
         assert abs(res.wc[i] - rep.wc) < 1e-12
         assert abs(res.eta[i] - rep.efficiency) < 1e-12
@@ -233,5 +248,5 @@ def test_one_photon_exchange_stays_passive():
 
 
 def test_dispersion_anchor_cross_kerr_pi():
-    da, _ = ev.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-14)
+    da = ev.mzi_output(CrossPhase(s=1), np.pi, 1.0, tail_tol=1e-14)
     assert abs(thermo.ergotropy(da).wc_dispersion - 26.0 / 27.0) < 1e-10
