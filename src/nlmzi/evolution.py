@@ -21,10 +21,18 @@ level at a time.
 
 Every evolution goes through one phase kernel, phase_product, which on a
 uniform grid takes its phases by angle addition from two tables of about
-sqrt(T) columns. Each loop over blocks or pump levels
-(sweep_distributions, pdc_signal_sweep, the oscillator oracle) analyses
-its grid once, as a PhaseGrid, whose buffers every product of the loop
-reuses, and reads phase_product's real and imaginary parts.
+sqrt(T) columns. A CrossPhase(s=1) block passes it phases read off one
+table per grid instead. On block N, n_a n_b = N^2/4 - J_z^2 with
+J_z = (n_a - n_b)/2 (the Schwinger map; J_z^2 is the one-axis-twisting
+generator of Kitagawa & Ueda, Phys. Rev. A 47, 5138 (1993)), so
+exp(-i theta n_a n_b) is the block phase exp(-i theta N^2/4), which no
+probability depends on, times exp(i theta u^2/4), u = N - 2m, the same
+for every block of N's parity (PhaseGrid.twists). Other generators'
+eigenvalues are not affine in u^2: their blocks keep their own phases.
+Each loop over blocks or pump levels (sweep_distributions,
+pdc_signal_sweep, the oscillator oracle) analyses its grid once, as a
+PhaseGrid, whose buffers every product of the loop reuses, and reads
+phase_product's real and imaginary parts.
 
 The eigensolves call LAPACK dbdsdc (a bipartite tridiagonal chain, as the
 SVD of its half-size bidiagonal), dstevd (any other tridiagonal chain)
@@ -45,9 +53,9 @@ import numpy as np
 
 from . import fock
 from .errors import ConfigurationError, DomainError
-from .operators import (BufferPool, DegeneratePDC, NonDegeneratePDC,
-                        ProcessSpec, ladder_walk, process_generator,
-                        rung_entries)
+from .operators import (BufferPool, CrossPhase, DegeneratePDC,
+                        NonDegeneratePDC, ProcessSpec, ladder_walk,
+                        process_generator, rung_entries)
 
 
 class PhaseGrid:
@@ -58,25 +66,39 @@ class PhaseGrid:
     columns t = 0; and, when the grid is uniform with T >= 16 (every
     point within 4 ulp of max|ts| of ts[0] + i h, a linspace), the
     negated abscissae of _phases' two tables, ts[::B] and h r for
-    r < B = isqrt(T). The pool (operators.BufferPool) holds a product's
-    phases, their contiguous real and imaginary parts and the pair form's
-    products. A loop's arrays grow block by block, each above glibc's
-    dynamic mmap threshold, so fresh ones would each be mapped and
-    zero-filled anew; reused, they are faulted in once. A product on a
-    grid is therefore a view that the grid's next product overwrites.
+    r < B = isqrt(T). top is the highest block a loop over blocks reads,
+    the size of its cross-phase table (twists). The pool
+    (operators.BufferPool) holds a product's phases, their contiguous real
+    and imaginary parts and the pair form's products. A loop's arrays
+    grow block by block, each above glibc's dynamic mmap threshold, so
+    fresh ones would each be mapped and zero-filled anew; reused, they are
+    faulted in once. A product on a grid is therefore a view that the
+    grid's next product overwrites.
     """
 
-    def __init__(self, ts):
+    def __init__(self, ts, top: int = 0):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         T = ts.size
         self.ts, self.size, self.pool = ts, T, BufferPool()
         self.negated, self.zeros, self.tables = -ts, ts == 0.0, None
+        self.top, self._twists = top, None
         B = math.isqrt(T)
         if B >= 4:
             h = (ts[-1] - ts[0]) / (T - 1)
             dev = np.abs(ts - (ts[0] + h * np.arange(T))).max()
             if dev <= 4.0 * np.finfo(float).eps * np.abs(ts).max():
                 self.tables = (self.negated[::B], -(h * np.arange(B)))
+
+    def twists(self, N: int) -> np.ndarray:
+        """exp(i t u^2/4) on u = N%2, N%2 + 2, ..., N, shape
+        (N//2 + 1, size): the phases of a CrossPhase(s=1) block N without
+        its block phase (BlockEngine), a strided view of one table on
+        u = 0..max(N, top) that _cis builds, one direct cos and sin per
+        cell, when a block first reads past its end."""
+        if self._twists is None or self._twists.shape[0] <= N:
+            u = np.arange(max(N, self.top) + 1, dtype=float)
+            self._twists = _cis(u * u / 4.0, self.ts)
+        return self._twists[N % 2: N + 1: 2]
 
 
 def _cis(mu, neg_ts, out=None) -> np.ndarray:
@@ -118,13 +140,15 @@ def _phases(mu, grid: PhaseGrid) -> np.ndarray:
     return Z
 
 
-def phase_product(C, D, mu, grid: PhaseGrid) -> np.ndarray:
+def phase_product(C, D, mu, grid: PhaseGrid, Z=None) -> np.ndarray:
     """Real and imaginary parts of C cos(mu t) - i D sin(mu t), column i
     at grid.ts[i]: shape (2, rows, grid.size).
 
     The one phase kernel of the block engine, the pump-level chains and
-    the oscillator oracle; its phases exp(-i mu t) come from _phases.
-    With C is D this is C exp(-i mu t): a real C takes one real product on
+    the oscillator oracle; its phases exp(-i mu t) come from _phases, or
+    are Z, a (mu.size, grid.size) complex array whose rows may be strided
+    (a CrossPhase(s=1) block's rows of PhaseGrid.twists, where mu is not
+    read). With C is D this is C Z: a real C takes one real product on
     the phases' float view (a complex C a complex product) into a fresh
     array, and the parts are views of the interleaved result. Otherwise C
     and D are real, the pair form C = a+b and D = a-b for the columns a, b
@@ -132,7 +156,8 @@ def phase_product(C, D, mu, grid: PhaseGrid) -> np.ndarray:
     C @ cos and D @ sin, into the grid's buffer "P", which the next
     pair-form product on the grid overwrites.
     """
-    Z = _phases(mu, grid)
+    if Z is None:
+        Z = _phases(mu, grid)
     if C is D:
         # a fresh array, not the pair form on pooled buffers: that kept all
         # CSV bytes but took bright_scan's peak RSS up 5.6% in free heap,
@@ -313,8 +338,9 @@ class BlockEngine:
     On a PhaseGrid of T thetas, amplitudes(N, grid) returns the output
     amplitudes <N-j, j| U(theta) |N, 0> on the rows j of rows(N), outside
     which they are exact zeros, as phase_product's parts, shape
-    (2, rows, T), without their row phase; probs(N, grid) returns their
-    squared moduli.
+    (2, rows, T), without their row phase and, for CrossPhase(s=1),
+    without the block phase exp(-i theta N^2/4); probs(N, grid) returns
+    their squared moduli.
 
     The splitter is B_N = diag((-i)^j) d_N diag(i^m), and the ladder gives
     the quarter q_N = r_N[:h, :h], h = N//2 + 1, of the rung r_N = c_N d_N
@@ -339,8 +365,11 @@ class BlockEngine:
     of N's parity, N//2 + 1 at most, as the mirror merge makes the others
     exact zeros; an odd-stride block keeps all N+1 rows, those off N's
     parity divided by i (_exchange_chains). A diagonal block keeps N//2 + 1
-    columns. Where N is even and the rows are those of N's parity, the
-    row mirror r_N[N-j, m] = (-1)^m r_N[j, m] maps them onto themselves,
+    columns, m = N//2 down to 0: u = N - 2m ascending, the rows of the
+    grid's table PhaseGrid.twists(N), from which a CrossPhase(s=1) block
+    takes its phases in place of its own exp(-i theta m(N-m)). Where N is
+    even and the rows are those of N's parity, the row mirror
+    r_N[N-j, m] = (-1)^m r_N[j, m] maps them onto themselves,
     and every column's m share one parity: (-1)^m for the diagonal's
     merged column m, (-1)^c for a column of chain c (for even g a merged
     mirror chain has the parity of c). Such a record keeps only its rows
@@ -357,6 +386,7 @@ class BlockEngine:
 
     def __init__(self, process: ProcessSpec):
         self.process = process
+        self._twisted = isinstance(process, CrossPhase) and process.s == 1
         self._blocks: Dict[int, tuple] = {}
         self._top = (0, np.ones((1, 1)))
         self._scratch = BufferPool()
@@ -384,9 +414,10 @@ class BlockEngine:
         rows = slice(N % 2, N + 1, 2)
         w = inv_c2 * q[:, 0]
         w[: N + 1 - h] *= 2.0  # an even N's middle column is its own mirror
-        kept, m = _kept_rows(N, rows), np.arange(h)
-        C = np.multiply(rung_entries(q, N, kept, m), w, order="C")
-        self._blocks[N] = (C, C, band[0, :h], rows,
+        # m descending: u = N - 2m ascending, the order of PhaseGrid.twists
+        kept, m = _kept_rows(N, rows), np.arange(h - 1, -1, -1)
+        C = np.multiply(rung_entries(q, N, kept, m), w[m], order="C")
+        self._blocks[N] = (C, C, band[0, m], rows,
                            None if kept is rows else 1.0 - 2.0 * (m % 2))
 
     def _factor(self, N: int):
@@ -418,10 +449,13 @@ class BlockEngine:
 
     def amplitudes(self, N: int, grid: PhaseGrid) -> np.ndarray:
         """phase_product's parts of block N, shape (2, rows, grid.size):
-        the amplitudes on the rows rows(N) without the row phase, which no
-        modulus depends on; a view that the grid's next product may
-        overwrite."""
-        return phase_product(*self._full(N, grid.pool), grid)
+        the amplitudes on the rows rows(N) without the row phase and, for
+        CrossPhase(s=1), without the block phase exp(-i theta N^2/4), none
+        of which a modulus depends on; a view that the grid's next product
+        may overwrite."""
+        C, D, mu = self._full(N, grid.pool)
+        return phase_product(C, D, mu, grid,
+                             grid.twists(N) if self._twisted else None)
 
     def probs(self, N: int, grid: PhaseGrid) -> np.ndarray:
         """Squared moduli on the rows rows(N), shape (rows, grid.size).
@@ -603,8 +637,9 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
     Returns dist_a, shape (M, T): dist_a[n, i] is the mode-a probability
     of n photons at thetas[i], the dimensionless angles chi t or g t, on
     the M = fock.thermal_distribution(nbar, tail_tol).size kept blocks.
-    The blocks come from block_engine, and one PhaseGrid of thetas serves
-    every block. Raises DomainError on a non-finite theta.
+    The blocks come from block_engine, and one PhaseGrid of thetas, with
+    top = M - 1, serves every block. Raises DomainError on a non-finite
+    theta.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.isfinite(thetas).all():
@@ -612,7 +647,7 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
     P = fock.thermal_distribution(nbar, tail_tol)
     M = P.size
     eng = block_engine(process)
-    grid = PhaseGrid(thetas)
+    grid = PhaseGrid(thetas, top=M - 1)
     da = np.zeros((M, thetas.size))
     for N in range(M):
         pb = eng.probs(N, grid)

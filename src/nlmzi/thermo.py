@@ -178,10 +178,10 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
     within _PEAK_ULPS ulp of the grid's maximum. Each refinement round
     re-grids the bracket on 13 points, narrowing it sixfold. On the kept
     blocks of cross-phase nbar=40 (280 blocks, tail_tol 1e-3), warm, on a
-    2-vCPU machine, a sweep of 1 angle takes 11-13 ms, of 13 angles 24-29
-    ms and of 100 angles 65-69 ms: a round costs two to three one-point
-    sweeps, less than the four a golden-section search spends on the same
-    narrowing, and the six rounds of a 210-235 ms call take 145-170 ms of
+    2-vCPU machine, a sweep of 1 angle takes 5-8 ms, of 13 angles 9-10 ms
+    and of 100 angles 29-30 ms: a round costs about two one-point sweeps,
+    less than the four a golden-section search spends on the same
+    narrowing, and the six rounds of a 90-130 ms call take 80-86 ms of
     it. The rounds stop at a bracket narrower than _THETA_XTOL, or at one
     that a round no longer narrows, where the ulp of theta exceeds it.
     """

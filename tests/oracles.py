@@ -15,9 +15,11 @@ Wigner-d ladder, the block machinery, the pump-level chains or the banded
 oscillator moments they check. The closed-form small-nbar work capacities
 (wc_table_oracle, wc_exchange3_windows) have no caller outside the tests.
 fresh_phase_product is the engine's phase kernel with a fresh array for
-every intermediate, the reference for the sweeps' reused buffers, and
+every intermediate, and fresh_twists a fresh copy of a block's rows of
+the cross-phase table, the references for the sweeps' reused buffers;
+long_phases the phases of the dense references, formed in long double;
 phased_amplitudes the full complex view of a block engine's amplitudes,
-row phase included, that the dense oracles are compared with,
+row and block phases included, that the dense oracles are compared with,
 full_factor a block's record on all its rows,
 mode_b_distributions the output mode the sweeps do not reduce, and
 pump_level_marginals every mode's distribution of a pump level, where the
@@ -276,21 +278,37 @@ def eig_block_amplitudes(process, N, thetas):
         lam, V = np.diag(gen), np.eye(N + 1)
     else:
         lam, V = np.linalg.eigh(gen)
-    Z = np.exp(-1j * np.outer(lam, np.atleast_1d(thetas)))
+    Z = long_phases(lam, np.atleast_1d(thetas))
     return B @ (V @ (Z * (V.T @ B[:, 0])[:, None]))
+
+
+def long_phases(lam, ts):
+    """exp(-i outer(lam, ts)), each angle formed and reduced in long
+    double: a reference that carries no double rounding of its angles,
+    whatever decomposition of them the engine uses."""
+    ph = np.outer(np.asarray(lam, np.longdouble),
+                  np.asarray(ts, np.longdouble))
+    Z = np.empty(ph.shape, dtype=complex)
+    Z.real, Z.imag = np.cos(ph), -np.sin(ph)
+    return Z
 
 
 def phased_amplitudes(eng, N, thetas):
     """Block N's output amplitudes <N-j, j| U(theta) |N, 0>, shape
     (N+1, len(thetas)), from a BlockEngine: its parts on the rows
     eng.rows(N), zeros on the others, times the row phase (-i)^j on the
-    rows j of N's parity and (-i)^(j-1) on the others."""
-    P = eng.amplitudes(N, PhaseGrid(thetas))
+    rows j of N's parity and (-i)^(j-1) on the others and, for a
+    CrossPhase(s=1) engine, the block phase exp(-i theta N^2/4) that its
+    amplitudes leave out (n_a n_b = N^2/4 - J_z^2 on block N)."""
+    grid = PhaseGrid(thetas)
+    P = eng.amplitudes(N, grid)
     Z = np.zeros((N + 1, P.shape[2]), dtype=complex)
     Z.real[eng.rows(N)] = P[0]
     Z.imag[eng.rows(N)] = P[1]
     j = np.arange(N + 1)
     Z *= QUARTER_TURNS[(j - (j + N) % 2) % 4, None]
+    if isinstance(eng.process, CrossPhase) and eng.process.s == 1:
+        Z *= long_phases([N * N / 4.0], grid.ts)
     return Z
 
 
@@ -522,37 +540,52 @@ def wc_exchange3_windows(nbar: float, theta: float):
     return None if env is None else nbar ** 3 / (1.0 + nbar) ** 4 * env
 
 
-def fresh_phase_product(C, D, mu, ts):
-    """evolution.phase_product with every array allocated afresh: the
-    phases of one np.outer, the uniform-grid tables of a grid analysed
-    on the spot, new contiguous parts and a new product."""
-    ts = np.asarray(ts, dtype=float)
+def _fresh_cis(mu, ts):
+    """exp(-i outer(mu, ts)) of one np.outer, in a fresh array."""
+    ph = np.outer(mu, -ts)
+    Z = np.empty(ph.shape, dtype=complex)
+    np.cos(ph, out=Z.real)
+    np.sin(ph, out=Z.imag)
+    return Z
 
-    def cis(t):
-        ph = np.outer(mu, -t)
-        Z = np.empty(ph.shape, dtype=complex)
-        np.cos(ph, out=Z.real)
-        np.sin(ph, out=Z.imag)
-        return Z
 
+def fresh_twists(N, ts):
+    """evolution.PhaseGrid.twists(N) in a fresh contiguous array: the rows
+    u = N%2, N%2 + 2, ..., N of the table exp(i ts u^2/4), each cell
+    evaluated directly."""
+    u = np.arange(N % 2, N + 1, 2, dtype=float)
+    return _fresh_cis(-(u * u / 4.0), np.asarray(ts, dtype=float))
+
+
+def _fresh_phases(mu, ts):
+    """evolution._phases in fresh arrays: one np.outer, or the tables of
+    a uniform grid analysed on the spot."""
     T = ts.size
     B = math.isqrt(T)
     h = (ts[-1] - ts[0]) / max(T - 1, 1)
     dev = np.abs(ts - (ts[0] + h * np.arange(T))).max()
     if B < 4 or not dev <= 4.0 * np.finfo(float).eps * np.abs(ts).max():
-        Z = cis(ts)
-    else:
-        hi, lo = cis(ts[::B]), cis(h * np.arange(B))
-        Z = np.empty((mu.size, T), dtype=complex)
-        Q, F = T // B, T - T % B
-        np.multiply(hi[:, :Q, None], lo[:, None, :],
-                    out=Z[:, :F].reshape(mu.size, Q, B))
-        np.multiply(hi[:, Q:], lo[:, : T - F], out=Z[:, F:])
-        Z[:, ts == 0.0] = 1.0
+        return _fresh_cis(mu, ts)
+    hi, lo = _fresh_cis(mu, ts[::B]), _fresh_cis(mu, h * np.arange(B))
+    Z = np.empty((mu.size, T), dtype=complex)
+    Q, F = T // B, T - T % B
+    np.multiply(hi[:, :Q, None], lo[:, None, :],
+                out=Z[:, :F].reshape(mu.size, Q, B))
+    np.multiply(hi[:, Q:], lo[:, : T - F], out=Z[:, F:])
+    Z[:, ts == 0.0] = 1.0
+    return Z
+
+
+def fresh_phase_product(C, D, mu, ts, Z=None):
+    """evolution.phase_product with every array allocated afresh: the
+    phases Z or _fresh_phases', new contiguous parts and a new product."""
+    ts = np.asarray(ts, dtype=float)
+    if Z is None:
+        Z = _fresh_phases(mu, ts)
     if C is D:
         Z = C @ Z if np.iscomplexobj(C) else (C @ Z.view(float)).view(complex)
         return Z.view(float).reshape(Z.shape + (2,)).transpose(2, 0, 1)
-    P = np.empty((2, C.shape[0], T))
+    P = np.empty((2, C.shape[0], ts.size))
     np.matmul(C, np.ascontiguousarray(Z.real), out=P[0])
     np.matmul(D, np.ascontiguousarray(Z.imag), out=P[1])
     return P

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eig_banded
 
+from nlmzi import coherence
 from nlmzi import evolution as ev
 from nlmzi import fock
 from nlmzi import operators as ops
@@ -15,10 +16,11 @@ from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                              NonDegeneratePDC)
 from oracles import (dense_generator, eig_block_amplitudes,
-                     fresh_phase_product, full_factor, hermitian_eig,
-                     mode_b_distributions, mzi_unitary, pdc_tensor_marginals,
-                     phased_amplitudes, pump_level_marginals,
-                     sturm_eigenvalues, tensor_mzi_state)
+                     fresh_phase_product, fresh_twists, full_factor,
+                     hermitian_eig, mode_b_distributions, mzi_unitary,
+                     pdc_tensor_marginals, phased_amplitudes,
+                     pump_level_marginals, sturm_eigenvalues,
+                     tensor_mzi_state)
 
 HYBRID = Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))
 # chain cases the single-order processes do not reach: a stride-2 band of
@@ -508,9 +510,12 @@ FRESH_PROCESSES = [CrossPhase(s=1), CrossPhase(s=2), Exchange(k=1),
 
 @pytest.mark.parametrize("process", FRESH_PROCESSES, ids=str)
 def test_sweep_writes_the_bits_of_fresh_allocation(process):
-    # every block of one sweep reuses the grid's buffers; block by block
-    # with fresh arrays, as each product was allocated before, the sums
-    # must come out bit for bit the same
+    # every block of one sweep reuses the grid's buffers and, for
+    # CrossPhase(s=1), reads its phases from the grid's one table; block by
+    # block with fresh arrays, as each product was allocated before, and a
+    # fresh copy of the block's table rows, the sums must come out bit for
+    # bit the same
+    twisted = isinstance(process, CrossPhase) and process.s == 1
     for ts in FRESH_GRIDS.values():
         da = ev.sweep_distributions(process, 1.5, ts, tail_tol=1e-8)
         P = fock.thermal_distribution(1.5, 1e-8)
@@ -518,7 +523,8 @@ def test_sweep_writes_the_bits_of_fresh_allocation(process):
         ref_a = np.zeros_like(da)
         for N in range(P.size):
             C, D, mu, rows = full_factor(eng, N)
-            Q = fresh_phase_product(C, D, mu, ts)
+            Q = fresh_phase_product(C, D, mu, ts,
+                                    fresh_twists(N, ts) if twisted else None)
             Q = Q * Q
             pb = (Q[0] + Q[1]) * P[N]
             ref_a[N - rows.start::-rows.step] += pb
@@ -566,6 +572,63 @@ def test_phases_match_long_double_reference(ts, tabled):
     B = math.isqrt(ts.size)
     assert np.array_equal(Z[:, ::B], direct[:, ::B])
     assert np.array_equal(Z, direct) == (not tabled)
+
+
+@pytest.mark.parametrize("ts", [
+    np.linspace(0.0, 2.0 * np.pi, 100),
+    np.concatenate([[0.0], np.geomspace(0.01, 2.0 * np.pi, 99)]),
+], ids=["uniform", "non-uniform"])
+def test_cross_phase_blocks_read_one_shared_table(ts):
+    # on block N, n_a n_b = N^2/4 - u^2/4 with u = N - 2m: a CrossPhase(s=1)
+    # block's phases are rows of the grid's one table exp(i t u^2/4), and
+    # its probabilities are those of its own phases exp(-i t m(N-m)) up to
+    # the round-off of the largest phase argument, both parities alike
+    eng = ev.BlockEngine(CrossPhase(s=1))
+    grid = ev.PhaseGrid(ts, top=199)
+    eps = np.finfo(float).eps
+    for N in range(200):
+        got = eng.probs(N, grid)
+        C, D, mu, rows = full_factor(eng, N)
+        assert C is D and np.array_equal(mu, [m * (N - m) for m in
+                                              range(N // 2, -1, -1)])
+        Q = ev.phase_product(C, D, mu, ev.PhaseGrid(ts))
+        scale = max(1.0, np.abs(mu).max() * np.abs(ts).max())
+        assert np.abs(got - (Q[0] ** 2 + Q[1] ** 2)).max() <= 4 * eps * scale
+    assert grid.twists(199).base.shape == (200, ts.size)
+
+
+def test_cross_phase_sweep_evaluates_its_phases_once(monkeypatch):
+    # one table for every block of the sweep: one _cis call, where the
+    # per-block phases of a uniform grid took two a block
+    calls = []
+    cis = ev._cis
+    monkeypatch.setattr(ev, "_cis", lambda *a: calls.append(a) or cis(*a))
+    da = ev.sweep_distributions(CrossPhase(s=1), 20.0,
+                                np.linspace(0.0, 2.0 * np.pi, 100), 1e-3)
+    assert len(calls) == 1 and calls[0][0].size == da.shape[0]
+    ev.sweep_distributions(Exchange(k=2), 1.0, np.linspace(0.0, 1.0, 100))
+    assert len(calls) > 2
+
+
+def test_cross_kerr_coherence_matches_50_digit_reference():
+    """g2 and g3 of `coherence --process cross-kerr --nbar 0.5` (tail_tol
+    1e-12) at theta = linspace(0, 6.283, 8000)[-1], against a reference
+    computed with mpmath at 50 digits: on each of the 26 kept blocks N the
+    splitter is mp.expm(-i (pi/2) J_x) of the exact J_x, the phases are
+    exp(-i theta m(N-m)) of the double theta (6.283 as the float holds it)
+    taken exactly, and mode a's distribution adds |amplitude|^2 on
+    n = N - j weighted by the kept double weights
+    fock.thermal_distribution(0.5, 1e-12); g_m = <n!/(n-m)!> / <n>^m. Near
+    theta = 2 pi mode a is almost empty, so g2 ~ 2.3e8 and g3 ~ 1.3e10
+    rest on tiny probabilities. Per-block phases from the angle-addition
+    tables were off by 6.7e-12 (g2) and 1.25e-9 (g3); one directly
+    evaluated table exp(i theta u^2/4) gives 7.8e-13 and 6.1e-10.
+    """
+    da = ev.sweep_distributions(CrossPhase(s=1), 0.5,
+                                np.linspace(0.0, 6.283, 8000), 1e-12)
+    rep = coherence.coherence_report(da[:, -1])
+    assert abs(rep.g2 / 232972969.6174394067 - 1.0) < 2e-12
+    assert abs(rep.g3 / 12580538641.2033107 - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
