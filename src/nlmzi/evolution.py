@@ -32,7 +32,13 @@ eigenvalues are not affine in u^2: their blocks keep their own phases.
 Each loop over blocks or pump levels (sweep_distributions,
 pdc_signal_sweep, the oscillator oracle) analyses its grid once, as a
 PhaseGrid, whose buffers every product of the loop reuses, and reads
-phase_product's real and imaginary parts.
+phase_product's real and imaginary parts. It runs its products on
+column tiles of about TILE points (PhaseGrid.tiles), so what a loop
+holds besides its result does not grow with the grid, while a tile is
+wide enough that a block's per-product costs stay small. A tile shares
+its grid's angle-addition tables, zero mask and buffers and starts on
+a multiple of the table stride, so its phases are the grid's columns
+bit for bit; a grid of at most TILE points is its own one tile.
 
 The eigensolves call LAPACK dbdsdc (a bipartite tridiagonal chain, as the
 SVD of its half-size bidiagonal), dstevd (any other tridiagonal chain)
@@ -44,6 +50,7 @@ raises ConfigurationError, and the CLI exits 3.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 import math
@@ -56,6 +63,9 @@ from .errors import ConfigurationError, DomainError
 from .operators import (BufferPool, CrossPhase, DegeneratePDC,
                         NonDegeneratePDC, ProcessSpec, ladder_walk,
                         process_generator, rung_entries)
+
+
+TILE = 1024  # about the columns of one tile (PhaseGrid.tiles)
 
 
 class PhaseGrid:
@@ -74,6 +84,9 @@ class PhaseGrid:
     fresh ones would each be mapped and zero-filled anew; reused, they are
     faulted in once. A product on a grid is therefore a view that the
     grid's next product overwrites.
+
+    A loop runs its products tile by tile (tiles), so that no phase table,
+    part copy or product holds more than a tile's columns.
     """
 
     def __init__(self, ts, top: int = 0):
@@ -88,6 +101,40 @@ class PhaseGrid:
             dev = np.abs(ts - (ts[0] + h * np.arange(T))).max()
             if dev <= 4.0 * np.finfo(float).eps * np.abs(ts).max():
                 self.tables = (self.negated[::B], -(h * np.arange(B)))
+
+    def tiles(self):
+        """Yields (cols, tile), tile the grid's columns cols, in order: the
+        grid itself when T <= TILE, else runs of TILE // B * B columns
+        (at least B, the table stride B = isqrt(T)) and a shorter last one.
+
+        A tile shares the grid's pool, top, zero mask and angle-addition
+        tables (the entries of ts[::B] that its columns read), and builds
+        its own cross-phase table (twists) of its columns alone, which goes
+        with the tile, as each tile is made when the loop reaches it. As
+        every tile starts on a multiple of B, its column q B + r is still
+        the product of the grid's table columns q and r, so its phases are
+        the grid's columns bit for bit. The width bounds what a loop holds and
+        is wide enough that the per-product costs of a block (its call,
+        _full rebuild and small table) stay small next to its columns:
+        with 484-column tiles the warm 2000-point exchange coarse sweep of
+        the benchmark's long_scan took about a quarter longer, with 1012
+        (TILE // B * B there) its wall time did not move.
+        """
+        T, B = self.size, math.isqrt(self.size)
+        if T <= TILE:
+            yield slice(0, T), self
+            return
+        W = max(B, TILE // B * B)
+        for s in range(0, T, W):
+            cols = slice(s, min(s + W, T))
+            tile = copy.copy(self)
+            tile.ts, tile.negated = self.ts[cols], self.negated[cols]
+            tile.zeros, tile.size = self.zeros[cols], cols.stop - s
+            tile._twists = None
+            if self.tables is not None:
+                hi, lo = self.tables
+                tile.tables = (hi[s // B: -(-cols.stop // B)], lo)
+            yield cols, tile
 
     def twists(self, N: int) -> np.ndarray:
         """exp(i t u^2/4) on u = N%2, N%2 + 2, ..., N, shape
@@ -638,8 +685,12 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
     of n photons at thetas[i], the dimensionless angles chi t or g t, on
     the M = fock.thermal_distribution(nbar, tail_tol).size kept blocks.
     The blocks come from block_engine, and one PhaseGrid of thetas, with
-    top = M - 1, serves every block. Raises DomainError on a non-finite
-    theta.
+    top = M - 1, serves every block, one column tile at a time
+    (PhaseGrid.tiles, which says what a tile shares and why it is about
+    TILE wide): every block adds its probabilities on a tile into
+    da[:, cols] before the next tile's, so the phases, the cross-phase
+    table, the part copies and the products hold one tile's columns
+    whatever T. Raises DomainError on a non-finite theta.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.isfinite(thetas).all():
@@ -647,13 +698,13 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
     P = fock.thermal_distribution(nbar, tail_tol)
     M = P.size
     eng = block_engine(process)
-    grid = PhaseGrid(thetas, top=M - 1)
     da = np.zeros((M, thetas.size))
-    for N in range(M):
-        pb = eng.probs(N, grid)
-        pb *= P[N]
-        rows = eng.rows(N)
-        da[N - rows.start::-rows.step] += pb
+    for cols, tile in PhaseGrid(thetas, top=M - 1).tiles():
+        for N in range(M):
+            pb = eng.probs(N, tile)
+            pb *= P[N]
+            rows = eng.rows(N)
+            da[N - rows.start::-rows.step, cols] += pb
     return da
 
 
@@ -747,8 +798,9 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
 
     Rows are signal occupations 0..step*N_max for a thermal pump cut at
     N_max. The chain couplings carry g, so each pump level's chain is
-    evolved once over the times t = g t / g, one PhaseGrid for every
-    level, and added, weighted by P[n], into the leading step*n+1 rows.
+    solved once and evolved over the times t = g t / g, one PhaseGrid for
+    every level, tile by tile (PhaseGrid.tiles), and added, weighted by
+    P[n], into the leading step*n+1 rows of the tile's columns.
     Raises DomainError on a non-finite g t and on a coupling g that is
     zero or not finite.
     """
@@ -759,8 +811,10 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     if not np.isfinite(gts).all():
         raise DomainError("g t must be finite")
-    grid = PhaseGrid(gts / process.g)
-    sig = np.zeros((eng.step * (P.size - 1) + 1, grid.size))
+    tiles = list(PhaseGrid(gts / process.g).tiles())
+    sig = np.zeros((eng.step * (P.size - 1) + 1, gts.size))
     for n in range(P.size):
-        sig[: eng.step * n + 1] += P[n] * eng.mode_distributions(n, grid)
+        for cols, tile in tiles:
+            sig[: eng.step * n + 1, cols] += \
+                P[n] * eng.mode_distributions(n, tile)
     return sig

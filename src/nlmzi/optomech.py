@@ -233,7 +233,8 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     every initial state shares: the states at all taus are
     evolution.phase_product of V diag(V^T psi0), one real product when
     psi0 is real (a real alpha or a thermal basis state), all on one
-    evolution.PhaseGrid of the taus, whose phase buffer they reuse. With
+    evolution.PhaseGrid of the taus, tile by tile, whose phase buffer
+    they reuse and then take their squares in. With
     h_m = sqrt(m+1)/sqrt2 the moments of the truncated position X are
     read off the bands
 
@@ -281,25 +282,33 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     phon = np.zeros(taus.size)
     ex = np.zeros(taus.size)
     ex2 = np.zeros(taus.size)
-    buf = np.empty((2, osc_cutoff + 1, taus.size))
-    grid = PhaseGrid(taus)
+    tiles = list(PhaseGrid(taus).tiles())
     top = 0.0
     for n, pn in enumerate(p):
         if pn == 0:
             continue
         band[1, :-1] = cfg.G * n * sq
         lam, V, _ = chain_eig(band)
-        for w, y in zip(pn * wts, psi0 @ V):
-            A = V * y
-            Z = phase_product(A, A, lam, grid)
-            np.multiply(Z, Z, out=buf)
-            top = max(top, float(buf[:, -1].sum(axis=0).max()))
-            phon += w * (mm @ buf).sum(axis=0)
-            x2 = (d @ buf).sum(axis=0)
-            np.multiply(Z[:, :-1], Z[:, 1:], out=buf[:, :-1])
-            ex += w * 2.0 * (h @ buf[:, :-1]).sum(axis=0)
-            np.multiply(Z[:, :-2], Z[:, 2:], out=buf[:, :-2])
-            ex2 += w * (x2 + 2.0 * (hh @ buf[:, :-2]).sum(axis=0))
+        ys = psi0 @ V
+        last = len(ys) - 1 if np.isrealobj(ys) else -1
+        for i, (w, y) in enumerate(zip(pn * wts, ys)):
+            # a real last initial state scales V itself, which nothing
+            # reads after it
+            A = np.multiply(V, y, out=V if i == last else None)
+            for cols, tile in tiles:
+                Z = phase_product(A, A, lam, tile)
+                # the squares go to the tile's phase buffer, which nothing
+                # reads once phase_product returns
+                buf = tile.pool.take("Z", Z.shape[1:], complex)
+                buf = buf.view(float).reshape(Z.shape)
+                np.multiply(Z, Z, out=buf)
+                top = max(top, float(buf[:, -1].sum(axis=0).max()))
+                phon[cols] += w * (mm @ buf).sum(axis=0)
+                x2 = (d @ buf).sum(axis=0)
+                np.multiply(Z[:, :-1], Z[:, 1:], out=buf[:, :-1])
+                ex[cols] += w * 2.0 * (h @ buf[:, :-1]).sum(axis=0)
+                np.multiply(Z[:, :-2], Z[:, 2:], out=buf[:, :-2])
+                ex2[cols] += w * (x2 + 2.0 * (hh @ buf[:, :-2]).sum(axis=0))
     if top > ORACLE_TOP_TOL:
         raise _small_cutoff(cfg, p.size - 1, osc_cutoff,
                             "top-level population %.2e" % top)

@@ -500,7 +500,8 @@ def test_long_scan_reuses_its_sweep_buffers(tmp_path):
     # a cold exchange scan of 2000 thetas on 141 blocks: with fresh phase
     # and product arrays for every block, each a little larger than the
     # last and above malloc's mmap threshold, it faults in about 54000
-    # zero-filled pages; the sweep's reused buffers leave about 6000
+    # zero-filled pages; the sweep's reused buffers left about 5500, and
+    # with those buffers sized to a column tile of 1012 thetas about 3800
     argv = ["max-efficiency", "--process", "exchange", "--k", "2",
             "--nbar", "20", "--theta-max", "100", "--grid", "2000",
             "--tail-tol", "1e-3", "--out", str(tmp_path / "scan.csv")]

@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nlmzi import coherence
 from nlmzi import evolution as ev
 from nlmzi import fock
 from nlmzi import operators as ops
+from nlmzi import optomech as om
 from nlmzi.errors import ConfigurationError, DomainError
 from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                              NonDegeneratePDC)
@@ -629,6 +631,113 @@ def test_cross_kerr_coherence_matches_50_digit_reference():
     rep = coherence.coherence_report(da[:, -1])
     assert abs(rep.g2 / 232972969.6174394067 - 1.0) < 2e-12
     assert abs(rep.g3 / 12580538641.2033107 - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# column tiles
+# ---------------------------------------------------------------------------
+
+# T = 2500: B = 50, so tiles of 1000, 1000 and a shorter last one of 500
+TILED = np.linspace(0.0, 40.0, 2500)
+ONE_TILE = np.linspace(0.0, 40.0, ev.TILE)
+
+
+def _agrees(got, ref, T):
+    """got is ref bit for bit on a grid of one tile, and otherwise within
+    4 ulp of each column's scale."""
+    if T <= ev.TILE:
+        return np.array_equal(got, ref)
+    scale = np.abs(ref).max(axis=0)
+    return np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("ts", [TILED, np.geomspace(0.01, 40.0, 2500),
+                                ONE_TILE], ids=["uniform", "non-uniform",
+                                                "one-tile"])
+def test_tiles_are_the_grid_columns_bit_for_bit(ts):
+    # every tile starts on a multiple of B and shares the grid's tables, so
+    # its phases and its cross-phase table are the grid's columns exactly
+    grid = ev.PhaseGrid(ts, top=30)
+    tiles = list(grid.tiles())
+    B = math.isqrt(ts.size)
+    if ts.size > ev.TILE:
+        assert [c.start for c, _ in tiles] == [0, 1000, 2000]
+    else:
+        assert tiles == [(slice(0, ts.size), grid)]
+    mu = np.array([0.0, 1.0, -3.7, 988.2, 17.5])
+    whole, table = ev._phases(mu, grid).copy(), grid.twists(30).copy()
+    for cols, tile in tiles:
+        assert cols.start % B == 0 and tile.size == cols.stop - cols.start
+        assert tile.pool is grid.pool
+        assert np.array_equal(ev._phases(mu, tile), whole[:, cols])
+        assert np.array_equal(tile.twists(30), table[:, cols])
+
+
+@pytest.mark.parametrize("process", [Exchange(k=2), CrossPhase(s=1)],
+                         ids=["exchange-k2", "cross-phase"])
+@pytest.mark.parametrize("ts", [TILED, ONE_TILE], ids=["tiled", "one-tile"])
+def test_tiled_sweep_is_the_whole_grid_reduction(process, ts):
+    # mode a reduced from whole-grid products, as oracles.
+    # mode_b_distributions reduces mode b
+    da = ev.sweep_distributions(process, 2.0, ts, 1e-6)
+    P = fock.thermal_distribution(2.0, 1e-6)
+    eng, grid = ev.block_engine(process), ev.PhaseGrid(ts)
+    ref = np.zeros_like(da)
+    for N in range(P.size):
+        rows = eng.rows(N)
+        ref[N - rows.start::-rows.step] += eng.probs(N, grid) * P[N]
+    assert _agrees(da, ref, ts.size)
+
+
+@pytest.mark.parametrize("process", [DegeneratePDC(g=0.7),
+                                     NonDegeneratePDC(g=1.0)],
+                         ids=["degenerate", "non-degenerate"])
+@pytest.mark.parametrize("ts", [TILED / 10.0, ONE_TILE / 10.0],
+                         ids=["tiled", "one-tile"])
+def test_tiled_pdc_sweep_is_the_whole_grid_sum(process, ts):
+    sig = ev.pdc_signal_sweep(process, 1.0, ts, 1e-8)
+    P = fock.thermal_distribution(1.0, 1e-8)
+    eng, grid = ev.GenericEngine(process), ev.PhaseGrid(ts / process.g)
+    ref = np.zeros_like(sig)
+    for n in range(P.size):
+        ref[: eng.step * n + 1] += P[n] * eng.mode_distributions(n, grid)
+    assert _agrees(sig, ref, ts.size)
+
+
+@pytest.mark.parametrize("init", [om.CoherentInit(2.0),
+                                  om.CoherentInit(1.0 + 1.5j),
+                                  om.ThermalInit(0.3)],
+                         ids=["coherent", "complex", "thermal"])
+@pytest.mark.parametrize("ts", [TILED, ONE_TILE], ids=["tiled", "one-tile"])
+def test_tiled_oracle_is_the_whole_grid_oracle(init, ts, monkeypatch):
+    # the whole grid as one tile is the oracle without tiles
+    cfg = om.OscillatorConfig(G=0.05, Omega=1.0, init=init)
+    dist = [0.5, 0.3, 0.2]
+    got = om.full_quantum_oracle(dist, cfg, 40, ts)
+    monkeypatch.setattr(ev, "TILE", ts.size)
+    ref = om.full_quantum_oracle(dist, cfg, 40, ts)
+    for a, b in ((got.phonon, ref.phonon), (got.xvar, ref.xvar)):
+        assert _agrees(a[None], b[None], ts.size)
+
+
+@pytest.mark.parametrize("process", [Exchange(k=2), CrossPhase(s=1)],
+                         ids=["exchange-k2", "cross-phase"])
+def test_sweep_memory_does_not_grow_with_the_grid(process):
+    # what a sweep holds past its result is one tile's phases, cross-phase
+    # table, part copies and products, the same on 4 tiles as on 16;
+    # whole-grid ones grow fourfold
+    ev.sweep_distributions(process, 2.0, [0.5], 1e-8)  # builds the blocks
+    held = []
+    for T in (4 * ev.TILE, 16 * ev.TILE):  # B = 64 and 128: tiles of TILE
+        thetas = np.linspace(0.0, 10.0, T)
+        tracemalloc.start()
+        try:
+            da = ev.sweep_distributions(process, 2.0, thetas, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held.append(peak - da.nbytes)
+    assert held[1] < 1.25 * held[0]
 
 
 # ---------------------------------------------------------------------------
