@@ -38,14 +38,15 @@ holds besides its result does not grow with the grid, while a tile is
 wide enough that a block's per-product costs stay small. A tile shares
 its grid's angle-addition tables, zero mask and buffers and starts on
 a multiple of the table stride, so its phases are the grid's columns
-bit for bit; a grid of at most TILE points is its own one tile.
+bit for bit.
 
 The eigensolves call LAPACK dbdsdc (a bipartite tridiagonal chain, as the
 SVD of its half-size bidiagonal), dstevd (any other tridiagonal chain)
 and dsbevd (a wider one) in the OpenBLAS that numpy bundles and runs
-every product on, so the process holds one BLAS library and one thread
-pool. Where the process maps no such library, the first chain solve
-raises ConfigurationError, and the CLI exits 3.
+every product on, bound through numpy's own LAPACK extension, so the
+process holds one BLAS library and one thread pool. Where numpy links
+no such library, the first chain solve raises ConfigurationError, and
+the CLI exits 3.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import math
 from typing import Dict
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import fock
 from .errors import ConfigurationError, DomainError
@@ -103,9 +105,10 @@ class PhaseGrid:
                 self.tables = (self.negated[::B], -(h * np.arange(B)))
 
     def tiles(self):
-        """Yields (cols, tile), tile the grid's columns cols, in order: the
-        grid itself when T <= TILE, else runs of TILE // B * B columns
-        (at least B, the table stride B = isqrt(T)) and a shorter last one.
+        """Yields (cols, tile), tile the grid's columns cols, in order: runs
+        of TILE // B * B columns (at least B, the table stride B =
+        isqrt(T)) and a shorter last one: one tile when T <= TILE, none
+        when T = 0.
 
         A tile shares the grid's pool, top, zero mask and angle-addition
         tables (the entries of ts[::B] that its columns read), and builds
@@ -120,10 +123,7 @@ class PhaseGrid:
         the benchmark's long_scan took about a quarter longer, with 1012
         (TILE // B * B there) its wall time did not move.
         """
-        T, B = self.size, math.isqrt(self.size)
-        if T <= TILE:
-            yield slice(0, T), self
-            return
+        T, B = self.size, max(1, math.isqrt(self.size))
         W = max(B, TILE // B * B)
         for s in range(0, T, W):
             cols = slice(s, min(s + W, T))
@@ -225,40 +225,30 @@ def phase_product(C, D, mu, grid: PhaseGrid, Z=None) -> np.ndarray:
 _COL_MAJOR = 102  # LAPACKE's matrix layout code for Fortran order
 
 
-def _find_lapacke(maps="/proc/self/maps"):
-    """{routine: function} of LAPACKE dstevd, dsbevd and dbdsdc in numpy's
-    bundled OpenBLAS, found among the libraries that maps (this process's
-    memory map) lists, or, when there is none, a message naming what is
+def _find_lapacke(lib=_umath_linalg.__file__):
+    """{routine: function} of LAPACKE dstevd, dsbevd and dbdsdc as lib
+    exports them, or, where it does not, a message naming what is
     missing. dbdsdc is bound in its _work form, which takes its workspace
     from the caller, where the plain form allocates and frees it on every
     call.
 
-    numpy's wheels bundle an ILP64 OpenBLAS (scipy-openblas64), which
-    exports LAPACKE as scipy_LAPACKE_<routine>64_, with 64-bit integers;
-    numpy maps it at import, and a library that is already mapped is not
-    loaded again. Another BLAS (MKL, Accelerate) or a 32-bit-integer
-    OpenBLAS exports no such names.
+    lib is numpy's own LAPACK extension by default: a symbol looked up on
+    its handle is also looked up in the libraries it links, so these are
+    the routines of the OpenBLAS that runs numpy's products. numpy's wheels
+    bundle an ILP64 OpenBLAS (scipy-openblas64), which exports LAPACKE as
+    scipy_LAPACKE_<routine>64_, with 64-bit integers; another BLAS (MKL,
+    Accelerate) or a 32-bit-integer OpenBLAS exports no such names.
     """
     want = {"dstevd": "scipy_LAPACKE_dstevd64_",
             "dsbevd": "scipy_LAPACKE_dsbevd64_",
             "dbdsdc": "scipy_LAPACKE_dbdsdc_work64_"}
     try:
-        with open(maps, encoding="utf-8") as fh:
-            libs = sorted({ln.split(maxsplit=5)[5].strip() for ln in fh
-                           if "openblas" in ln.lower()})
-    except OSError:
-        libs = []
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        if all(hasattr(handle, sym) for sym in want.values()):
-            break
-    else:
+        handle = ctypes.CDLL(lib)
+        found = {r: getattr(handle, sym) for r, sym in want.items()}
+    except (OSError, AttributeError):
         return ("chain_eig needs numpy's bundled OpenBLAS, whose LAPACKE "
-                "exports %s; no library listed in %s exports them"
-                % (", ".join(want.values()), maps))
+                "exports %s; %s does not link them"
+                % (", ".join(want.values()), lib))
     ptr = ctypes.POINTER(ctypes.c_double)
     i64, char = ctypes.c_int64, ctypes.c_char
     args = {"dstevd": [ctypes.c_int, char, i64, ptr, ptr, ptr, i64],
@@ -267,7 +257,6 @@ def _find_lapacke(maps="/proc/self/maps"):
             "dbdsdc": [ctypes.c_int, char, char, i64, ptr, ptr, ptr, i64,
                        ptr, i64, ptr, ctypes.POINTER(i64), ptr,
                        ctypes.POINTER(i64)]}
-    found = {r: getattr(handle, sym) for r, sym in want.items()}
     for routine, fn in found.items():
         fn.argtypes, fn.restype = args[routine], i64
     return found

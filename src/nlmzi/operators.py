@@ -58,8 +58,9 @@ class Exchange:
             raise DomainError("exchange order k must be a positive integer")
         if self.k > EXCHANGE_ORDER_GUARD and not self.allow_high_order:
             raise ConfigurationError(
-                "exchange order k=%d exceeds the default guard k<=%d; "
-                "pass allow_high_order=True to override" % (self.k, EXCHANGE_ORDER_GUARD))
+                "exchange order k=%d exceeds the default guard k<=%d; pass "
+                "--allow-high-order (allow_high_order=True) to override"
+                % (self.k, EXCHANGE_ORDER_GUARD))
 
     @property
     def strength(self) -> float:

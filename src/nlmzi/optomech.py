@@ -165,10 +165,7 @@ def position_variance(dist, cfg: OscillatorConfig, taus) -> np.ndarray:
     with baseline 1/2 for a coherent init and (1 + 2 nbar_O)/2 thermal.
     Raises DomainError on a non-finite tau.
     """
-    taus = _finite_taus(taus)
-    p = np.asarray(dist, dtype=float)
-    _require_parity(p, "position_variance")
-    return _xvar(ergotropy(p).wc_dispersion, cfg, taus)
+    return _parity_trace(dist, cfg, taus, "position_variance").xvar
 
 
 # ---------------------------------------------------------------------------

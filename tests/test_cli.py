@@ -291,12 +291,11 @@ def test_failed_eigensolve_exits_three(tmp_path, capsys, monkeypatch):
 
 
 def test_missing_openblas_exits_three(tmp_path, capsys, monkeypatch):
-    # with no OpenBLAS LAPACKE in the process map, the first chain solve
-    # names what is missing, and the command exits 3 with one error line
-    maps = tmp_path / "maps"
-    maps.write_text("")
+    # with no OpenBLAS LAPACKE behind the bound library, the first chain
+    # solve names what is missing, and the command exits 3 with one error
+    # line
     monkeypatch.setattr(evolution, "_LAPACKE",
-                        evolution._find_lapacke(str(maps)))
+                        evolution._find_lapacke(str(tmp_path / "no.so")))
     rc = run("pdc", "--variant", "degenerate", "--nbar", 0.5,
              "--gt", "0:1:3", "--out", tmp_path / "z.csv")
     assert rc == 3
@@ -333,6 +332,17 @@ def test_commands_start_without_scipy_linalg_or_special(tmp_path):
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
     if sys.platform.startswith("linux"):
         assert libs is not None and len(libs) == 1, libs
+
+
+def test_high_order_guard_names_the_cli_flag(tmp_path, capsys):
+    # a CLI user overrides the guard by its flag, not its keyword
+    rc = run("max-efficiency", "--process", "exchange", "--k", 5,
+             "--nbar", 0.2, "--theta-max", 1, "--grid", 5,
+             "--out", tmp_path / "x.csv")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--allow-high-order" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_high_order_exchange_behind_flag(tmp_path):

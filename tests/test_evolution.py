@@ -1,8 +1,14 @@
 """Block evolution against a dense two-mode oracle, plus the PDC chains."""
 
 import ast
+import ctypes
+import ctypes.util
+import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -663,7 +669,7 @@ def test_tiles_are_the_grid_columns_bit_for_bit(ts):
     if ts.size > ev.TILE:
         assert [c.start for c, _ in tiles] == [0, 1000, 2000]
     else:
-        assert tiles == [(slice(0, ts.size), grid)]
+        assert [c for c, _ in tiles] == [slice(0, ts.size)]
     mu = np.array([0.0, 1.0, -3.7, 988.2, 17.5])
     whole, table = ev._phases(mu, grid).copy(), grid.twists(30).copy()
     for cols, tile in tiles:
@@ -718,6 +724,16 @@ def test_tiled_oracle_is_the_whole_grid_oracle(init, ts, monkeypatch):
     ref = om.full_quantum_oracle(dist, cfg, 40, ts)
     for a, b in ((got.phonon, ref.phonon), (got.xvar, ref.xvar)):
         assert _agrees(a[None], b[None], ts.size)
+
+
+def test_an_empty_grid_has_no_tiles_and_empty_results():
+    # no column, no product: every loop returns its rows with no columns
+    assert list(ev.PhaseGrid([]).tiles()) == []
+    assert ev.sweep_distributions(Exchange(k=2), 1.0, [], 1e-6).shape == (20, 0)
+    assert ev.pdc_signal_sweep(DegeneratePDC(g=0.7), 1.0, [], 1e-6).size == 0
+    cfg = om.OscillatorConfig(G=0.05, Omega=1.0, init=om.CoherentInit(1.0))
+    trace = om.full_quantum_oracle([0.5, 0.3, 0.2], cfg, 40, [])
+    assert trace.phonon.shape == trace.xvar.shape == (0,)
 
 
 @pytest.mark.parametrize("process", [Exchange(k=2), CrossPhase(s=1)],
@@ -891,14 +907,58 @@ def test_chain_eig_raises_on_a_failed_solve(monkeypatch, routine, rows):
         ev.chain_eig(band)
 
 
-def test_chain_eig_without_numpys_openblas_raises(monkeypatch, tmp_path):
-    # a process that maps no OpenBLAS exporting LAPACKE (a numpy built on
-    # MKL or Accelerate) gets a ConfigurationError that names what is
+MISSING_LAPACKE = [ctypes.util.find_library("m"), "/nonexistent/libx.so"]
+
+
+@pytest.mark.parametrize("lib", MISSING_LAPACKE,
+                         ids=["no-symbols", "no-library"])
+def test_find_lapacke_names_every_missing_symbol(lib):
+    # a library that exports none of the routines, or none at all: the
+    # binding is the message naming all three
+    msg = ev._find_lapacke(lib)
+    assert isinstance(msg, str) and lib in msg
+    for routine in ("dstevd", "dsbevd", "dbdsdc_work"):
+        assert "scipy_LAPACKE_%s64_" % routine in msg
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the Linux process map")
+def test_bound_routines_live_in_the_one_mapped_openblas():
+    # in a process that imports no scipy (whose own OpenBLAS this one
+    # maps), every bound routine lies in the one OpenBLAS file mapped,
+    # the one that runs numpy's products
+    script = (
+        "import ctypes, json\n"
+        "from nlmzi import evolution as ev\n"
+        "spans = {}\n"
+        "with open('/proc/self/maps') as fh:\n"
+        "    for ln in fh:\n"
+        "        f = ln.split(maxsplit=5)\n"
+        "        if len(f) == 6 and 'openblas' in f[5].lower():\n"
+        "            lo, hi = (int(x, 16) for x in f[0].split('-'))\n"
+        "            spans.setdefault(f[5].strip(), []).append((lo, hi))\n"
+        "fns = {r: ctypes.cast(fn, ctypes.c_void_p).value\n"
+        "       for r, fn in ev._LAPACKE.items()}\n"
+        "print(json.dumps([spans, fns]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(pathlib.Path(ev.__file__).parents[1]),
+        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    spans, fns = json.loads(proc.stdout.splitlines()[-1])
+    assert len(spans) == 1, sorted(spans)
+    assert set(fns) == {"dstevd", "dsbevd", "dbdsdc"}
+    (ranges,) = spans.values()
+    for routine, addr in fns.items():
+        assert any(lo <= addr < hi for lo, hi in ranges), routine
+
+
+def test_chain_eig_without_numpys_openblas_raises(monkeypatch):
+    # a numpy that links no OpenBLAS exporting LAPACKE (one built on MKL
+    # or Accelerate) gets a ConfigurationError that names what is
     # missing, all three routines, on its first chain solve
-    maps = tmp_path / "maps"
-    maps.write_text("00400000-00452000 r-xp 00000000 08:02 173521 "
-                    "/usr/lib/libm.so.6\n")
-    monkeypatch.setattr(ev, "_LAPACKE", ev._find_lapacke(str(maps)))
+    monkeypatch.setattr(ev, "_LAPACKE", ev._find_lapacke(MISSING_LAPACKE[0]))
     assert ev.chain_eig(np.ones((2, 1)))[0] == 1.0  # no solve on one site
     for band in (np.ones((2, 6)), np.ones((4, 6)),
                  np.vstack([np.zeros(6), np.ones(6)])):
