@@ -82,18 +82,8 @@ def sha256_of(path: str) -> str:
     return h.hexdigest()
 
 
-def _json_safe(v):
-    if isinstance(v, (str, int, float, bool)) or v is None:
-        return v
-    if isinstance(v, complex):
-        return repr(v)
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
-    return repr(v)
-
-
 def write_manifest(args, argv, out_path, extras, cutoffs, tail_masses, wall):
-    params = {k: _json_safe(v) for k, v in vars(args).items() if k != "func"}
+    params = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "command": args.command,
         "argv": list(argv),
@@ -107,7 +97,9 @@ def write_manifest(args, argv, out_path, extras, cutoffs, tail_masses, wall):
     manifest.update(extras)
     mpath = out_path + ".manifest.json"
     with open(mpath, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, ensure_ascii=False, indent=2)
+        # a value of a type JSON lacks, such as a complex alpha, is its repr
+        json.dump(manifest, fh, sort_keys=True, ensure_ascii=False, indent=2,
+                  default=repr)
         fh.write("\n")
     return mpath
 

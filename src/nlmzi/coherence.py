@@ -34,12 +34,12 @@ def g_m(p, m: int):
     mean photon number sits below MEAN_FLOOR. A non-finite entry, or one
     below -1e-12, raises DomainError (thermo.checked_probabilities).
     """
-    if not 2 <= m <= 4:
+    if m not in (2, 3, 4):
         raise DomainError("coherence order m must be 2, 3 or 4")
     p = checked_probabilities(p)
     mean = fock.mean_photon(p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = fock.factorial_moment(p, m) / mean ** m
+        g = fock.factorial_moment(p, int(m)) / mean ** m
     return np.where(mean < MEAN_FLOOR, np.nan, g)[()]
 
 
@@ -126,9 +126,8 @@ def q_exchange3(theta: float, m: int, nbar: float = 0.0):
     s6 = np.sin(6.0 * theta)
     den2 = 1.5 * s3 ** 4 + (3.0 / 8.0) * s6 ** 2
     den34 = p0 * 2.25 * s6 ** 4 + den2
-    if m == 1:
-        num = 1.5 * s3 ** 4 + (3.0 / 8.0) * s6 ** 2
-        return num * envelope / den2 ** 2
+    if m == 1:  # q_1's numerator is den2 itself
+        return den2 * envelope / den2 ** 2
     if m == 2:
         num = p0 * 13.5 * s6 ** 4 + (3.0 / 8.0) * s6 ** 2
         return num * envelope ** 2 / den34 ** 3
@@ -175,9 +174,8 @@ def small_nbar_scalings(process: ProcessSpec, nbar: float, theta: float,
     def shape(m: int, th: float, ww: float):
         if ww < MEAN_FLOOR:
             return None
-        odd = isinstance(process, Exchange) and process.k % 2 == 1
-        if odd:
-            if isinstance(process, Exchange) and process.k == 3:
+        if isinstance(process, Exchange) and process.k % 2 == 1:
+            if process.k == 3:
                 q = q_exchange3(th, m - 1, nbar)
                 return None if q is None else q / ww ** (m - 1)
             return None

@@ -647,6 +647,18 @@ def _exchange_chains(q, N: int, band, offsets, scale, pool: BufferPool):
     return C, D, np.concatenate(mus), rows, sign
 
 
+def checked_grid(ts, name: str) -> np.ndarray:
+    """ts as a float grid of one axis, a scalar one point; more axes or a
+    non-finite point raise DomainError naming the grid."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.ndim != 1:
+        raise DomainError("%s must lie on one axis, not shape %s"
+                          % (name, ts.shape))
+    if not np.isfinite(ts).all():
+        raise DomainError("%s must be finite" % name)
+    return ts
+
+
 @functools.lru_cache(maxsize=1)
 def block_engine(process: ProcessSpec) -> BlockEngine:
     """The BlockEngine of process, kept until another process is swept:
@@ -679,11 +691,9 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
     TILE wide): every block adds its probabilities on a tile into
     da[:, cols] before the next tile's, so the phases, the cross-phase
     table, the part copies and the products hold one tile's columns
-    whatever T. Raises DomainError on a non-finite theta.
+    whatever T. Raises DomainError on a grid checked_grid refuses.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if not np.isfinite(thetas).all():
-        raise DomainError("thetas must be finite")
+    thetas = checked_grid(thetas, "thetas")
     P = fock.thermal_distribution(nbar, tail_tol)
     M = P.size
     eng = block_engine(process)
@@ -790,16 +800,14 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
     solved once and evolved over the times t = g t / g, one PhaseGrid for
     every level, tile by tile (PhaseGrid.tiles), and added, weighted by
     P[n], into the leading step*n+1 rows of the tile's columns.
-    Raises DomainError on a non-finite g t and on a coupling g that is
-    zero or not finite.
+    Raises DomainError on the g t that checked_grid refuses and on a
+    coupling g that is zero or not finite.
     """
     P = fock.thermal_distribution(nbar, tail_tol)
     eng = GenericEngine(process)
     if not (np.isfinite(process.g) and process.g != 0.0):
         raise DomainError("the coupling g must be finite and non-zero")
-    gts = np.atleast_1d(np.asarray(gts, dtype=float))
-    if not np.isfinite(gts).all():
-        raise DomainError("g t must be finite")
+    gts = checked_grid(gts, "g t")
     tiles = list(PhaseGrid(gts / process.g).tiles())
     sig = np.zeros((eng.step * (P.size - 1) + 1, gts.size))
     for n in range(P.size):

@@ -59,16 +59,12 @@ def thermal_distribution(nbar: float, tail_tol: float = 1e-12) -> np.ndarray:
         raise ConfigurationError(
             "nbar %g at tail_tol %g needs %d blocks, above the block budget "
             "%d" % (nbar, tail_tol, n_max + 1, DEFAULT_DIM_GUARD))
-    if nbar == 0:
-        return np.array([1.0])
     x = nbar / (1.0 + nbar)
     return x ** np.arange(n_max + 1) / (1.0 + nbar)
 
 
 def thermal_tail_mass(nbar: float, n_max: int) -> float:
     """Probability mass above n_max: sum_{n > n_max} P_n = x^(n_max+1)."""
-    if nbar == 0:
-        return 0.0
     x = nbar / (1.0 + nbar)
     return x ** (n_max + 1)
 
@@ -79,8 +75,6 @@ def thermal_tail_energy(nbar: float, n_max: int) -> float:
     sum_{n > n_max} n P_n = x^(n_max+1) (n_max + 1 + nbar), the bound on any
     energy-linear quantity lost to truncation.
     """
-    if nbar == 0:
-        return 0.0
     x = nbar / (1.0 + nbar)
     return x ** (n_max + 1) * (n_max + 1 + nbar)
 
@@ -94,11 +88,6 @@ def second_moment(p):
     p = np.asarray(p, dtype=float)
     n = np.arange(p.shape[0], dtype=float)
     return (n * n) @ p
-
-
-def variance(p):
-    m = mean_photon(p)
-    return second_moment(p) - m * m
 
 
 def factorial_moment(p, m: int):

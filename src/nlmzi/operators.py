@@ -56,6 +56,8 @@ class Exchange:
     def __post_init__(self):
         if self.k < 1 or int(self.k) != self.k:
             raise DomainError("exchange order k must be a positive integer")
+        # an integer-valued float is its int, as process_generator needs
+        object.__setattr__(self, "k", int(self.k))
         if self.k > EXCHANGE_ORDER_GUARD and not self.allow_high_order:
             raise ConfigurationError(
                 "exchange order k=%d exceeds the default guard k<=%d; pass "

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fock
 from .errors import ConfigurationError, DomainError, FitError
-from .evolution import PhaseGrid, chain_eig, phase_product
+from .evolution import PhaseGrid, chain_eig, checked_grid, phase_product
 from .thermo import checked_probabilities, ergotropy
 
 PARITY_TOL = 1e-10
@@ -87,11 +87,14 @@ class OscillatorTrace:
     config: OscillatorConfig
 
 
-def _finite_taus(taus) -> np.ndarray:
-    taus = np.asarray(taus, dtype=float)
-    if not np.isfinite(taus).all():
-        raise DomainError("taus must be finite")
-    return taus
+def _field(dist) -> np.ndarray:
+    """dist as one field's distribution: checked_probabilities of shape
+    (n,), n >= 1; any other shape raises DomainError."""
+    p = checked_probabilities(dist)
+    if p.ndim != 1 or p.size == 0:
+        raise DomainError("dist must be one field's distribution, of shape "
+                          "(n,) with n >= 1, not %s" % (p.shape,))
+    return p
 
 
 def _beat(alpha: complex, c: np.ndarray) -> np.ndarray:
@@ -107,9 +110,9 @@ def phonon_trace_moments(mean: float, second_moment: float,
 
     A coherent init beats with its alpha from base |alpha|^2; a thermal
     init does not beat (its phase averages out) and starts at nbar_O.
-    Raises DomainError on a non-finite tau.
+    Raises DomainError on the taus that checked_grid refuses.
     """
-    c = cfg.Omega * _finite_taus(taus)
+    c = cfg.Omega * checked_grid(taus, "taus")
     u = cfg.G / cfg.Omega
     bulge = second_moment * 4.0 * u ** 2 * np.sin(c / 2.0) ** 2
     if isinstance(cfg.init, ThermalInit):
@@ -121,9 +124,10 @@ def phonon_trace_moments(mean: float, second_moment: float,
 def _parity_trace(dist, cfg: OscillatorConfig, taus,
                   what: str) -> OscillatorTrace:
     """phonon_trace_moments read through <n> = 2W and
-    <n^2> = 4 (|dW^2|/3 + W^2), with the position variance attached."""
-    taus = _finite_taus(taus)
-    p = np.asarray(dist, dtype=float)
+    <n^2> = 4 (|dW^2|/3 + W^2), with the position variance attached;
+    DomainError on an odd mass above PARITY_TOL or bad dist or taus."""
+    taus = checked_grid(taus, "taus")
+    p = _field(dist)
     _require_parity(p, what)
     rep = ergotropy(p)
     bundle = rep.wc_dispersion / 3.0 + rep.wc ** 2
@@ -163,7 +167,7 @@ def position_variance(dist, cfg: OscillatorConfig, taus) -> np.ndarray:
         <dX^2>(tau) = baseline + (32 G^2 / 3 Omega^2) sin^4(.../2) |dW^2|
 
     with baseline 1/2 for a coherent init and (1 + 2 nbar_O)/2 thermal.
-    Raises DomainError on a non-finite tau.
+    Raises DomainError as _parity_trace does.
     """
     return _parity_trace(dist, cfg, taus, "position_variance").xvar
 
@@ -240,16 +244,16 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
 
     d the diagonal of the truncated X^2. A thermal init is the mixture of
     its Fock levels up to the tail THERMAL_INIT_TAIL (and osc_cutoff),
-    each evolved on its own.
-    Raises DomainError on a non-finite tau, a non-finite or negative
-    (below -1e-12) dist entry or osc_cutoff < 1, and ConfigurationError
-    on osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD levels, when the cut drops
+    each weight positive, each level evolved on its own.
+    Raises DomainError on the taus that checked_grid refuses, a dist that
+    _field refuses or osc_cutoff < 1, and ConfigurationError on
+    osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD levels, when the cut drops
     more than ORACLE_TOP_TOL of a coherent init's norm, and when the top
     oscillator level accumulates more than ORACLE_TOP_TOL population
     anywhere on the grid, the last two with a suggested larger cutoff.
     """
-    p = checked_probabilities(dist)
-    taus = _finite_taus(taus)
+    p = _field(dist)
+    taus = checked_grid(taus, "taus")
     if osc_cutoff < 1:
         raise DomainError("osc_cutoff must be >= 1")
     if osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD:
@@ -268,8 +272,7 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     else:
         wts = fock.thermal_distribution(cfg.init.nbar_osc, THERMAL_INIT_TAIL)
         wts = wts[: osc_cutoff + 1]
-        psi0 = np.eye(wts.size, osc_cutoff + 1)[wts != 0]
-        wts = wts[wts != 0]
+        psi0 = np.eye(wts.size, osc_cutoff + 1)
     band = np.vstack([cfg.Omega * mm, np.zeros_like(mm)])
     h = np.sqrt(0.5) * sq
     hh = h[:-1] * h[1:]
@@ -380,7 +383,7 @@ def infer_wc(trace: OscillatorTrace,
 
     ar, ai = float(np.real(alpha)), float(np.imag(alpha))
     # B needs no bundle: it carries W wherever it weighs W more than D
-    w_sine = -B / (4.0 * u * ai) if abs(ai) > abs(ar) + 2.0 * abs(u) else None
+    w = -B / (4.0 * u * ai) if abs(ai) > abs(ar) + 2.0 * abs(u) else None
     if xvar is not None:
         s4 = np.sin(c / 2.0) ** 4
         a2 = np.stack([np.ones_like(s4), s4], axis=1)
@@ -388,7 +391,6 @@ def infer_wc(trace: OscillatorTrace,
         if r2 < 2:
             raise FitError("grid never leaves sin^4 = 0; variance channel empty")
         disp = float(cf2[1]) / ((32.0 / 3.0) * u ** 2)
-        w = w_sine
         if w is None:
             # D = 4u W ar + 8u^2 (W^2 + disp/3), quadratic in W
             rad = ar ** 2 + 2.0 * (D - (8.0 / 3.0) * u ** 2 * disp)
@@ -397,15 +399,13 @@ def infer_wc(trace: OscillatorTrace,
                     "inconsistent trace: negative discriminant in W solve")
             w = (-ar + np.sqrt(rad)) / (4.0 * u) if ar >= 0 \
                 else (-ar - np.sqrt(rad)) / (4.0 * u)
-        return InferenceResult(wc=w, wc_dispersion=disp,
-                               quad=w ** 2 + disp / 3.0,
-                               residual=residual, from_xvar=True)
-
-    # no variance channel: the dispersion is |dW^2| ~ 3W - 3W^2, under
-    # which D = 4u W ar + 8u^2 W exactly
-    if abs(alpha) < 1e-12:
-        raise FitError("phonon-only inference needs alpha != 0")
-    w = w_sine if w_sine is not None else D / (4.0 * u * ar + 8.0 * u ** 2)
-    disp = 3.0 * w - 3.0 * w ** 2
+    else:
+        # no variance channel: the dispersion is |dW^2| ~ 3W - 3W^2, under
+        # which D = 4u W ar + 8u^2 W exactly
+        if abs(alpha) < 1e-12:
+            raise FitError("phonon-only inference needs alpha != 0")
+        if w is None:
+            w = D / (4.0 * u * ar + 8.0 * u ** 2)
+        disp = 3.0 * w - 3.0 * w ** 2
     return InferenceResult(wc=w, wc_dispersion=disp, quad=w ** 2 + disp / 3.0,
-                           residual=residual, from_xvar=False)
+                           residual=residual, from_xvar=xvar is not None)

@@ -85,10 +85,11 @@ def ergotropy(p, nbar: Optional[float] = None) -> ErgotropyReport:
         eta = w * np.nan
     else:
         eta = w * 0.0 if nbar == 0 else w / nbar
+    var = fock.second_moment(p) - mean * mean
+    pas_var = fock.second_moment(pas) - pas_mean * pas_mean
     return ErgotropyReport(
         mean_energy=mean, passive_energy=pas_mean, wc=w,
-        wc_dispersion=np.abs(fock.variance(p) - fock.variance(pas)),
-        efficiency=eta)
+        wc_dispersion=np.abs(var - pas_var), efficiency=eta)
 
 
 # ---------------------------------------------------------------------------

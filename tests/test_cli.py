@@ -419,6 +419,45 @@ def test_pdc_identity_at_zero_and_headers(tmp_path):
     assert "pump_cutoff" in man["cutoffs"]
 
 
+@pytest.mark.parametrize("argv,params", [
+    (("optomech", "--process", "cross-kerr", "--nbar", 1, "--t", 2.0,
+      "--alpha", "3+4j"),
+     ['"G": 0.01', '"Omega": 1.0', '"allow_high_order": false',
+      '"alpha": "(3+4j)"', '"command": "optomech"', '"k": 2',
+      '"nbar": 1.0', '"osc_cutoff": 0', '"out": "OUT"',
+      '"process": "cross-kerr"', '"s": 1', '"t": 2.0',
+      '"tail_tol": 1e-12', '"tau": "0:12.566370614359172:256"']),
+    (("max-efficiency", "--process", "cross-kerr", "--nbar", 0.5, 2,
+      "--theta-max", 6.283),
+     ['"allow_high_order": false', '"command": "max-efficiency"',
+      '"grid": 200', '"k": 2', '"nbar": [\n      0.5,\n      2.0\n    ]',
+      '"out": "OUT"', '"process": "cross-kerr"', '"s": 1',
+      '"tail_tol": 1e-12', '"theta_max": 6.283']),
+], ids=["complex-alpha", "nbar-list"])
+def test_manifest_parameters_text(tmp_path, argv, params):
+    # a complex is written as its repr and a list as a JSON list, in the
+    # text the manifests have always had
+    out = tmp_path / "m.csv"
+    assert run(*argv, "--out", out) == 0
+    text = (tmp_path / "m.csv.manifest.json").read_text()
+    want = ",\n".join("    " + p for p in params).replace("OUT", str(out))
+    assert '  "parameters": {\n%s\n  },\n' % want in text
+
+
+def test_digest_commands_parse():
+    # every command whose CSV digest CHANGES.md tracks is a valid argv, and
+    # writes a CSV of its own
+    from digest_commands import commands
+    from nlmzi.cli import build_parser
+    listed = commands("work")
+    assert len(listed) == 16
+    assert len({name for name, _, _ in listed}) == len(listed)
+    assert len({path for _, _, path in listed}) == len(listed)
+    for name, argv, path in listed:
+        args = build_parser().parse_args(argv)
+        assert args.command != "rerun" and args.out == path, name
+
+
 def test_optomech_roundtrip_smoke(tmp_path):
     out = tmp_path / "om.csv"
     rc = run("optomech", "--process", "cross-kerr", "--nbar", 0.5,

@@ -173,3 +173,14 @@ def test_scaling_prediction_exchange3():
     # outside both window families the windowed forms say nothing
     blank = coh.small_nbar_scalings(Exchange(k=3), nbar, 0.6 * np.pi)
     assert np.isnan(blank.g2)
+
+
+def test_coherence_order_is_an_integer_two_to_four():
+    p = fock.thermal_distribution(1.0)
+    for m in (2.5, 1, 5, 3.000001):
+        with pytest.raises(DomainError, match="2, 3 or 4"):
+            coh.g_m(p, m)
+    # an integer-valued order is that integer
+    for m in (2, 3, 4):
+        assert coh.g_m(p, float(m)) == coh.g_m(p, m)
+        assert coh.g_m(p, np.int64(m)) == coh.g_m(p, m)

@@ -368,6 +368,38 @@ def test_hybrid_from_lists_is_the_tuple_hybrid():
     assert np.array_equal(ev.sweep_distributions(listed, 1.0, thetas), ref)
 
 
+def test_integer_valued_float_order_sweeps_as_the_int():
+    # Exchange(k=2.0) is stored as k=2, so a cold engine builds its blocks
+    thetas = np.linspace(0.0, 2.0 * np.pi, 9)
+    ev.block_engine.cache_clear()
+    ref = ev.sweep_distributions(Exchange(k=2), 1.0, thetas)
+    ev.block_engine.cache_clear()
+    got = ev.sweep_distributions(Exchange(k=2.0), 1.0, thetas)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("grid", [np.ones((2, 3)), np.ones((1, 4)),
+                                  np.ones((3, 1)), [[0.0, 1.0]]],
+                         ids=["2x3", "1x4", "3x1", "nested-list"])
+def test_a_grid_on_more_than_one_axis_is_refused(grid):
+    # one check, evolution.checked_grid, names the grid of each entry point
+    with pytest.raises(DomainError, match="thetas must lie on one axis"):
+        ev.sweep_distributions(CrossPhase(), 1.0, grid)
+    with pytest.raises(DomainError, match="g t must lie on one axis"):
+        ev.pdc_signal_sweep(DegeneratePDC(), 1.0, grid)
+    with pytest.raises(DomainError, match="taus must lie on one axis"):
+        om.phonon_trace_moments(1.0, 2.0, om.OscillatorConfig(
+            G=0.1, Omega=1.0, init=om.CoherentInit(1.0)), grid)
+
+
+def test_checked_grid_takes_a_scalar_or_one_axis():
+    assert ev.checked_grid(0.5, "ts").tolist() == [0.5]
+    assert ev.checked_grid([], "ts").shape == (0,)
+    assert ev.checked_grid(range(3), "ts").tolist() == [0.0, 1.0, 2.0]
+    with pytest.raises(DomainError, match="^ts must be finite$"):
+        ev.checked_grid([0.0, np.nan], "ts")
+
+
 def test_hermitian_eig_guards():
     with pytest.raises(DomainError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -63,7 +63,8 @@ def test_moments_of_thermal():
     nbar = 1.5
     p = fock.thermal_distribution(nbar, 1e-14)
     assert abs(fock.mean_photon(p) - nbar) < 1e-10
-    assert abs(fock.variance(p) - (nbar + nbar ** 2)) < 1e-9
+    var = fock.second_moment(p) - fock.mean_photon(p) ** 2
+    assert abs(var - (nbar + nbar ** 2)) < 1e-9
     for m in range(1, 5):
         # thermal factorial moments: <a+^m a^m> = m! nbar^m
         ref = math.factorial(m) * nbar ** m
@@ -80,3 +81,15 @@ def test_odd_mass_thermal():
         ref = x / ((1.0 + nbar) * (1.0 - x * x))
         assert abs(fock.odd_mass(p) - ref) < 1e-12
     assert abs(fock.odd_mass(fock.thermal_distribution(1.0, 1e-14)) - 1 / 3) < 1e-12
+
+
+def test_vacuum_input_is_exact():
+    # nbar = 0 goes through the general formulas: x = 0.0 gives the exact
+    # vacuum and exact zero tails
+    for nbar in (0, 0.0):
+        p = fock.thermal_distribution(nbar)
+        assert p.tolist() == [1.0]
+        assert fock.thermal_tail_mass(nbar, 0) == 0.0
+        assert fock.thermal_tail_energy(nbar, 0) == 0.0
+        assert fock.thermal_tail_mass(nbar, 7) == 0.0
+        assert fock.thermal_tail_energy(nbar, 7) == 0.0

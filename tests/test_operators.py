@@ -316,3 +316,17 @@ def test_buffer_pool_views_share_one_buffer_that_doubles():
             bases.append(v.base)
     assert [x.size for x in bases] == [3 * 2 ** i for i in range(len(bases))]
     assert len(bases) == 11  # 3 * 2^10 >= 3000 > 3 * 2^9
+
+
+def test_exchange_order_is_stored_as_an_int():
+    # an integer-valued float passes the order check and is kept as its
+    # int, so every sweep runs; equality and hash are a k=2's
+    spec = ops.Exchange(k=2.0)
+    assert type(spec.k) is int and spec.k == 2
+    assert spec == ops.Exchange(k=2)
+    assert hash(spec) == hash(ops.Exchange(k=2))
+    band = ops.process_generator(spec, 6)
+    assert np.array_equal(band, ops.process_generator(ops.Exchange(k=2), 6))
+    for bad in (2.5, 0, -1.0):
+        with pytest.raises(DomainError):
+            ops.Exchange(k=bad)

@@ -412,3 +412,34 @@ def test_oracle_writes_the_bits_of_fresh_allocation(monkeypatch, taus):
         ref = om.full_quantum_oracle(dist, cfg, 40, taus)
         assert np.array_equal(tr.phonon, ref.phonon)
         assert np.array_equal(tr.xvar, ref.xvar)
+
+
+@pytest.mark.parametrize("dist", [
+    np.array([EVEN3, EVEN3]).T, np.array(1.0), [], np.zeros((0, 3)),
+], ids=["stack", "0-d", "empty", "empty-stack"])
+def test_readout_takes_one_fields_distribution(dist):
+    # a stack, a scalar or an empty array is not one field's distribution:
+    # every readout refuses it with one DomainError, where the closed forms
+    # and the oracle used to fail inside numpy or disagree on []
+    taus = np.linspace(0.0, 4.0 * np.pi, 9)
+    calls = [
+        lambda: om.full_quantum_oracle(dist, cfg_coherent(1.0), 20, taus),
+        lambda: om.full_quantum_oracle(dist, cfg_thermal(0.3), 20, taus),
+        lambda: om.phonon_trace_coherent(dist, cfg_coherent(1.0), taus),
+        lambda: om.phonon_trace_thermal(dist, cfg_thermal(0.3), taus),
+        lambda: om.position_variance(dist, cfg_coherent(1.0), taus),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="dist must be one field's"):
+            call()
+
+
+def test_thermal_init_traces_at_tiny_and_zero_oscillator_nbar():
+    # every thermal init weight is positive, the vacuum's exactly 1.0:
+    # nbar_osc 0 and 1e-300 are the vacuum init, bit for bit
+    taus = np.linspace(0.0, 4.0 * np.pi, 17)
+    vac = om.full_quantum_oracle(EVEN3, cfg_thermal(0.0), 40, taus)
+    tiny = om.full_quantum_oracle(EVEN3, cfg_thermal(1e-300), 40, taus)
+    assert np.array_equal(vac.phonon, tiny.phonon)
+    assert np.array_equal(vac.xvar, tiny.xvar)
+    assert (fock.thermal_distribution(10.0, om.THERMAL_INIT_TAIL) > 0).all()
