@@ -12,8 +12,8 @@ generator eigenvectors carried through the second splitter, a real
 record, so every theta of a sweep costs real matrix products per block.
 The splitter is the phased real Wigner matrix exp(-i (pi/2) J_y), which a
 division-free ladder builds a quarter at a time. A diagonal generator
-needs no eigensolve; any other is solved on its banded chains j = c,
-c+g, ..., g the gcd of its exchange orders, by chain_eig, which gives a
+needs no eigensolve; any other is solved on its tridiagonal chains
+j = c, c+k, ..., k its one exchange order, by chain_eig, which gives a
 bipartite chain as its (mu, -mu) pairs: one phase exp(-i mu theta) per
 pair and theta. With n pump photons, parametric down-conversion reaches
 one bipartite chain of n + 1 states, kept in the blocks' pair form one
@@ -40,13 +40,12 @@ its grid's angle-addition tables, zero mask and buffers and starts on
 a multiple of the table stride, so its phases are the grid's columns
 bit for bit.
 
-The eigensolves call LAPACK dbdsdc (a bipartite tridiagonal chain, as the
-SVD of its half-size bidiagonal), dstevd (any other tridiagonal chain)
-and dsbevd (a wider one) in the OpenBLAS that numpy bundles and runs
-every product on, bound through numpy's own LAPACK extension, so the
-process holds one BLAS library and one thread pool. Where numpy links
-no such library, the first chain solve raises ConfigurationError, and
-the CLI exits 3.
+The eigensolves call LAPACK dbdsdc (a bipartite chain, as the SVD of its
+half-size bidiagonal) and dstevd (any other chain) in the OpenBLAS that
+numpy bundles and runs every product on, bound through numpy's own LAPACK
+extension, so the process holds one BLAS library and one thread pool.
+Where numpy links no such library, the first chain solve raises
+ConfigurationError, and the CLI exits 3.
 """
 
 from __future__ import annotations
@@ -226,11 +225,10 @@ _COL_MAJOR = 102  # LAPACKE's matrix layout code for Fortran order
 
 
 def _find_lapacke(lib=_umath_linalg.__file__):
-    """{routine: function} of LAPACKE dstevd, dsbevd and dbdsdc as lib
-    exports them, or, where it does not, a message naming what is
-    missing. dbdsdc is bound in its _work form, which takes its workspace
-    from the caller, where the plain form allocates and frees it on every
-    call.
+    """{routine: function} of LAPACKE dstevd and dbdsdc as lib exports
+    them, or, where it does not, a message naming what is missing. dbdsdc
+    is bound in its _work form, which takes its workspace from the caller,
+    where the plain form allocates and frees it on every call.
 
     lib is numpy's own LAPACK extension by default: a symbol looked up on
     its handle is also looked up in the libraries it links, so these are
@@ -240,7 +238,6 @@ def _find_lapacke(lib=_umath_linalg.__file__):
     Accelerate) or a 32-bit-integer OpenBLAS exports no such names.
     """
     want = {"dstevd": "scipy_LAPACKE_dstevd64_",
-            "dsbevd": "scipy_LAPACKE_dsbevd64_",
             "dbdsdc": "scipy_LAPACKE_dbdsdc_work64_"}
     try:
         handle = ctypes.CDLL(lib)
@@ -252,8 +249,6 @@ def _find_lapacke(lib=_umath_linalg.__file__):
     ptr = ctypes.POINTER(ctypes.c_double)
     i64, char = ctypes.c_int64, ctypes.c_char
     args = {"dstevd": [ctypes.c_int, char, i64, ptr, ptr, ptr, i64],
-            "dsbevd": [ctypes.c_int, char, char, i64, i64, ptr, i64, ptr,
-                       ptr, i64],
             "dbdsdc": [ctypes.c_int, char, char, i64, ptr, ptr, ptr, i64,
                        ptr, i64, ptr, ctypes.POINTER(i64), ptr,
                        ctypes.POINTER(i64)]}
@@ -283,47 +278,51 @@ def _lapacke(routine):
 
 
 def eig_banded(band):
-    """(mu, V, info) of LAPACK dsbevd on a real symmetric band in lower
-    storage, shape (b+1, L): eigenvalues ascending and eigenvectors as
+    """(mu, V, info) of LAPACK dstevd on a real symmetric tridiagonal chain
+    in lower band storage, shape (2, L), whose last coupling band[1, L-1]
+    it does not read: eigenvalues ascending and eigenvectors as
     Fortran-order columns, as scipy.linalg.eig_banded(band, lower=True)
-    gives them. The benchmark tracer (bench/tracer.py) wraps this name."""
+    gives them, bit for bit. The benchmark tracer (bench/tracer.py) wraps
+    this name."""
     L = band.shape[1]
-    ab = np.array(band, dtype=float, order="F")  # dsbevd overwrites it
-    mu, V = np.empty(L), np.empty((L, L), order="F")
-    info = _lapacke("dsbevd")(_COL_MAJOR, b"V", b"L", L, band.shape[0] - 1,
-                              _ref(ab), band.shape[0], _ref(mu), _ref(V), L)
+    mu, e = np.array(band, dtype=float)  # dstevd overwrites both
+    V = np.empty((L, L), order="F")
+    info = _lapacke("dstevd")(_COL_MAJOR, b"V", L, _ref(mu), _ref(e), _ref(V),
+                              L)
     return mu, V, info
 
 
 def chain_eig(band, pool: BufferPool | None = None):
-    """(mu, X, Y) of a real symmetric chain in the lower band storage of
-    operators.process_generator, shape (b+1, L): the one eigensolve of the
-    package (_find_lapacke). A non-finite band raises DomainError; a
-    nonzero LAPACK info, or no LAPACK, ConfigurationError. pool
-    (operators.BufferPool, a fresh one by default) holds dbdsdc's
-    workspace, 3 h^2 + 4 h doubles and 8 h integers for h = (L+1)//2: a
-    loop's chains grow solve by solve, and a fresh workspace above glibc's
-    mmap threshold would be mapped and faulted in on every one.
+    """(mu, X, Y) of a real symmetric tridiagonal chain in the lower band
+    storage of operators.process_generator, shape (2, L): the one
+    eigensolve of the package (_find_lapacke). A non-finite band raises
+    DomainError; a band of other than two rows, a nonzero LAPACK info, or
+    no LAPACK, ConfigurationError. pool (operators.BufferPool, a fresh one
+    by default) holds dbdsdc's workspace, 3 h^2 + 4 h doubles and 8 h
+    integers for h = (L+1)//2: a loop's chains grow solve by solve, and a
+    fresh workspace above glibc's mmap threshold would be mapped and
+    faulted in on every one.
 
-    A bipartite chain (zero diagonal, couplings at odd offsets only) has
-    exact pairs (mu, (u, v)/sqrt2), (-mu, (u, -v)/sqrt2), u on its even
-    sites and v on its odd ones (Coulson & Rushbrooke, Proc. Camb. Phil.
-    Soc. 36, 193 (1940)): it comes back as its mu >= 0 half, ascending,
-    with X = u and Y = v, columns of unit norm, an odd length's zero mode
-    first, with mu and Y's column 0.0. A tridiagonal one is the SVD of its
-    lower bidiagonal B[k, k] = e[2k], B[k+1, k] = e[2k+1], padded with a
-    zero column at odd length, by dbdsdc, which keeps small mu to high
-    relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873
-    (1990)); a wider one is dsbevd's (eig_banded) positive half V as
-    X = sqrt2 V[0::2], Y = sqrt2 V[1::2]. Any other chain comes back
+    A bipartite chain (zero diagonal) has exact pairs (mu, (u, v)/sqrt2),
+    (-mu, (u, -v)/sqrt2), u on its even sites and v on its odd ones
+    (Coulson & Rushbrooke, Proc. Camb. Phil. Soc. 36, 193 (1940)): it
+    comes back as its mu >= 0 half, ascending, with X = u and Y = v,
+    columns of unit norm, an odd length's zero mode first, with mu and Y's
+    column 0.0. It is the SVD of its lower bidiagonal B[k, k] = e[2k],
+    B[k+1, k] = e[2k+1], padded with a zero column at odd length, by
+    dbdsdc, which keeps small mu to high relative accuracy (Demmel & Kahan,
+    SIAM J. Sci. Stat. Comput. 11, 873 (1990)). Any other chain comes back
     whole, mu ascending, with its eigenvectors X and Y None, from dstevd
-    (eig_banded's bits) when tridiagonal and from dsbevd otherwise.
+    (eig_banded).
     """
     if not np.isfinite(band).all():
         raise DomainError("chain_eig needs a finite band")
+    if band.shape[0] != 2:
+        raise ConfigurationError("chain_eig solves a tridiagonal chain, a "
+                                 "band of two rows, not %d" % band.shape[0])
     L = band.shape[1]
-    paired = not band[0].any() and not band[2::2].any()
-    if paired and band.shape[0] == 2:
+    paired = not band[0].any()
+    if paired:
         h = (L + 1) // 2
         # dbdsdc overwrites both and reads h-1 of e, which never is empty
         d, e = band[1, ::2].copy(), np.zeros(h)
@@ -340,22 +339,7 @@ def chain_eig(band, pool: BufferPool | None = None):
                                   ctypes.c_int64.from_buffer(work, 8 * nw))
         mu, X, Y = d[::-1], U[:, ::-1], VT[::-1, : L // 2].T  # ascending
     else:
-        if L == 1:
-            mu, X, info = band[0].copy(), np.ones((1, 1)), 0
-        elif band.shape[0] == 2:
-            mu, e = np.array(band, dtype=float)  # dstevd overwrites both
-            X = np.empty((L, L), order="F")
-            info = _lapacke("dstevd")(_COL_MAJOR, b"V", L, _ref(mu), _ref(e),
-                                      _ref(X), L)
-        else:
-            mu, X, info = eig_banded(band)
-        if paired:
-            mu, V = mu[L // 2:], X[:, L // 2:]
-            X, Y = np.sqrt(2.0) * V[::2], np.sqrt(2.0) * V[1::2]
-            if L % 2:
-                X[:, 0] = V[::2, 0]  # the zero mode is its own partner
-        else:
-            Y = None
+        (mu, X, info), Y = eig_banded(band), None
     if info:
         raise ConfigurationError("LAPACK failed on a chain (info %d)" % info)
     if paired and L % 2:
@@ -438,9 +422,9 @@ class BlockEngine:
         q = self._rung(N)
         inv_c2 = 0.5 ** (N % 2)  # exact
         band = process_generator(self.process, N)
-        offsets = [d for d in range(1, band.shape[0]) if band[d].any()]
-        if offsets:
-            self._blocks[N] = _exchange_chains(q, N, band, offsets, inv_c2,
+        k = band.shape[0] - 1  # the one exchange order, or 0
+        if k and band[k].any():
+            self._blocks[N] = _exchange_chains(q, N, band, k, inv_c2,
                                                self._scratch)
             return
         # diagonal generator: it and the input column r_N[:, 0] are
@@ -535,39 +519,35 @@ def _image(q, N, rows, pos, V, w):
 
 
 def _fold(band, sigma):
-    """Band of a chain that is its own mirror i -> L-1-i, restricted to
-    the mirror sector sigma: sites 0..(L-1)//2, the middle one included.
+    """Band of a tridiagonal chain that is its own mirror i -> L-1-i,
+    restricted to the mirror sector sigma: sites 0..(L-1)//2, the middle
+    one included.
 
-    A coupling of sites a < L/2 and L-1-a' crosses the fold and lands,
-    times sigma, on the folded pair (a, a'): on the diagonal where
-    a = a', which an even-length chain's central coupling does. The
-    couplings of an odd-length chain's middle site take sqrt(2); that
-    site's sector sigma is +1. The crossing couplings also stay past the
-    end of their band rows, outside the matrix eig_banded reads.
+    At even length the central coupling, of sites L/2 - 1 and L/2, crosses
+    the fold and lands, times sigma, on the diagonal of site L/2 - 1. At
+    odd length the couplings of the middle site take sqrt(2); that site's
+    sector sigma is +1. The crossing coupling also stays past the end of
+    the band row, outside the matrix chain_eig reads.
     """
-    b, L = band.shape[0] - 1, band.shape[1]
-    h, F = L // 2, (L + 1) // 2
-    fb = band[:, :F].copy()
-    a = np.arange(h)
-    for d in range(1, b + 1):
-        a2 = L - 1 - d - a
-        on = (a2 >= 0) & (a2 <= a)
-        fb[a[on] - a2[on], a2[on]] += sigma * band[d, a[on]]
-    if L % 2:
-        d = np.arange(1, min(b, h) + 1)
-        fb[d, h - d] *= np.sqrt(2.0)
+    L = band.shape[1]
+    h = L // 2
+    fb = band[:, : (L + 1) // 2].copy()
+    if L % 2 == 0:
+        fb[0, h - 1] += sigma * band[1, h - 1]
+    elif h:
+        fb[1, h - 1] *= np.sqrt(2.0)
     return fb
 
 
-def _exchange_chains(q, N: int, band, offsets, scale, pool: BufferPool):
+def _exchange_chains(q, N: int, band, g: int, scale, pool: BufferPool):
     """(C, D, mu, rows, sign) of block N on its chains, one chain or mirror
     pair at a time; q is the quarter of the rung r_N, band the generator
-    (operators.process_generator), with couplings at the offsets offsets,
-    and pool the engine's work buffers.
+    (operators.process_generator), with couplings at the one offset g, the
+    process's exchange order, and pool the engine's work buffers.
 
-    The generator couples only sites j an offset apart, so it splits into
-    g real chains j = c, c+g, ..., g the gcd of the offsets, each a band
-    of width max(offsets)/g solved by chain_eig. The mirror j -> N-j
+    The generator couples only sites j that lie g apart, so it splits into
+    g real tridiagonal chains j = c, c+g, ..., band[::g, c::g], each solved
+    by chain_eig. The mirror j -> N-j
     commutes with it and maps chain c onto chain (N - c) mod g reversed,
     eigenvalue for eigenvalue: a pair of distinct chains is solved once
     and each eigenvalue's two columns merge into one. For even g a chain
@@ -598,8 +578,6 @@ def _exchange_chains(q, N: int, band, offsets, scale, pool: BufferPool):
     the record keeps (_kept_rows), and sign is (-1)^c on chain c's
     columns (BlockEngine); otherwise sign is None.
     """
-    g = math.gcd(*offsets)
-    b = max(offsets) // g
     even = g % 2 == 0
     rows = slice(N % 2, N + 1, 2) if even else slice(0, N + 1, 1)
     kept = _kept_rows(N, rows)
@@ -609,7 +587,7 @@ def _exchange_chains(q, N: int, band, offsets, scale, pool: BufferPool):
         if m < c:
             continue  # merged into chain m
         pos = np.arange(c, N + 1, g)
-        cb = band[: b * g + 1: g, c::g]
+        cb = band[::g, c::g]
         if m == c and even:
             pos, cb = pos[: (pos.size + 1) // 2], _fold(
                 cb, _signs(c) * _signs(N - c))
@@ -671,9 +649,10 @@ def mzi_output(process: ProcessSpec, t: float, nbar: float,
                tail_tol: float = 1e-12) -> np.ndarray:
     """Mode a's thermal-input output distribution, dist_a, at time t: the
     one-point sweep_distributions at theta = t * strength. Evolution is
-    exact per block; the only approximation is the input tail cut."""
-    if not np.isfinite(t):
-        raise DomainError("t must be finite")
+    exact per block; the only approximation is the input tail cut. A t
+    that is not a finite scalar raises DomainError."""
+    if np.ndim(t) or not np.isfinite(t):
+        raise DomainError("t must be a finite scalar")
     return sweep_distributions(process, nbar, [t * process.strength],
                                tail_tol)[:, 0]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, checked_count
 
 # Largest number of thermal blocks N = 0..N_max. It also bounds every
 # evolution in `evolution`: a block has N + 1 states, and a down-conversion
@@ -26,15 +26,20 @@ from .errors import ConfigurationError, DomainError
 DEFAULT_DIM_GUARD = 4096
 
 
-def thermal_cutoff(nbar: float, tail_tol: float = 1e-12) -> int:
-    """Smallest N_max with tail mass (nbar/(1+nbar))^(N_max+1) <= tail_tol."""
+def _ratio(nbar: float) -> float:
+    """nbar/(1+nbar), P_(n+1)/P_n, of a finite nbar >= 0 (DomainError)."""
     if not (np.isfinite(nbar) and nbar >= 0):
         raise DomainError("nbar must be finite and >= 0")
+    return nbar / (1.0 + nbar)
+
+
+def thermal_cutoff(nbar: float, tail_tol: float = 1e-12) -> int:
+    """Smallest N_max with tail mass (nbar/(1+nbar))^(N_max+1) <= tail_tol."""
+    x = _ratio(nbar)
     if not (0.0 < tail_tol < 1.0):
         raise DomainError("tail_tol must lie in (0, 1)")
     if nbar == 0:
         return 0
-    x = nbar / (1.0 + nbar)
     if x == 1.0:  # nbar above about 9e15: no finite N_max
         raise ConfigurationError("nbar %g needs more blocks than the block "
                                  "budget %d" % (nbar, DEFAULT_DIM_GUARD))
@@ -59,24 +64,24 @@ def thermal_distribution(nbar: float, tail_tol: float = 1e-12) -> np.ndarray:
         raise ConfigurationError(
             "nbar %g at tail_tol %g needs %d blocks, above the block budget "
             "%d" % (nbar, tail_tol, n_max + 1, DEFAULT_DIM_GUARD))
-    x = nbar / (1.0 + nbar)
-    return x ** np.arange(n_max + 1) / (1.0 + nbar)
+    return _ratio(nbar) ** np.arange(n_max + 1) / (1.0 + nbar)
 
 
 def thermal_tail_mass(nbar: float, n_max: int) -> float:
-    """Probability mass above n_max: sum_{n > n_max} P_n = x^(n_max+1)."""
-    x = nbar / (1.0 + nbar)
-    return x ** (n_max + 1)
+    """Probability mass above n_max: sum_{n > n_max} P_n = x^(n_max+1).
+    Raises DomainError on an nbar thermal_cutoff refuses and on an n_max
+    that is not a count."""
+    return _ratio(nbar) ** (checked_count(n_max, "n_max") + 1)
 
 
 def thermal_tail_energy(nbar: float, n_max: int) -> float:
     """Mean photon number carried by the truncated tail.
 
     sum_{n > n_max} n P_n = x^(n_max+1) (n_max + 1 + nbar), the bound on any
-    energy-linear quantity lost to truncation.
+    energy-linear quantity lost to truncation. Raises DomainError as
+    thermal_tail_mass does.
     """
-    x = nbar / (1.0 + nbar)
-    return x ** (n_max + 1) * (n_max + 1 + nbar)
+    return thermal_tail_mass(nbar, n_max) * (int(n_max) + 1 + nbar)
 
 
 def mean_photon(p):
@@ -92,8 +97,7 @@ def second_moment(p):
 
 def factorial_moment(p, m: int):
     """<n (n-1) ... (n-m+1)>, the m-th factorial moment."""
-    if m < 1:
-        raise DomainError("factorial moment order must be >= 1")
+    m = checked_count(m, "factorial moment order m", 1)
     p = np.asarray(p, dtype=float)
     n = np.arange(p.shape[0], dtype=float)
     f = np.ones_like(n)

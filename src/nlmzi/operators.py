@@ -3,9 +3,10 @@
 All operators act on the total-photon-number block N with basis
 |n_a = N - j, n_b = j>, j = 0..N (see fock.py). The nonlinear arm is a
 cross-phase coupling (n_a n_b)^s, a k-photon exchange
-a+^k b^k + a^k b+^k, or a weighted sum of them; its generator on a block
-is real symmetric, a diagonal plus exchange bands, and process_generator
-returns it in banded storage. The 50:50 splitter exp(-i (pi/2) J_x), with
+a+^k b^k + a^k b+^k, or a weighted sum of cross-phase terms and exchange
+terms of one order; its generator on a block is real symmetric, a
+diagonal plus one exchange band, and process_generator returns it in
+banded storage. The 50:50 splitter exp(-i (pi/2) J_x), with
 the Stokes operator J_x = (a+ b + a b+)/2, is the phased view of the real
 Wigner matrix exp(-i (pi/2) J_y), which a division-free ladder builds
 block by block, one quarter of it per block: its pi/2 mirrors give the
@@ -20,7 +21,7 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, checked_count
 
 # the exchange hierarchy converges fast; orders beyond 4 are physically
 # negligible and need an explicit opt-in
@@ -38,8 +39,8 @@ class CrossPhase:
     chi: float = 1.0
 
     def __post_init__(self):
-        if self.s < 1 or int(self.s) != self.s:
-            raise DomainError("cross-phase order s must be a positive integer")
+        object.__setattr__(self, "s",
+                           checked_count(self.s, "cross-phase order s", 1))
 
     @property
     def strength(self) -> float:
@@ -54,10 +55,9 @@ class Exchange:
     allow_high_order: bool = False
 
     def __post_init__(self):
-        if self.k < 1 or int(self.k) != self.k:
-            raise DomainError("exchange order k must be a positive integer")
         # an integer-valued float is its int, as process_generator needs
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k",
+                           checked_count(self.k, "exchange order k", 1))
         if self.k > EXCHANGE_ORDER_GUARD and not self.allow_high_order:
             raise ConfigurationError(
                 "exchange order k=%d exceeds the default guard k<=%d; pass "
@@ -75,7 +75,8 @@ class Hybrid:
 
     A term (c, spec) weighs spec's generator by c times spec's strength
     (chi or g); the Hybrid's own strength scales theta, as a bare
-    process's does.
+    process's does. Exchange terms of more than one order raise
+    ConfigurationError, so that every chain is tridiagonal (chain_eig).
     """
     terms: Tuple[Tuple[float, Union[CrossPhase, Exchange]], ...]
     strength: float = 1.0
@@ -91,6 +92,8 @@ class Hybrid:
             raise DomainError("hybrid term weights must be finite reals")
         if not np.isfinite([spec.strength for _, spec in self.terms]).all():
             raise DomainError("hybrid term strengths must be finite")
+        if len({s.k for _, s in self.terms if isinstance(s, Exchange)}) > 1:
+            raise ConfigurationError("hybrid exchange terms take one order")
         # hashable, as evolution.block_engine keys its engine on the process
         object.__setattr__(self, "terms",
                            tuple((float(c), spec) for c, spec in self.terms))
@@ -124,8 +127,7 @@ def exchange_couplings(N: int, k: int) -> np.ndarray:
     sqrt((N-j+i)(j-k+i)), each root of an exact integer, so an entry is
     within a few ulp of the exact value and overflows only where it does.
     """
-    if N < 0 or k < 1:
-        raise DomainError("need N >= 0 and k >= 1")
+    N, k = checked_count(N, "block label N"), checked_count(k, "order k", 1)
     j = np.arange(k, N + 1, dtype=float)
     out = np.ones_like(j)
     for i in range(1, k + 1):
@@ -135,13 +137,13 @@ def exchange_couplings(N: int, k: int) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
-    """Nonlinear-arm generator of a process on block N, in the lower band
-    storage of LAPACK's dsbevd (evolution.eig_banded): shape (b+1, N+1).
+    """Nonlinear-arm generator of a process on block N, in lower band
+    storage: shape (k+1, N+1), k its one exchange order if k <= N, else 0.
 
     Row 0 is the diagonal, the sum of c ((N-j) j)^s over the cross-phase
-    terms; row d holds the couplings G[j+d, j], j = 0..N-d, of offset d,
-    the sum of c times the exchange_couplings of the order-d terms; b is
-    the largest exchange order that fits in the block, or 0. A Hybrid's
+    terms; row k holds the couplings G[j+k, j], j = 0..N-k, the sum of c
+    times the exchange_couplings of the exchange terms, so that chain c is
+    the tridiagonal band[::k, c::k] (evolution.chain_eig). A Hybrid's
     term weighs c = coefficient times strength (chi or g); a bare process
     is the one term of weight 1, as its strength scales theta instead. A
     band that overflows raises DomainError, with no numpy warning. The
@@ -156,8 +158,7 @@ def process_generator(process: ProcessSpec, N: int) -> np.ndarray:
         raise ConfigurationError(
             "%s has no block generator; use evolution.pdc_signal_sweep"
             % type(process).__name__)
-    if N < 0:
-        raise DomainError("block label N must be >= 0")
+    N = checked_count(N, "block label N")
     b = max([spec.k for _, spec in terms
              if isinstance(spec, Exchange) and spec.k <= N], default=0)
     band = np.zeros((b + 1, N + 1))
@@ -282,8 +283,7 @@ def ladder_walk(N: int, start=None, scratch: BufferPool | None = None):
     Walks up from start = (n, q_n) with n <= N, by default from
     q_0 = r_0 = [[1]], one _jx_factorization step per block.
     """
-    if N < 0:
-        raise DomainError("block label N must be >= 0")
+    N = checked_count(N, "block label N")
     n, q = start if start is not None else (0, np.ones((1, 1)))
     scratch = scratch if scratch is not None else BufferPool()
     for m in range(n + 1, N + 1):

@@ -25,7 +25,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import fock
-from .errors import ConfigurationError, DomainError, FitError
+from .errors import (ConfigurationError, DomainError, FitError,
+                     checked_count)
 from .evolution import PhaseGrid, chain_eig, checked_grid, phase_product
 from .thermo import checked_probabilities, ergotropy
 
@@ -199,8 +200,10 @@ def suggested_osc_cutoff(cfg: OscillatorConfig, n_top: int) -> int:
     THERMAL_INIT_TAIL, so that the oracle keeps every init level it weighs
     and none of them starts at the top. Raises ConfigurationError when
     the cutoff would take more than fock.DEFAULT_DIM_GUARD levels, the
-    budget full_quantum_oracle keeps.
+    budget full_quantum_oracle keeps, and DomainError on an n_top that is
+    not a count.
     """
+    n_top = checked_count(n_top, "n_top")
     if isinstance(cfg.init, CoherentInit):
         amp0 = abs(cfg.init.alpha)
     else:
@@ -246,16 +249,16 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     its Fock levels up to the tail THERMAL_INIT_TAIL (and osc_cutoff),
     each weight positive, each level evolved on its own.
     Raises DomainError on the taus that checked_grid refuses, a dist that
-    _field refuses or osc_cutoff < 1, and ConfigurationError on
-    osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD levels, when the cut drops
-    more than ORACLE_TOP_TOL of a coherent init's norm, and when the top
-    oscillator level accumulates more than ORACLE_TOP_TOL population
-    anywhere on the grid, the last two with a suggested larger cutoff.
+    _field refuses and an osc_cutoff that is not a count >= 1, and
+    ConfigurationError on osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD levels,
+    when the cut drops more than ORACLE_TOP_TOL of a coherent init's norm,
+    and when the top oscillator level accumulates more than ORACLE_TOP_TOL
+    population anywhere on the grid, the last two with a suggested larger
+    cutoff.
     """
     p = _field(dist)
     taus = checked_grid(taus, "taus")
-    if osc_cutoff < 1:
-        raise DomainError("osc_cutoff must be >= 1")
+    osc_cutoff = checked_count(osc_cutoff, "osc_cutoff", 1)
     if osc_cutoff + 1 > fock.DEFAULT_DIM_GUARD:
         raise ConfigurationError(
             "osc_cutoff %d needs %d levels, above the level budget %d"

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import fock
-from .errors import DomainError
+from .errors import DomainError, checked_count
 from .evolution import sweep_distributions
 from .operators import ProcessSpec
 
@@ -188,8 +188,8 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
     """
     if not (np.isfinite(theta_max) and theta_max > 0):
         raise DomainError("theta_max must be finite and > 0")
-    if grid < 100:
-        raise DomainError("grid must be >= 100 for a trustworthy coarse scan")
+    # fewer than 100 points make no trustworthy coarse scan
+    grid = checked_count(grid, "grid", 100)
     if nbar == 0:
         return 0.0, 0.0
     thetas = np.linspace(0.0, theta_max, grid)

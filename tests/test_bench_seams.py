@@ -10,6 +10,7 @@ import importlib.util
 import os
 
 from nlmzi import evolution as ev
+from nlmzi import optomech as om
 from nlmzi.operators import (CrossPhase, DegeneratePDC, Exchange, Hybrid,
                              NonDegeneratePDC)
 
@@ -68,3 +69,20 @@ def test_pump_sweeps_reach_the_pump_chain_layers():
             assert calls.get(layer, {"calls": 0})["calls"] > 0, (process,
                                                                  layer)
         assert t.counts["evolution.generic_components"] > 0
+
+
+def test_non_bipartite_solves_reach_the_traced_eig_banded(monkeypatch):
+    # the tracer times evolution.eig_banded, the dstevd solve of every
+    # chain that is not bipartite: an even-length fold of an Exchange(k=2)
+    # block and each field level of the oscillator oracle pass through it
+    calls = []
+    solve = ev.eig_banded
+    monkeypatch.setattr(ev, "eig_banded",
+                        lambda band: calls.append(band.shape) or solve(band))
+    ev.block_engine.cache_clear()  # a kept engine would build nothing
+    ev.sweep_distributions(Exchange(k=2), 1.0, [0.5, 1.0], 1e-4)
+    assert calls
+    calls.clear()
+    cfg = om.OscillatorConfig(G=0.05, Omega=1.0, init=om.CoherentInit(1.0))
+    om.full_quantum_oracle([0.5, 0.3, 0.2], cfg, 40, [0.0, 1.0])
+    assert calls == [(2, 41)] * 3

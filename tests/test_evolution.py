@@ -31,14 +31,16 @@ from oracles import (dense_generator, eig_block_amplitudes,
                      tensor_mzi_state)
 
 HYBRID = Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=2))))
-# chain cases the single-order processes do not reach: a stride-2 band of
-# width 2 (not bipartite) and of a gcd-1 mix of orders, three terms, an
-# odd-stride bipartite chain, and a diagonal-only Hybrid
+# chain cases the bare processes do not reach: two exchange terms of one
+# order, a stride-4 chain with a diagonal (folds that are not bipartite),
+# three terms on an odd stride (unpaired chains), an odd-stride bipartite
+# chain, and a diagonal-only Hybrid
 HYBRID_CHAINS = [
-    Hybrid(terms=((1.0, Exchange(k=2)), (0.3, Exchange(k=4, allow_high_order=True)))),
-    Hybrid(terms=((1.0, Exchange(k=2)), (0.3, Exchange(k=3)))),
-    Hybrid(terms=((0.7, CrossPhase(s=1)), (1.0, Exchange(k=2)),
-                  (0.3, Exchange(k=4, allow_high_order=True)))),
+    Hybrid(terms=((1.0, Exchange(k=2)), (0.3, Exchange(k=2, g=2.0)))),
+    Hybrid(terms=((0.3, CrossPhase(s=2)),
+                  (1.0, Exchange(k=4, allow_high_order=True)))),
+    Hybrid(terms=((0.7, CrossPhase(s=1)), (0.2, CrossPhase(s=2)),
+                  (1.0, Exchange(k=3)))),
     Hybrid(terms=((0.5, Exchange(k=3)),)),
     Hybrid(terms=((1.0, CrossPhase()),)),
 ]
@@ -281,7 +283,7 @@ def test_exchange_pairs_are_built_exactly(process):
 
 @pytest.mark.parametrize("process", [
     Exchange(k=1), Exchange(k=3),
-    Hybrid(terms=((1.0, Exchange(k=2)), (0.3, Exchange(k=3)))),
+    Hybrid(terms=((1.0, Exchange(k=1)), (0.3, CrossPhase(s=2)))),
     Hybrid(terms=((0.7, CrossPhase(s=1)), (0.4, Exchange(k=3)))),
 ])
 def test_odd_stride_blocks_are_real(process):
@@ -488,7 +490,7 @@ def test_sweep_matches_single_points():
 @pytest.mark.parametrize("process", [
     CrossPhase(s=1), CrossPhase(s=2), Exchange(k=2), Exchange(k=3),
     Exchange(k=4, allow_high_order=True), HYBRID,
-    Hybrid(terms=((1.0, Exchange(k=2)), (0.3, Exchange(k=3)))),
+    Hybrid(terms=((1.0, Exchange(k=2)), (0.3, CrossPhase(s=2)))),
 ], ids=str)
 def test_sweep_columns_keep_the_input_mass(process):
     # every block is unitary, so each column of mode a carries the kept
@@ -807,22 +809,12 @@ def _tridiagonal_chains(rng, L):
         yield ev._fold(mirror, sigma)
 
 
-def _wide_chains(rng, L):
+def _wide_bands(rng, L):
     """Bands (3, L) and (4, L) of random chains, one of them bipartite
-    (zero diagonal and second band), and the generator band of
-    Hybrid(Exchange(2) + Exchange(3)) on block L - 1."""
+    (zero diagonal and second band): not tridiagonal."""
     yield rng.normal(size=(3, L))
     yield rng.normal(size=(4, L))
     yield rng.normal(size=(4, L)) * np.array([[0.0], [1.0], [0.0], [1.0]])
-    yield ops.process_generator(HYBRID_CHAINS[1], L - 1)
-
-
-def _near(V, ref_V, ulps):
-    """Whether each column of V is ref_V's, after sign alignment, within
-    ulps of the column's largest entry."""
-    sign = np.where((V * ref_V).sum(axis=0) < 0.0, -1.0, 1.0)
-    scale = np.abs(ref_V).max(axis=0) * np.finfo(float).eps
-    return bool(np.all(np.abs(V - sign * ref_V) <= ulps * scale))
 
 
 def _pair_floors(band, mu, X, Y):
@@ -847,55 +839,42 @@ def _pair_floors(band, mu, X, Y):
 
 
 def test_chain_eig_is_eig_banded_on_tridiagonal_chains():
-    # dstevd gives eig_banded's bits on an unpaired tridiagonal chain. A
-    # wider chain goes to dsbevd, as eig_banded's does, but in another
-    # OpenBLAS build (numpy's 0.3.31 against scipy's 0.3.30 here): its
-    # eigenvalues are equal, and its eigenvectors within 8 ulp of each
-    # column's scale, where at most 5.1 ulp was measured (first at band
-    # (3, 106)); a wide bipartite chain's halves are sqrt2 times its
-    # positive half's eigenvectors on the even and odd sites.
-    # A bipartite tridiagonal chain is a bidiagonal SVD (dbdsdc), whose
-    # vectors differ from eig_banded's by up to 1.8e7 ulp of a column's
-    # scale where mu cluster (at L = 196), so no vector-by-vector
-    # comparison holds; it meets these floors instead, over all the chains
-    # here (the largest value measured on them in brackets):
+    # dstevd gives eig_banded's bits on an unpaired tridiagonal chain.
+    # A bipartite chain is a bidiagonal SVD (dbdsdc), whose vectors differ
+    # from eig_banded's by up to 1.8e7 ulp of a column's scale where mu
+    # cluster (at L = 196), so no vector-by-vector comparison holds; it
+    # meets these floors instead, over all the chains here (the largest
+    # value measured on them in brackets):
     # - residual max|T V - V diag(mu)| <= 32 eps max|mu| (30.9);
     # - orthonormality max|X^T X - 1|, max|Y^T Y - 1| <= 20 eps (18.0, 19.5);
     # - mu within 25 ulp of max|mu| of eig_banded's mu >= 0 half (21);
     # - an odd length's zero mode has mu and Y's column exactly 0.0.
+    # A band of other than two rows is refused before any solve.
     rng = np.random.default_rng(11)
     for L in range(1, 201):
         chains = list(_tridiagonal_chains(rng, L))
         if L % 7 == 1 or L in (2, 3, 4):
-            chains += list(_wide_chains(rng, L))
+            for band in [np.ones((1, L))] + list(_wide_bands(rng, L)):
+                with pytest.raises(ConfigurationError, match="tridiagonal"):
+                    ev.chain_eig(band)
         for band in chains:
             mu, X, Y = ev.chain_eig(band)
             ref_mu, ref_V = eig_banded(band, lower=True)
-            paired = not band[0].any() and not band[2::2].any()
-            assert (Y is not None) == paired, (L, band.shape)
+            paired = not band[0].any()
+            assert (Y is not None) == paired, L
             if not paired:
-                same = np.array_equal if band.shape[0] == 2 else \
-                    (lambda a, b: _near(a, b, 8.0))
-                assert np.array_equal(mu, ref_mu), (L, band.shape)
-                assert same(X, ref_V), (L, band.shape)
+                assert np.array_equal(mu, ref_mu), L
+                assert np.array_equal(X, ref_V), L
                 continue
-            ref_mu, ref_V = ref_mu[L // 2:], ref_V[:, L // 2:]
+            ref_mu = ref_mu[L // 2:]
             assert X.shape == ((L + 1) // 2, mu.size)
             assert Y.shape == (L // 2, mu.size)
             if L % 2:
-                assert mu[0] == 0.0 and not Y[:, 0].any(), (L, band.shape)
-            if band.shape[0] == 2:
-                res, orth = _pair_floors(band, mu, X, Y)
-                assert res <= 32.0 and orth <= 20.0, (L, res, orth)
-                assert np.abs(mu - ref_mu).max() <= \
-                    25.0 * np.spacing(np.abs(mu).max()), L
-                continue
-            ref = np.sqrt(2.0) * np.vstack([ref_V[::2], ref_V[1::2]])
-            if L % 2:
-                ref[:, 0] = 0.0
-                ref[: X.shape[0], 0] = ref_V[::2, 0]
-            assert np.array_equal(mu[L % 2:], ref_mu[L % 2:]), (L, band.shape)
-            assert _near(np.vstack([X, Y]), ref, 8.0), (L, band.shape)
+                assert mu[0] == 0.0 and not Y[:, 0].any(), L
+            res, orth = _pair_floors(band, mu, X, Y)
+            assert res <= 32.0 and orth <= 20.0, (L, res, orth)
+            assert np.abs(mu - ref_mu).max() <= \
+                25.0 * np.spacing(np.abs(mu).max()), L
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -925,8 +904,7 @@ def test_chain_eig_reuses_a_pools_dbdsdc_workspace():
         assert set(pool._bufs) == {"dbdsdc"}
 
 
-@pytest.mark.parametrize("routine,rows", [("dstevd", 2), ("dsbevd", 4),
-                                          ("dbdsdc", 2)])
+@pytest.mark.parametrize("routine,rows", [("dstevd", 2), ("dbdsdc", 2)])
 def test_chain_eig_raises_on_a_failed_solve(monkeypatch, routine, rows):
     def failed(*args):
         return 3
@@ -946,10 +924,10 @@ MISSING_LAPACKE = [ctypes.util.find_library("m"), "/nonexistent/libx.so"]
                          ids=["no-symbols", "no-library"])
 def test_find_lapacke_names_every_missing_symbol(lib):
     # a library that exports none of the routines, or none at all: the
-    # binding is the message naming all three
+    # binding is the message naming both
     msg = ev._find_lapacke(lib)
     assert isinstance(msg, str) and lib in msg
-    for routine in ("dstevd", "dsbevd", "dbdsdc_work"):
+    for routine in ("dstevd", "dbdsdc_work"):
         assert "scipy_LAPACKE_%s64_" % routine in msg
 
 
@@ -980,7 +958,7 @@ def test_bound_routines_live_in_the_one_mapped_openblas():
     assert proc.returncode == 0, proc.stderr
     spans, fns = json.loads(proc.stdout.splitlines()[-1])
     assert len(spans) == 1, sorted(spans)
-    assert set(fns) == {"dstevd", "dsbevd", "dbdsdc"}
+    assert set(fns) == {"dstevd", "dbdsdc"}
     (ranges,) = spans.values()
     for routine, addr in fns.items():
         assert any(lo <= addr < hi for lo, hi in ranges), routine
@@ -989,18 +967,17 @@ def test_bound_routines_live_in_the_one_mapped_openblas():
 def test_chain_eig_without_numpys_openblas_raises(monkeypatch):
     # a numpy that links no OpenBLAS exporting LAPACKE (one built on MKL
     # or Accelerate) gets a ConfigurationError that names what is
-    # missing, all three routines, on its first chain solve
+    # missing, both routines, on its first chain solve, one site included
     monkeypatch.setattr(ev, "_LAPACKE", ev._find_lapacke(MISSING_LAPACKE[0]))
-    assert ev.chain_eig(np.ones((2, 1)))[0] == 1.0  # no solve on one site
-    for band in (np.ones((2, 6)), np.ones((4, 6)),
+    for band in (np.ones((2, 1)), np.ones((2, 6)),
                  np.vstack([np.zeros(6), np.ones(6)])):
         with pytest.raises(ConfigurationError) as err:
             ev.chain_eig(band)
-        for routine in ("dstevd", "dsbevd", "dbdsdc_work"):
+        for routine in ("dstevd", "dbdsdc_work"):
             assert "scipy_LAPACKE_%s64_" % routine in str(err.value)
 
 
-SOLVERS = {"_lapacke", "dstevd", "dsbevd", "dbdsdc", "eig_banded",
+SOLVERS = {"_lapacke", "dstevd", "dbdsdc", "eig_banded",
            "eigh_tridiagonal", "eigh"}
 SRC_TREES = {path.stem: ast.parse(path.read_text()) for path in
              sorted(pathlib.Path(ev.__file__).parent.glob("*.py"))}

@@ -1,10 +1,14 @@
-"""Thermal distributions, truncation bookkeeping, moments."""
+"""Thermal distributions, truncation bookkeeping, moments, and the count
+and scalar arguments of the package."""
 
 import numpy as np
 import pytest
 
-from nlmzi import fock
+from nlmzi import evolution as ev
+from nlmzi import fock, thermo
+from nlmzi import optomech as om
 from nlmzi.errors import ConfigurationError, DomainError
+from nlmzi.operators import CrossPhase, Exchange
 
 
 def test_thermal_cutoff_minimality():
@@ -93,3 +97,48 @@ def test_vacuum_input_is_exact():
         assert fock.thermal_tail_energy(nbar, 0) == 0.0
         assert fock.thermal_tail_mass(nbar, 7) == 0.0
         assert fock.thermal_tail_energy(nbar, 7) == 0.0
+
+
+P = fock.thermal_distribution(1.0, 1e-6)
+CFG = om.OscillatorConfig(G=0.05, Omega=1.0, init=om.CoherentInit(1.0))
+MALFORMED = {
+    "exchange-k-str": lambda: Exchange(k="2"),
+    "cross-phase-s-str": lambda: CrossPhase(s="x"),
+    "factorial-moment-fraction": lambda: fock.factorial_moment(P, 2.5),
+    "factorial-moment-str": lambda: fock.factorial_moment(P, "2"),
+    "max-efficiency-grid-fraction":
+        lambda: thermo.max_efficiency(Exchange(k=2), 1.0, 3.0, grid=150.5),
+    "oracle-cutoff-fraction":
+        lambda: om.full_quantum_oracle([0.5, 0.3, 0.2], CFG, 20.5, [0.0]),
+    "tail-mass-negative-nbar": lambda: fock.thermal_tail_mass(-1, 3),
+    "tail-energy-negative-nbar": lambda: fock.thermal_tail_energy(-1, 3),
+    "tail-mass-fraction": lambda: fock.thermal_tail_mass(1, 2.5),
+    "osc-cutoff-negative-top": lambda: om.suggested_osc_cutoff(CFG, -1),
+    "mzi-output-array-t":
+        lambda: ev.mzi_output(CrossPhase(), np.array([1.0, 2.0]), 1.0),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_counts_and_scalars_raise_domain_error(call):
+    # a count must be an integer-valued real within its bound, nbar a
+    # finite real >= 0 and a time t one finite scalar; anything else is the
+    # package's DomainError, not an error of Python or numpy
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_integer_valued_floats_are_their_counts():
+    assert fock.factorial_moment(P, 2.0) == fock.factorial_moment(P, 2)
+    assert type(Exchange(k=2.0).k) is int and type(CrossPhase(s=2.0).s) is int
+    assert CrossPhase(s=2.0) == CrossPhase(s=2)
+    assert fock.thermal_tail_mass(1.0, 3.0) == fock.thermal_tail_mass(1.0, 3)
+    assert fock.thermal_tail_energy(1.0, 3.0) == \
+        fock.thermal_tail_energy(1.0, 3)
+    assert om.suggested_osc_cutoff(CFG, 3.0) == om.suggested_osc_cutoff(CFG, 3)
+    assert thermo.max_efficiency(Exchange(k=2), 0.5, 3.0, grid=100.0) == \
+        thermo.max_efficiency(Exchange(k=2), 0.5, 3.0, grid=100)
+    taus = np.linspace(0.0, 6.3, 16)
+    got = om.full_quantum_oracle([0.5, 0.3, 0.2], CFG, 40.0, taus)
+    ref = om.full_quantum_oracle([0.5, 0.3, 0.2], CFG, 40, taus)
+    assert np.array_equal(got.phonon, ref.phonon)

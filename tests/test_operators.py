@@ -116,6 +116,18 @@ def test_process_spec_validation():
             ops.Hybrid(terms=((1.0, ops.CrossPhase()), bad))
     with pytest.raises(ConfigurationError):
         ops.process_generator(ops.DegeneratePDC(), 3)
+    # one exchange order keeps every chain tridiagonal: any number of
+    # cross-phase terms and of exchange terms of one order, but not two
+    # orders
+    one = ops.Hybrid(terms=((0.7, ops.CrossPhase()), (0.2, ops.CrossPhase(s=2)),
+                            (1.0, ops.Exchange(k=3)),
+                            (0.4, ops.Exchange(k=3, g=2.0))))
+    assert ops.process_generator(one, 9).shape == (4, 10)
+    for mixed in (((1.0, ops.Exchange(k=2)), (0.3, ops.Exchange(k=3))),
+                  ((0.7, ops.CrossPhase()), (1.0, ops.Exchange(k=2)),
+                   (0.3, ops.Exchange(k=4, allow_high_order=True)))):
+        with pytest.raises(ConfigurationError, match="one order"):
+            ops.Hybrid(terms=mixed)
     # ((N-j) j)^1000 is finite up to block 3 and overflows from block 4 on,
     # which is refused without a numpy warning
     with warnings.catch_warnings():
