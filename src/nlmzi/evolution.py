@@ -650,11 +650,12 @@ def mzi_output(process: ProcessSpec, t: float, nbar: float,
     """Mode a's thermal-input output distribution, dist_a, at time t: the
     one-point sweep_distributions at theta = t * strength. Evolution is
     exact per block; the only approximation is the input tail cut. A t
-    that is not a finite scalar raises DomainError."""
+    that is not a finite scalar raises DomainError, and a process with no
+    strength (no blocks) the sweep's ConfigurationError."""
     if np.ndim(t) or not np.isfinite(t):
         raise DomainError("t must be a finite scalar")
-    return sweep_distributions(process, nbar, [t * process.strength],
-                               tail_tol)[:, 0]
+    theta = t * getattr(process, "strength", 1.0)
+    return sweep_distributions(process, nbar, [theta], tail_tol)[:, 0]
 
 
 def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
@@ -716,7 +717,7 @@ class GenericEngine:
     mode's occupation is fixed by m, so each reduced state is diagonal.
 
     The name is older than the chains, and mode_distributions' older than
-    its signal-only output: the benchmark tracer (bench/tracer.py) wraps
+    its in-place signal sum: the benchmark tracer (bench/tracer.py) wraps
     _component, evolve and mode_distributions and reads _components.
     """
 
@@ -759,16 +760,16 @@ class GenericEngine:
         grid."""
         return phase_product(*self._component(n), grid)
 
-    def mode_distributions(self, n: int, grid: PhaseGrid) -> np.ndarray:
-        """Signal distribution from pump level n, step*n + 1 rows, one
-        column per time of the grid: site m's probability, the square of
-        its one nonzero part, on row step*m, and 0.0 between."""
+    def mode_distributions(self, n: int, grid: PhaseGrid, out, w: float):
+        """Adds w times pump level n's signal distribution into out (rows
+        0..step*n or more, a column per time of the grid): site m's one
+        nonzero part, squared in the pooled product, goes onto row step*m."""
         P = self.evolve(n, grid)
         P *= P
-        sig = np.zeros((self.step * n + 1, grid.size))
-        sig[:: 2 * self.step] = P[0]
-        sig[self.step:: 2 * self.step] = P[1][: (n + 1) // 2]
-        return sig
+        P *= w
+        sites = out[: self.step * n + 1: self.step]
+        sites[::2] += P[0]
+        sites[1::2] += P[1][: (n + 1) // 2]
 
 
 def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
@@ -778,7 +779,7 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
     N_max. The chain couplings carry g, so each pump level's chain is
     solved once and evolved over the times t = g t / g, one PhaseGrid for
     every level, tile by tile (PhaseGrid.tiles), and added, weighted by
-    P[n], into the leading step*n+1 rows of the tile's columns.
+    P[n], into the tile's columns (GenericEngine.mode_distributions).
     Raises DomainError on the g t that checked_grid refuses and on a
     coupling g that is zero or not finite.
     """
@@ -791,6 +792,5 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
     sig = np.zeros((eng.step * (P.size - 1) + 1, gts.size))
     for n in range(P.size):
         for cols, tile in tiles:
-            sig[: eng.step * n + 1, cols] += \
-                P[n] * eng.mode_distributions(n, tile)
+            eng.mode_distributions(n, tile, sig[:, cols], P[n])
     return sig

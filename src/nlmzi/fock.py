@@ -16,6 +16,8 @@ column, and then return one value per column.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, checked_count
@@ -27,9 +29,9 @@ DEFAULT_DIM_GUARD = 4096
 
 
 def _ratio(nbar: float) -> float:
-    """nbar/(1+nbar), P_(n+1)/P_n, of a finite nbar >= 0 (DomainError)."""
-    if not (np.isfinite(nbar) and nbar >= 0):
-        raise DomainError("nbar must be finite and >= 0")
+    """nbar/(1+nbar), P_(n+1)/P_n, of a finite real nbar >= 0 (DomainError)."""
+    if not (isinstance(nbar, numbers.Real) and 0 <= nbar < np.inf):
+        raise DomainError("nbar must be a finite real >= 0, not %r" % (nbar,))
     return nbar / (1.0 + nbar)
 
 

@@ -19,6 +19,7 @@ infer_wc inverts a measured trace back to W.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -41,8 +42,9 @@ class CoherentInit:
     alpha: complex
 
     def __post_init__(self):
-        if not np.isfinite(complex(self.alpha)):
-            raise DomainError("alpha must be finite")
+        if not (isinstance(self.alpha, numbers.Complex)
+                and np.isfinite(complex(self.alpha))):
+            raise DomainError("alpha must be a finite number")
 
     @property
     def nbar_osc(self) -> float:
@@ -54,8 +56,9 @@ class ThermalInit:
     nbar_osc: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.nbar_osc) and self.nbar_osc >= 0):
-            raise DomainError("oscillator nbar must be finite and >= 0")
+        if not (isinstance(self.nbar_osc, numbers.Real)
+                and np.isfinite(self.nbar_osc) and self.nbar_osc >= 0):
+            raise DomainError("oscillator nbar must be a finite real >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,8 @@ class OscillatorConfig:
             raise DomainError("Omega must be finite and positive")
         if not np.isfinite(self.G):
             raise DomainError("G must be finite")
+        if not isinstance(self.init, (CoherentInit, ThermalInit)):
+            raise DomainError("init must be a CoherentInit or ThermalInit")
 
 
 def _require_parity(p: np.ndarray, what: str):
@@ -91,11 +96,11 @@ class OscillatorTrace:
 def _field(dist) -> np.ndarray:
     """dist as one field's distribution: checked_probabilities of shape
     (n,), n >= 1; any other shape raises DomainError."""
-    p = checked_probabilities(dist)
+    p = np.asarray(dist, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DomainError("dist must be one field's distribution, of shape "
                           "(n,) with n >= 1, not %s" % (p.shape,))
-    return p
+    return checked_probabilities(p)
 
 
 def _beat(alpha: complex, c: np.ndarray) -> np.ndarray:

@@ -55,9 +55,12 @@ def wc_from_dist(p) -> float:
 
 
 def checked_probabilities(p) -> np.ndarray:
-    """p as a float array; a non-finite entry or one below -1e-12 raises
-    DomainError."""
+    """p as a float array of shape (n,) or (n, T), n >= 1; another shape,
+    a non-finite entry or one below -1e-12 raises DomainError."""
     p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[0] == 0:
+        raise DomainError("a distribution has shape (n,) or (n, T) with "
+                          "n >= 1, not %s" % (p.shape,))
     if not np.isfinite(p).all():
         raise DomainError("non-finite probability in distribution")
     if p.size and p.min() < -1e-12:

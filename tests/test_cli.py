@@ -550,14 +550,21 @@ def test_long_scan_reuses_its_sweep_buffers(tmp_path):
     # and product arrays for every block, each a little larger than the
     # last and above malloc's mmap threshold, it faults in about 54000
     # zero-filled pages; the sweep's reused buffers left about 5500, and
-    # with those buffers sized to a column tile of 1012 thetas about 3800
-    argv = ["max-efficiency", "--process", "exchange", "--k", "2",
+    # with those buffers sized to a column tile of 1012 thetas about 3800.
+    # A 3000-point degenerate pump faulted in about 102000 with a fresh
+    # signal array and a weighted copy per level and tile; adding each
+    # level's squares straight into the signal rows leaves about 1800
+    scan = ["max-efficiency", "--process", "exchange", "--k", "2",
             "--nbar", "20", "--theta-max", "100", "--grid", "2000",
-            "--tail-tol", "1e-3", "--out", str(tmp_path / "scan.csv")]
+            "--tail-tol", "1e-3"]
+    pump = ["pdc", "--variant", "degenerate", "--nbar", "3",
+            "--gt", "0:3.1416:3000"]
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT] + argv,
-                          env=env, capture_output=True, text=True,
-                          timeout=300, check=True)
-    assert int(proc.stdout) < 20000
+    for argv in (scan, pump):
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+        proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT] + argv,
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        assert int(proc.stdout) < 20000, argv[0]

@@ -740,7 +740,7 @@ def test_tiled_pdc_sweep_is_the_whole_grid_sum(process, ts):
     eng, grid = ev.GenericEngine(process), ev.PhaseGrid(ts / process.g)
     ref = np.zeros_like(sig)
     for n in range(P.size):
-        ref[: eng.step * n + 1] += P[n] * eng.mode_distributions(n, grid)
+        eng.mode_distributions(n, grid, ref, P[n])
     assert _agrees(sig, ref, ts.size)
 
 
@@ -1083,9 +1083,10 @@ def test_generic_engine_time_grid_matches_oracle_and_scalar_calls():
             rows = [n0 + 1, eng.step * n0 + 1, n0 + 1][: len(grid)]
             assert [d.shape for d in grid] == [(r, PDC_TIMES.size)
                                                 for r in rows]
-            # the engine builds the signal alone, with the same bits
-            assert np.array_equal(
-                eng.mode_distributions(n0, ev.PhaseGrid(PDC_TIMES)), grid[1])
+            # the engine adds the signal alone, with the same bits
+            sig = np.zeros_like(grid[1])
+            eng.mode_distributions(n0, ev.PhaseGrid(PDC_TIMES), sig, 1.0)
+            assert np.array_equal(sig, grid[1])
             for i, t in enumerate(PDC_TIMES):
                 # a one-column product rounds differently from a wide one
                 point = pump_level_marginals(eng, n0, ev.PhaseGrid([t]))
@@ -1100,7 +1101,8 @@ def test_degenerate_pdc_high_pump_component_is_hermitian_to_scale():
     eng = ev.GenericEngine(DegeneratePDC())
     assert len(eng._component(362)[0]) == 182  # the even sites
     grid = ev.PhaseGrid(np.linspace(0.0, np.pi, 5))
-    sig = eng.mode_distributions(362, grid)
+    sig = np.zeros((2 * 362 + 1, grid.size))
+    eng.mode_distributions(362, grid, sig, 1.0)
     assert np.abs(sig.sum(axis=0) - 1.0).max() < 1e-12
     assert not sig[1::2].any()
 
@@ -1202,10 +1204,9 @@ def test_pdc_sweep_keeps_one_pump_level(monkeypatch):
     held = []
     reduce = ev.GenericEngine.mode_distributions
 
-    def counted(self, n, grid):
-        out = reduce(self, n, grid)
+    def counted(self, n, grid, out, w):
+        reduce(self, n, grid, out, w)
         held.append(len(self._components))
-        return out
 
     monkeypatch.setattr(ev.GenericEngine, "mode_distributions", counted)
     ev.pdc_signal_sweep(DegeneratePDC(), 2.0, [0.3, 1.1], tail_tol=1e-8)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from nlmzi import evolution as ev
-from nlmzi import fock, thermo
+from nlmzi import coherence, fock, thermo
 from nlmzi import optomech as om
 from nlmzi.errors import ConfigurationError, DomainError
-from nlmzi.operators import CrossPhase, Exchange
+from nlmzi.operators import CrossPhase, DegeneratePDC, Exchange
 
 
 def test_thermal_cutoff_minimality():
@@ -116,16 +116,30 @@ MALFORMED = {
     "osc-cutoff-negative-top": lambda: om.suggested_osc_cutoff(CFG, -1),
     "mzi-output-array-t":
         lambda: ev.mzi_output(CrossPhase(), np.array([1.0, 2.0]), 1.0),
+    "thermal-nbar-list": lambda: fock.thermal_distribution([1, 2]),
+    "thermal-nbar-str": lambda: fock.thermal_distribution("x"),
+    "thermal-init-str": lambda: om.ThermalInit("x"),
+    "coherent-init-str": lambda: om.CoherentInit("x"),
+    "oscillator-init-none":
+        lambda: om.OscillatorConfig(G=0.05, Omega=1.0, init=None),
+    "ergotropy-scalar": lambda: thermo.ergotropy(0.5),
+    "ergotropy-3d": lambda: thermo.ergotropy(np.full((2, 2, 2), 0.25)),
+    "g2-3d": lambda: coherence.g_m(np.full((2, 2, 2), 0.25), 2),
+    "mzi-output-pdc": lambda: ev.mzi_output(DegeneratePDC(), 1.0, 1.0),
 }
 
+# a process the entry point cannot run is mis-configured, not out of domain
+RAISES = {"mzi-output-pdc": ConfigurationError}
 
-@pytest.mark.parametrize("call", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_counts_and_scalars_raise_domain_error(call):
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_counts_and_scalars_raise_domain_error(name):
     # a count must be an integer-valued real within its bound, nbar a
-    # finite real >= 0 and a time t one finite scalar; anything else is the
-    # package's DomainError, not an error of Python or numpy
-    with pytest.raises(DomainError):
-        call()
+    # finite real >= 0, a time t one finite scalar and a distribution of
+    # shape (n,) or (n, T), n >= 1; anything else is the package's
+    # DomainError (or ConfigurationError), not an error of Python or numpy
+    with pytest.raises(RAISES.get(name, DomainError)):
+        MALFORMED[name]()
 
 
 def test_integer_valued_floats_are_their_counts():
