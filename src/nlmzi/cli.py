@@ -4,7 +4,9 @@ Every data command writes one CSV (deterministic bytes: 17-significant-digit
 floats, '\\n' endings, header row) plus a JSON run manifest recording the
 full argv, engine version, cutoffs, tail masses, wall time, and a sha256
 digest of each output. `rerun` replays a manifest into a temporary
-directory, which it deletes, and verifies the digests still match.
+directory, which it deletes, and verifies the digests still match. The
+digest comes from CPython's builtin SHA-256 module, so a command never
+loads OpenSSL.
 
 Exit codes: 0 success, 2 usage error, 3 numeric/configuration failure, an
 array too large to allocate, or a file that cannot be read or written.
@@ -13,13 +15,22 @@ array too large to allocate, or a file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 import tempfile
 import time
+
+# hashlib maps OpenSSL's libcrypto (3.4 MB resident) for one digest per
+# command; CPython's lean builtin module gives the same SHA-256 bytes
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -75,7 +86,7 @@ def write_csv(path: str, header, rows):
 
 
 def sha256_of(path: str) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one count check."""
+"""Exception types shared across the package, and its count and real checks."""
 
+import math
 import numbers
 
 
@@ -26,3 +27,11 @@ def checked_count(value, name: str, least: int = 0) -> int:
         raise DomainError("%s must be an integer >= %d, not %r"
                           % (name, least, value))
     return int(value)
+
+
+def checked_real(value, name: str) -> float:
+    """value, a finite real, as a float; any other value, a string, a
+    complex or an array included, raises DomainError naming it."""
+    if not (isinstance(value, numbers.Real) and -math.inf < value < math.inf):
+        raise DomainError("%s must be a finite real, not %r" % (name, value))
+    return float(value)

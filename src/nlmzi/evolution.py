@@ -60,7 +60,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import fock
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, checked_real
 from .operators import (BufferPool, CrossPhase, DegeneratePDC,
                         NonDegeneratePDC, ProcessSpec, ladder_walk,
                         process_generator, rung_entries)
@@ -626,9 +626,13 @@ def _exchange_chains(q, N: int, band, g: int, scale, pool: BufferPool):
 
 
 def checked_grid(ts, name: str) -> np.ndarray:
-    """ts as a float grid of one axis, a scalar one point; more axes or a
-    non-finite point raise DomainError naming the grid."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    """ts as a float grid of one axis, a scalar one point; more axes, a
+    point that is not a real or a non-finite point raise DomainError
+    naming the grid."""
+    ts = np.atleast_1d(np.asarray(ts))
+    if ts.dtype.kind not in "biuf":
+        raise DomainError("%s must be real, not dtype %s" % (name, ts.dtype))
+    ts = ts.astype(float, copy=False)
     if ts.ndim != 1:
         raise DomainError("%s must lie on one axis, not shape %s"
                           % (name, ts.shape))
@@ -650,11 +654,9 @@ def mzi_output(process: ProcessSpec, t: float, nbar: float,
     """Mode a's thermal-input output distribution, dist_a, at time t: the
     one-point sweep_distributions at theta = t * strength. Evolution is
     exact per block; the only approximation is the input tail cut. A t
-    that is not a finite scalar raises DomainError, and a process with no
+    that is not a finite real raises DomainError, and a process with no
     strength (no blocks) the sweep's ConfigurationError."""
-    if np.ndim(t) or not np.isfinite(t):
-        raise DomainError("t must be a finite scalar")
-    theta = t * getattr(process, "strength", 1.0)
+    theta = checked_real(t, "t") * getattr(process, "strength", 1.0)
     return sweep_distributions(process, nbar, [theta], tail_tol)[:, 0]
 
 
@@ -785,7 +787,7 @@ def pdc_signal_sweep(process, nbar: float, gts, tail_tol: float = 1e-12):
     """
     P = fock.thermal_distribution(nbar, tail_tol)
     eng = GenericEngine(process)
-    if not (np.isfinite(process.g) and process.g != 0.0):
+    if checked_real(process.g, "the coupling g") == 0.0:
         raise DomainError("the coupling g must be finite and non-zero")
     gts = checked_grid(gts, "g t")
     tiles = list(PhaseGrid(gts / process.g).tiles())

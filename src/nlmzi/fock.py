@@ -20,7 +20,8 @@ import numbers
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, checked_count
+from .errors import (ConfigurationError, DomainError, checked_count,
+                     checked_real)
 
 # Largest number of thermal blocks N = 0..N_max. It also bounds every
 # evolution in `evolution`: a block has N + 1 states, and a down-conversion
@@ -38,7 +39,7 @@ def _ratio(nbar: float) -> float:
 def thermal_cutoff(nbar: float, tail_tol: float = 1e-12) -> int:
     """Smallest N_max with tail mass (nbar/(1+nbar))^(N_max+1) <= tail_tol."""
     x = _ratio(nbar)
-    if not (0.0 < tail_tol < 1.0):
+    if not (0.0 < checked_real(tail_tol, "tail_tol") < 1.0):
         raise DomainError("tail_tol must lie in (0, 1)")
     if nbar == 0:
         return 0

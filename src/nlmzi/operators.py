@@ -21,7 +21,8 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, checked_count
+from .errors import (ConfigurationError, DomainError, checked_count,
+                     checked_real)
 
 # the exchange hierarchy converges fast; orders beyond 4 are physically
 # negligible and need an explicit opt-in
@@ -41,6 +42,7 @@ class CrossPhase:
     def __post_init__(self):
         object.__setattr__(self, "s",
                            checked_count(self.s, "cross-phase order s", 1))
+        checked_real(self.chi, "chi")
 
     @property
     def strength(self) -> float:
@@ -58,6 +60,7 @@ class Exchange:
         # an integer-valued float is its int, as process_generator needs
         object.__setattr__(self, "k",
                            checked_count(self.k, "exchange order k", 1))
+        checked_real(self.g, "exchange coupling g")
         if self.k > EXCHANGE_ORDER_GUARD and not self.allow_high_order:
             raise ConfigurationError(
                 "exchange order k=%d exceeds the default guard k<=%d; pass "
@@ -90,8 +93,7 @@ class Hybrid:
         weights = np.array([c for c, _ in self.terms])
         if weights.dtype.kind not in "biuf" or not np.isfinite(weights).all():
             raise DomainError("hybrid term weights must be finite reals")
-        if not np.isfinite([spec.strength for _, spec in self.terms]).all():
-            raise DomainError("hybrid term strengths must be finite")
+        checked_real(self.strength, "hybrid strength")
         if len({s.k for _, s in self.terms if isinstance(s, Exchange)}) > 1:
             raise ConfigurationError("hybrid exchange terms take one order")
         # hashable, as evolution.block_engine keys its engine on the process

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fock
 from .errors import (ConfigurationError, DomainError, FitError,
-                     checked_count)
+                     checked_count, checked_real)
 from .evolution import PhaseGrid, chain_eig, checked_grid, phase_product
 from .thermo import checked_probabilities, ergotropy
 
@@ -56,8 +56,7 @@ class ThermalInit:
     nbar_osc: float
 
     def __post_init__(self):
-        if not (isinstance(self.nbar_osc, numbers.Real)
-                and np.isfinite(self.nbar_osc) and self.nbar_osc >= 0):
+        if not checked_real(self.nbar_osc, "oscillator nbar") >= 0:
             raise DomainError("oscillator nbar must be a finite real >= 0")
 
 
@@ -68,10 +67,9 @@ class OscillatorConfig:
     init: Union[CoherentInit, ThermalInit]
 
     def __post_init__(self):
-        if not (np.isfinite(self.Omega) and self.Omega > 0):
+        if not checked_real(self.Omega, "Omega") > 0:
             raise DomainError("Omega must be finite and positive")
-        if not np.isfinite(self.G):
-            raise DomainError("G must be finite")
+        checked_real(self.G, "G")
         if not isinstance(self.init, (CoherentInit, ThermalInit)):
             raise DomainError("init must be a CoherentInit or ThermalInit")
 

@@ -18,8 +18,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import fock
-from .errors import DomainError, checked_count
-from .evolution import sweep_distributions
+from .errors import DomainError, checked_count, checked_real
+from .evolution import checked_grid, sweep_distributions
 from .operators import ProcessSpec
 
 # negative work capacities can only be round-off: sorting minimizes the mean
@@ -154,7 +154,7 @@ class SweepResult:
 def wc_sweep(process: ProcessSpec, nbar: float, thetas,
              tail_tol: float = 1e-12) -> SweepResult:
     """Work capacity and companions across a theta grid (vectorized)."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    thetas = checked_grid(thetas, "thetas")
     da = sweep_distributions(process, nbar, thetas, tail_tol)
     P = fock.thermal_distribution(nbar, tail_tol)
     rep = ergotropy(da, nbar)
@@ -189,7 +189,7 @@ def max_efficiency(process: ProcessSpec, nbar: float, theta_max: float,
     it. The rounds stop at a bracket narrower than _THETA_XTOL, or at one
     that a round no longer narrows, where the ulp of theta exceeds it.
     """
-    if not (np.isfinite(theta_max) and theta_max > 0):
+    if not checked_real(theta_max, "theta_max") > 0:
         raise DomainError("theta_max must be finite and > 0")
     # fewer than 100 points make no trustworthy coarse scan
     grid = checked_count(grid, "grid", 100)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nlmzi import evolution
-from nlmzi.cli import _fmt, grid_arg, main, parse_grid, write_csv
+from nlmzi.cli import _fmt, grid_arg, main, parse_grid, sha256_of, write_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -568,3 +568,42 @@ def test_long_scan_reuses_its_sweep_buffers(tmp_path):
                               env=env, capture_output=True, text=True,
                               timeout=300, check=True)
         assert int(proc.stdout) < 20000, argv[0]
+
+
+HASHLIB_SCRIPT = """
+import contextlib, io, json, sys
+from nlmzi.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    loaded.append([argv[0], rc, "_hashlib" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_never_load_openssl(tmp_path):
+    # a manifest's digest comes from CPython's builtin SHA-256 module:
+    # hashlib would map OpenSSL's libcrypto, 3.4 MB resident, for it
+    def data(name):
+        return [str(a) for a in DATA_COMMANDS[name]
+                + ("--out", tmp_path / (name + ".csv"))]
+    argvs = [data("coherence"), data("optomech"), data("wc-sweep"),
+             ["rerun", str(tmp_path / "wc-sweep.csv.manifest.json")],
+             data("pdc"), data("max-efficiency")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", HASHLIB_SCRIPT, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == [[argv[0], 0, False] for argv in argvs]
+
+
+@pytest.mark.parametrize("size", [0, 1, 65536 * 2 + 17])
+def test_sha256_of_is_hashlib_sha256(tmp_path, size):
+    # empty, one byte, and past the 65536-byte read chunk
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert sha256_of(str(path)) == sha(path)

@@ -8,7 +8,7 @@ from nlmzi import evolution as ev
 from nlmzi import coherence, fock, thermo
 from nlmzi import optomech as om
 from nlmzi.errors import ConfigurationError, DomainError
-from nlmzi.operators import CrossPhase, DegeneratePDC, Exchange
+from nlmzi.operators import CrossPhase, DegeneratePDC, Exchange, Hybrid
 
 
 def test_thermal_cutoff_minimality():
@@ -126,6 +126,22 @@ MALFORMED = {
     "ergotropy-3d": lambda: thermo.ergotropy(np.full((2, 2, 2), 0.25)),
     "g2-3d": lambda: coherence.g_m(np.full((2, 2, 2), 0.25), 2),
     "mzi-output-pdc": lambda: ev.mzi_output(DegeneratePDC(), 1.0, 1.0),
+    "oscillator-G-str":
+        lambda: om.OscillatorConfig(G="x", Omega=1.0, init=CFG.init),
+    "oscillator-Omega-str":
+        lambda: om.OscillatorConfig(G=0.05, Omega="x", init=CFG.init),
+    "max-efficiency-theta-max-str":
+        lambda: thermo.max_efficiency(Exchange(k=2), 1.0, "x", grid=100),
+    "wc-sweep-tail-tol-str":
+        lambda: thermo.wc_sweep(Exchange(k=2), 1.0, [0.1], tail_tol="x"),
+    "wc-sweep-thetas-str": lambda: thermo.wc_sweep(Exchange(k=2), 1.0, ["x"]),
+    "mzi-output-t-str": lambda: ev.mzi_output(CrossPhase(), "x", 1.0),
+    "pdc-coupling-str":
+        lambda: ev.pdc_signal_sweep(DegeneratePDC(g="x"), 1.0, [0.1]),
+    "cross-phase-chi-str": lambda: CrossPhase(chi="x"),
+    "exchange-g-str": lambda: Exchange(g="x"),
+    "hybrid-strength-str":
+        lambda: Hybrid(((1.0, CrossPhase()),), strength="x"),
 }
 
 # a process the entry point cannot run is mis-configured, not out of domain
@@ -134,10 +150,11 @@ RAISES = {"mzi-output-pdc": ConfigurationError}
 
 @pytest.mark.parametrize("name", MALFORMED)
 def test_malformed_counts_and_scalars_raise_domain_error(name):
-    # a count must be an integer-valued real within its bound, nbar a
-    # finite real >= 0, a time t one finite scalar and a distribution of
-    # shape (n,) or (n, T), n >= 1; anything else is the package's
-    # DomainError (or ConfigurationError), not an error of Python or numpy
+    # a count must be an integer-valued real within its bound, nbar, a
+    # time t and every other real a finite real, a grid real and finite,
+    # and a distribution of shape (n,) or (n, T), n >= 1; anything else is
+    # the package's DomainError (or ConfigurationError), not an error of
+    # Python or numpy
     with pytest.raises(RAISES.get(name, DomainError)):
         MALFORMED[name]()
 
