@@ -402,6 +402,9 @@ class BlockEngine:
     ladder steps from it, or from r_0 when it lies below that one. A
     process with no photon-number blocks raises ConfigurationError on its
     first block.
+
+    The engine keeps no work buffers: a pass of build(M) takes its own,
+    and a block that a product reads unbuilt is factored alone.
     """
 
     def __init__(self, process: ProcessSpec):
@@ -409,23 +412,31 @@ class BlockEngine:
         self._twisted = isinstance(process, CrossPhase) and process.s == 1
         self._blocks: Dict[int, tuple] = {}
         self._top = (0, np.ones((1, 1)))
-        self._scratch = BufferPool()
 
-    def _rung(self, N: int) -> np.ndarray:
+    def build(self, M: int):
+        """Factors every block N < M not yet built, in ascending order, on
+        one BufferPool (ladder steps, dbdsdc workspace) that goes when the
+        pass returns. A sweep builds before its first product, so these
+        temporaries never interleave with its buffers on the heap."""
+        pool = BufferPool()
+        for N in range(M):
+            if N not in self._blocks:
+                self._build(N, pool)
+
+    def _rung(self, N: int, pool: BufferPool) -> np.ndarray:
         n, q = self._top
-        q = ladder_walk(N, (n, q) if n < N else None, self._scratch)
+        q = ladder_walk(N, (n, q) if n < N else None, pool)
         if N > n:
             self._top = (N, q)
         return q
 
-    def _build(self, N: int):
-        q = self._rung(N)
+    def _build(self, N: int, pool: BufferPool):
+        q = self._rung(N, pool)
         inv_c2 = 0.5 ** (N % 2)  # exact
         band = process_generator(self.process, N)
         k = band.shape[0] - 1  # the one exchange order, or 0
         if k and band[k].any():
-            self._blocks[N] = _exchange_chains(q, N, band, k, inv_c2,
-                                               self._scratch)
+            self._blocks[N] = _exchange_chains(q, N, band, k, inv_c2, pool)
             return
         # diagonal generator: it and the input column r_N[:, 0] are
         # symmetric under j -> N-j, so columns m and N-m merge; on the rows
@@ -442,7 +453,7 @@ class BlockEngine:
 
     def _factor(self, N: int):
         if N not in self._blocks:
-            self._build(N)
+            self._build(N, BufferPool())
         return self._blocks[N]
 
     def _full(self, N: int, pool: BufferPool):
@@ -543,7 +554,7 @@ def _exchange_chains(q, N: int, band, g: int, scale, pool: BufferPool):
     """(C, D, mu, rows, sign) of block N on its chains, one chain or mirror
     pair at a time; q is the quarter of the rung r_N, band the generator
     (operators.process_generator), with couplings at the one offset g, the
-    process's exchange order, and pool the engine's work buffers.
+    process's exchange order, and pool the build's work buffers.
 
     The generator couples only sites j that lie g apart, so it splits into
     g real tridiagonal chains j = c, c+g, ..., band[::g, c::g], each solved
@@ -667,7 +678,8 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
     Returns dist_a, shape (M, T): dist_a[n, i] is the mode-a probability
     of n photons at thetas[i], the dimensionless angles chi t or g t, on
     the M = fock.thermal_distribution(nbar, tail_tol).size kept blocks.
-    The blocks come from block_engine, and one PhaseGrid of thetas, with
+    The blocks come from block_engine, all built (BlockEngine.build)
+    before the first product, and one PhaseGrid of thetas, with
     top = M - 1, serves every block, one column tile at a time
     (PhaseGrid.tiles, which says what a tile shares and why it is about
     TILE wide): every block adds its probabilities on a tile into
@@ -679,6 +691,7 @@ def sweep_distributions(process: ProcessSpec, nbar: float, thetas,
     P = fock.thermal_distribution(nbar, tail_tol)
     M = P.size
     eng = block_engine(process)
+    eng.build(M)
     da = np.zeros((M, thetas.size))
     for cols, tile in PhaseGrid(thetas, top=M - 1).tiles():
         for N in range(M):

@@ -241,7 +241,9 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
     evolution.phase_product of V diag(V^T psi0), one real product when
     psi0 is real (a real alpha or a thermal basis state), all on one
     evolution.PhaseGrid of the taus, tile by tile, whose phase buffer
-    they reuse and then take their squares in. With
+    they reuse and then take their squares in. Each level's arrays live
+    in _oracle_level alone, so the process holds one level's
+    eigenvectors and product at a time. With
     h_m = sqrt(m+1)/sqrt2 the moments of the truncated position X are
     read off the bands
 
@@ -294,32 +296,48 @@ def full_quantum_oracle(dist, cfg: OscillatorConfig, osc_cutoff: int,
         if pn == 0:
             continue
         band[1, :-1] = cfg.G * n * sq
-        lam, V, _ = chain_eig(band)
-        ys = psi0 @ V
-        last = len(ys) - 1 if np.isrealobj(ys) else -1
-        for i, (w, y) in enumerate(zip(pn * wts, ys)):
-            # a real last initial state scales V itself, which nothing
-            # reads after it
-            A = np.multiply(V, y, out=V if i == last else None)
-            for cols, tile in tiles:
-                Z = phase_product(A, A, lam, tile)
-                # the squares go to the tile's phase buffer, which nothing
-                # reads once phase_product returns
-                buf = tile.pool.take("Z", Z.shape[1:], complex)
-                buf = buf.view(float).reshape(Z.shape)
-                np.multiply(Z, Z, out=buf)
-                top = max(top, float(buf[:, -1].sum(axis=0).max()))
-                phon[cols] += w * (mm @ buf).sum(axis=0)
-                x2 = (d @ buf).sum(axis=0)
-                np.multiply(Z[:, :-1], Z[:, 1:], out=buf[:, :-1])
-                ex[cols] += w * 2.0 * (h @ buf[:, :-1]).sum(axis=0)
-                np.multiply(Z[:, :-2], Z[:, 2:], out=buf[:, :-2])
-                ex2[cols] += w * (x2 + 2.0 * (hh @ buf[:, :-2]).sum(axis=0))
+        top = max(top, _oracle_level(band, psi0, pn * wts, tiles,
+                                     (mm, d, h, hh), (phon, ex, ex2)))
     if top > ORACLE_TOP_TOL:
         raise _small_cutoff(cfg, p.size - 1, osc_cutoff,
                             "top-level population %.2e" % top)
     return OscillatorTrace(taus=taus, phonon=phon, xvar=ex2 - ex ** 2,
                            config=cfg)
+
+
+def _oracle_level(band, psi0, weights, tiles, coeffs, sums) -> float:
+    """One field level of full_quantum_oracle: solves the chain band and
+    adds each initial state psi0[i]'s moments, times weights[i], into
+    sums = (phonon, <X>, <X^2>), tile by tile; returns the level's largest
+    top-level population. coeffs = (m, d, h, hh) weigh the squares and the
+    two off-diagonal products. The level's eigenvectors (L^2 doubles) and
+    its last product (2 L T) go when it returns, so that the next level's
+    chain_eig runs beside neither."""
+    mm, d, h, hh = coeffs
+    phon, ex, ex2 = sums
+    lam, V, _ = chain_eig(band)
+    ys = psi0 @ V
+    last = len(ys) - 1 if np.isrealobj(ys) else -1
+    top = 0.0
+    for i, (w, y) in enumerate(zip(weights, ys)):
+        # a real last initial state scales V itself, which nothing reads
+        # after it
+        A = np.multiply(V, y, out=V if i == last else None)
+        for cols, tile in tiles:
+            Z = phase_product(A, A, lam, tile)
+            # the squares go to the tile's phase buffer, which nothing
+            # reads once phase_product returns
+            buf = tile.pool.take("Z", Z.shape[1:], complex)
+            buf = buf.view(float).reshape(Z.shape)
+            np.multiply(Z, Z, out=buf)
+            top = max(top, float(buf[:, -1].sum(axis=0).max()))
+            phon[cols] += w * (mm @ buf).sum(axis=0)
+            x2 = (d @ buf).sum(axis=0)
+            np.multiply(Z[:, :-1], Z[:, 1:], out=buf[:, :-1])
+            ex[cols] += w * 2.0 * (h @ buf[:, :-1]).sum(axis=0)
+            np.multiply(Z[:, :-2], Z[:, 2:], out=buf[:, :-2])
+            ex2[cols] += w * (x2 + 2.0 * (hh @ buf[:, :-2]).sum(axis=0))
+    return top
 
 
 # ---------------------------------------------------------------------------

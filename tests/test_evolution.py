@@ -340,6 +340,35 @@ def test_in_order_builds_take_one_ladder_step_each(ladder_steps):
         assert ladder_steps == list(range(1, n))
 
 
+@pytest.mark.parametrize("process", [CrossPhase(s=1), Exchange(k=2),
+                                     Exchange(k=3), HYBRID], ids=str)
+def test_a_build_pass_gives_the_records_of_lazy_builds(process):
+    # one pass on one pool against a block at a time, each on its own
+    # pool: the same records, bit for bit
+    eng, ref = ev.BlockEngine(process), ev.BlockEngine(process)
+    eng.build(61)
+    assert sorted(eng._blocks) == list(range(61))
+    for N in range(61):
+        got, want = eng._blocks[N], ref._factor(N)
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        assert got[3] == want[3]
+        assert (got[4] is None) == (want[4] is None)
+        if want[4] is not None:
+            assert np.array_equal(got[4], want[4])
+
+
+@pytest.mark.parametrize("process", [CrossPhase(s=1), Exchange(k=2)],
+                         ids=str)
+def test_a_sweep_keeps_no_work_buffers_on_its_engine(process):
+    # the build pass drops its ladder and dbdsdc buffers when it returns
+    ev.block_engine.cache_clear()
+    ev.sweep_distributions(process, 2.0, np.linspace(0.0, 6.0, 50), 1e-8)
+    eng = ev.block_engine(process)
+    assert eng._blocks
+    assert not any(isinstance(v, ops.BufferPool) for v in vars(eng).values())
+
+
 @pytest.mark.parametrize("process", [
     CrossPhase(), Exchange(k=1), Exchange(k=2), Exchange(k=3),
     Hybrid(terms=((0.7, CrossPhase()), (0.4, Exchange(k=3)))),
@@ -1031,12 +1060,12 @@ def test_each_loop_over_the_phase_kernel_builds_one_grid():
 
 
 def test_phase_product_has_one_caller_per_evolution():
-    # the block engine, the pump chains and the oscillator oracle each
-    # take the kernel's parts from one call site
+    # the block engine, the pump chains and the oscillator oracle (one
+    # field level at a time) each take the kernel's parts from one call site
     assert _callers({"phase_product"}) == {
         ("evolution", "amplitudes", "phase_product"),
         ("evolution", "evolve", "phase_product"),
-        ("optomech", "full_quantum_oracle", "phase_product")}
+        ("optomech", "_oracle_level", "phase_product")}
 
 
 def test_block_engine_is_the_only_engine_maker_in_src():

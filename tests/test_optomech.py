@@ -1,5 +1,7 @@
 """Oscillator readout: closed forms, exact oracle, work-capacity inference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -412,6 +414,22 @@ def test_oracle_writes_the_bits_of_fresh_allocation(monkeypatch, taus):
         ref = om.full_quantum_oracle(dist, cfg, 40, taus)
         assert np.array_equal(tr.phonon, ref.phonon)
         assert np.array_equal(tr.xvar, ref.xvar)
+
+
+def test_oracle_holds_one_levels_arrays_at_a_time():
+    # a level's eigenvectors (L^2) and its product (2 L T) go before the
+    # next level's solve, so the peak is one level's L^2 + 4 L T doubles
+    # (with the grid's phase buffer), not two levels' eigenvectors; with
+    # the previous level's still bound it read 1.41 times that
+    L, T = 283, 256
+    taus = np.linspace(0.0, 4.0 * np.pi, T)
+    tracemalloc.start()
+    try:
+        om.full_quantum_oracle(EVEN5, cfg_coherent(10.0, G=0.01), L - 1, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * (L * L + 4 * L * T) * 8
 
 
 @pytest.mark.parametrize("dist", [
